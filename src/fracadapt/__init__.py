@@ -54,7 +54,7 @@ from .rational import (
     eval_Q,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "RunConfig",

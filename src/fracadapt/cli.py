@@ -13,6 +13,7 @@ import argparse
 import csv
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -66,8 +67,6 @@ def build_parser():
     r.add_argument("--out", metavar="DIR", default=None)
     r.add_argument("--seed-check", action="store_true",
                    help="print the pole count N(s) for the reference s values and exit")
-    r.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: hardware parallelism)")
     r.set_defaults(func=cmd_run)
 
     rr = sub.add_parser("rates", help="decay-rate regression from a log.csv")
@@ -95,7 +94,6 @@ def cmd_run(args):
 
     domain = DomainSpec(args.domain)
     f = fem.RhsField.one() if args.f == "one" else fem.RhsField.test2()
-    threads = args.threads if args.threads is not None else os.cpu_count() or 1
     config = driver.RunConfig(
         s=args.s,
         domain=domain,
@@ -106,7 +104,6 @@ def cmd_run(args):
         kappa=args.kappa,
         max_iterations=args.max_iter,
         mode=args.mode,
-        threads=threads,
     )
     scheme = rational.bp_coefficients(
         config.s, config.kappa, oracle.faber_krahn_lambda0(domain)
@@ -116,7 +113,7 @@ def cmd_run(args):
     out_dir = args.out
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        _write_config_echo(os.path.join(out_dir, "config.echo"), args, config, threads)
+        _write_config_echo(os.path.join(out_dir, "config.echo"), args, config)
 
     reference = None
     if domain.rectangle is not None:
@@ -146,7 +143,7 @@ def cmd_run(args):
     return 0 if result.stopped in ("tol", "converged") else 2
 
 
-def _write_config_echo(path, args, config, threads):
+def _write_config_echo(path, args, config):
     lines = [
         ("command", "run"),
         ("s", config.s),
@@ -159,7 +156,6 @@ def _write_config_echo(path, args, config, threads):
         ("mode", config.mode),
         ("max-iter", config.max_iterations),
         ("out", args.out),
-        ("threads", threads),
         ("initial-cells", config.initial_cells),
     ]
     with open(path, "w") as fh:
@@ -190,24 +186,12 @@ def _write_log(path, records):
 
 
 def cmd_rates(args):
-    try:
-        with open(args.log, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    est = [r for r in rows if r.get("eta_union")]
-    if len(est) < args.window:
-        print(
-            f"error: need at least {args.window} estimate rows, found {len(est)}",
-            file=sys.stderr,
-        )
-        return 1
-    est = est[-args.window:]
-    x = np.log([float(r["union_dofs"]) for r in est])
+    with open(args.log, newline="") as fh:
+        rows = [r for r in csv.DictReader(fh) if r.get("eta_union")]
+    cols = ("union_dofs", "eta_triangle", "eta_union")
+    records = [SimpleNamespace(**{k: float(r[k]) for k in cols}) for r in rows]
     for col, label in [("eta_triangle", "eta"), ("eta_union", "eta_union")]:
-        y = np.log([float(r[col]) for r in est])
-        rate = -float(np.polyfit(x, y, 1)[0])
+        rate = driver.decay_rate(records, window=args.window, estimate=col)
         print(f"{label} decay rate: {rate:.4f}")
     return 0
 

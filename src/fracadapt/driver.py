@@ -9,7 +9,6 @@ is computed every ``k``-th iteration.
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,8 +40,6 @@ class RunConfig:
     max_iterations: int = 60
     mode: str = "multimesh"  # "multimesh", "singlemesh", or "uniform"
     initial_cells: int = None
-    rel_tol: float = 1e-10
-    threads: int = 1
 
     def __post_init__(self):
         if not (0.0 < self.theta <= 1.0):
@@ -77,7 +74,9 @@ class RunResult:
     union: object
     states: list
     scheme: rational.RationalScheme
-    stopped: str  # "tol" or "max-iter"
+    # "tol" (eta_union < tol), "max-iter", or "converged" (marking found no
+    # cell with a nonzero indicator)
+    stopped: str
     refine_counts: np.ndarray
     solve_counts: np.ndarray
     estimate_counts: np.ndarray
@@ -138,14 +137,6 @@ def decay_rate(records, window=15, estimate="eta_union", abscissa="union_dofs"):
     return -float(slope)
 
 
-def _solve_estimate(state, scheme, f, rel_tol):
-    b = scheme.b[state.index]
-    c = scheme.c[state.index]
-    w = fem.assemble_and_solve(state.mesh, b, c, f, rel_tol=rel_tol)
-    eta = estimators.local_indicators(state.mesh, w, b, c, f)
-    return w, eta
-
-
 def run(config, reference=None, on_checkpoint=None):
     """Execute the adaptive loop and return a RunResult.
 
@@ -178,121 +169,95 @@ def run(config, reference=None, on_checkpoint=None):
     union = None
     solution = None
 
-    pool = ThreadPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1 else None
-    try:
-        for m in range(cfg.max_iterations):
-            t0 = time.perf_counter()
-            dirty = [st for st in states if st.dirty]
-            if pool is not None and len(dirty) > 1:
-                results = list(
-                    pool.map(
-                        lambda st: _solve_estimate(st, scheme, cfg.f, cfg.rel_tol),
-                        dirty,
-                    )
+    for m in range(cfg.max_iterations):
+        t0 = time.perf_counter()
+        dirty = [st for st in states if st.dirty]
+        for st in dirty:
+            b, c = scheme.b[st.index], scheme.c[st.index]
+            st.solution = fem.assemble_and_solve(st.mesh, b, c, cfg.f)
+            st.indicators = estimators.local_indicators(st.mesh, st.solution, b, c, cfg.f)
+            if not np.all(np.isfinite(st.indicators)):
+                raise ValueError(
+                    f"non-finite error indicator for problem l = {st.index} "
+                    f"(b_l = {b:.6g}, c_l = {c:.6g})"
                 )
-            else:
-                results = [
-                    _solve_estimate(st, scheme, cfg.f, cfg.rel_tol) for st in dirty
-                ]
-            for st, (w, eta) in zip(dirty, results):
-                st.solution = w
-                st.indicators = eta
-                st.dirty = False
-                solve_counts[st.index] += 1
-                estimate_counts[st.index] += 1
-            solved_per_iter.append(sorted(st.index for st in dirty))
+            st.dirty = False
+            solve_counts[st.index] += 1
+            estimate_counts[st.index] += 1
+        solved_per_iter.append(sorted(st.index for st in dirty))
 
-            totcost = sum(st.mesh.num_interior_vertices for st in dirty)
-            cumcost += totcost
-            total_dofs = sum(st.mesh.num_interior_vertices for st in states)
-            rec = IterationRecord(
-                m=m,
-                solved_problems=len(dirty),
-                totcost=totcost,
-                cumcost=cumcost,
-                total_dofs=total_dofs,
-            )
+        totcost = sum(st.mesh.num_interior_vertices for st in dirty)
+        cumcost += totcost
+        total_dofs = sum(st.mesh.num_interior_vertices for st in states)
+        rec = IterationRecord(
+            m=m,
+            solved_problems=len(dirty),
+            totcost=totcost,
+            cumcost=cumcost,
+            total_dofs=total_dofs,
+        )
 
-            checkpoint = m % cfg.k == 0
-            if checkpoint:
-                if cfg.mode == "multimesh":
-                    union = union_mesh([st.mesh for st in states])
-                    rec.eta_union = estimators.global_union_estimate(
-                        scheme, states, union, cfg.f
-                    )
-                else:
-                    union = states[0].mesh
-                    rec.eta_union = estimators.combined_equal_mesh_estimate(
-                        scheme, states, cfg.f
-                    )
-                rec.eta_triangle = estimators.global_triangle_estimate(scheme, states)
-                rec.union_dofs = union.num_interior_vertices
-                solution = fem.combine_on_union(scheme, states, union)
-                if reference is not None:
-                    rec.error_ref = oracle.l2_error(reference, solution)
-                    rec.effectivity = oracle.effectivity(rec.eta_union, rec.error_ref)
-                if on_checkpoint is not None:
-                    on_checkpoint(m, states, union, solution)
-            rec.wall_time = time.perf_counter() - t0
-            records.append(rec)
-            if checkpoint and rec.eta_union < cfg.tol:
-                stopped = "tol"
+        checkpoint = m % cfg.k == 0
+        if checkpoint:
+            # when every state shares one mesh, the union is that mesh
+            union = union_mesh([st.mesh for st in states])
+            rec.eta_union = estimators.global_union_estimate(scheme, states, union, cfg.f)
+            rec.eta_triangle = estimators.global_triangle_estimate(scheme, states)
+            rec.union_dofs = union.num_interior_vertices
+            solution = fem.combine_on_union(scheme, states, union)
+            if reference is not None:
+                rec.error_ref = oracle.l2_error(reference, solution)
+                rec.effectivity = oracle.effectivity(rec.eta_union, rec.error_ref)
+            if on_checkpoint is not None:
+                on_checkpoint(m, states, union, solution)
+        rec.wall_time = time.perf_counter() - t0
+        records.append(rec)
+        if checkpoint and rec.eta_union < cfg.tol:
+            stopped = "tol"
+            marked_per_iter.append([])
+            break
+
+        if m == cfg.max_iterations - 1:
+            marked_per_iter.append([])
+            break
+
+        if cfg.mode == "multimesh":
+            marks = doerfler_mark(states, scheme, cfg.theta)
+            if not any(marks):
+                stopped = "converged"
                 marked_per_iter.append([])
                 break
-
-            if m == cfg.max_iterations - 1:
-                marked_per_iter.append([])
-                break
-
-            if cfg.mode == "uniform":
-                new_mesh = uniform_refine(states[0].mesh)
-                for st in states:
-                    st.mesh = new_mesh
+            marked = []
+            for st, mk in zip(states, marks):
+                if mk:
+                    st.mesh = refine(st.mesh, mk)
                     st.dirty = True
-                refine_counts += 1
-                marked_per_iter.append([st.index for st in states])
-            else:
-                marks = doerfler_mark(states, scheme, cfg.theta)
-                if cfg.mode == "singlemesh":
-                    joint = set()
-                    for mk in marks:
-                        joint |= mk
-                    if not joint:
-                        stopped = "converged"
-                        marked_per_iter.append([])
-                        break
-                    new_mesh = refine(states[0].mesh, joint)
-                    for st in states:
-                        st.mesh = new_mesh
-                        st.dirty = True
-                    refine_counts += 1
-                    marked_per_iter.append([st.index for st in states])
-                else:
-                    marked = []
-                    if not any(marks):
-                        stopped = "converged"
-                        marked_per_iter.append([])
-                        break
-                    for st, mk in zip(states, marks):
-                        if mk:
-                            st.mesh = refine(st.mesh, mk)
-                            st.dirty = True
-                            st.solution = None
-                            st.indicators = None
-                            refine_counts[st.index] += 1
-                            marked.append(st.index)
-                    marked_per_iter.append(marked)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+                    st.solution = None
+                    st.indicators = None
+                    refine_counts[st.index] += 1
+                    marked.append(st.index)
+            marked_per_iter.append(marked)
+            continue
+
+        # singlemesh and uniform: every problem moves to one new shared mesh
+        if cfg.mode == "uniform":
+            new_mesh = uniform_refine(states[0].mesh)
+        else:
+            joint = set().union(*doerfler_mark(states, scheme, cfg.theta))
+            if not joint:
+                stopped = "converged"
+                marked_per_iter.append([])
+                break
+            new_mesh = refine(states[0].mesh, joint)
+        for st in states:
+            st.mesh = new_mesh
+            st.dirty = True
+        refine_counts += 1
+        marked_per_iter.append([st.index for st in states])
 
     if solution is None:
         # no checkpoint reached (k > iterations run); build the final state
-        union = (
-            union_mesh([st.mesh for st in states])
-            if cfg.mode == "multimesh"
-            else states[0].mesh
-        )
+        union = union_mesh([st.mesh for st in states])
         solution = fem.combine_on_union(scheme, states, union)
     return RunResult(
         records=records,

@@ -96,7 +96,7 @@ def _enrichment_geometry(mesh):
 
 
 def _f_at_enrichment_quad(mesh, f):
-    key = ("enr_fq", f.kind, id(f))
+    key = ("enr_fq", f)
     fq = mesh._cache.get(key)
     if fq is None:
         qpts = _enrichment_geometry(mesh)["qpts"]
@@ -130,9 +130,12 @@ def _solve_local(mesh, corner_vals, edge_jump, b, c, f):
 
     ``corner_vals``: P1 solution values at the three cell corners.
     ``edge_jump``: per-edge gradient-jump scalar (without the b factor).
+
+    The system is divided by the smallest power of two above max(b, c), as
+    if b, c and f were: the solution is unchanged bit for bit, and the 3x3
+    determinant cannot overflow for extreme b.
     """
     geo = _enrichment_geometry(mesh)
-    A = b * geo["S"] + c * geo["M"]
     fq = _f_at_enrichment_quad(mesh, f)
     wq = np.einsum("tqj,mj->mtq", _CB, corner_vals)
     resid = fq - c * wq
@@ -140,7 +143,9 @@ def _solve_local(mesh, corner_vals, edge_jump, b, c, f):
     # edge term: -1/2 * (J, phi_i)_F = -b * jump * |F| / 4 on phi_i's own edge
     jl = edge_jump * geo["edge_length"]
     rhs -= 0.25 * b * jl[mesh.cell_edge]
-    return _cramer_solve(A, rhs)
+    scale = np.ldexp(1.0, np.frexp(max(b, c))[1])
+    A = (b / scale) * geo["S"] + (c / scale) * geo["M"]
+    return _cramer_solve(A, rhs / scale)
 
 
 def _cramer_solve(A, rhs):
@@ -166,12 +171,27 @@ def _enrichment_norms(mesh, coeffs):
     return np.einsum("mi,mij,mj->m", coeffs, geo["M"], coeffs)
 
 
+def _local_coeffs(target, w, b, c, f):
+    """Enrichment coefficients (m, 3) on ``target`` for a P1 ``w`` that lives
+    on ``target`` or on a coarsening of it.
+
+    On a proper refinement, edges of ``target`` interior to one cell of
+    ``w.mesh`` carry no jump by construction and are skipped as exact zeros.
+    """
+    if w.mesh.same_mesh(target):
+        corner_vals = w.nodal_values[target.cells]
+        grads = np.einsum("mk,mkd->md", corner_vals, _grads(target))
+        jump = _edge_jumps(target, grads)
+    else:
+        parents = meshmod.ancestor_cell_map(target, w.mesh)
+        jump = _edge_jumps(target, w.cell_gradients()[parents], skip_same=parents)
+        corner_vals = transfer_p1(w, target).nodal_values[target.cells]
+    return _solve_local(target, corner_vals, jump, b, c, f)
+
+
 def local_indicators(mesh, w, b, c, f):
     """Per-cell indicator ||e_K||_{L2(K)} for one parametric problem."""
-    corner_vals = w.nodal_values[mesh.cells]
-    grads = np.einsum("mk,mkd->md", corner_vals, _grads(mesh))
-    jump = _edge_jumps(mesh, grads)
-    coeffs = _solve_local(mesh, corner_vals, jump, b, c, f)
+    coeffs = _local_coeffs(mesh, w, b, c, f)
     return np.sqrt(np.maximum(_enrichment_norms(mesh, coeffs), 0.0))
 
 
@@ -210,28 +230,18 @@ def combined_equal_mesh_estimate(scheme, states, f):
 
 
 def global_union_estimate(scheme, states, union, f):
-    """Union-mesh estimate: local problems on every union cell for every l.
+    """Union-mesh estimate: local problems on every union cell for every l,
+    sqrt(sum_K ||C sum_l a_l e_{l,K}||^2).
 
     Each parametric solution is transferred (exactly) onto the union mesh;
-    jumps across union edges interior to one of its source cells are skipped
-    as exact zeros.
+    when all states share one mesh, the union is that mesh.
     """
     combined = np.zeros((union.num_cells, 3))
     for st in states:
-        src = st.mesh
-        wt = transfer_p1(st.solution, union)
-        corner_vals = wt.nodal_values[union.cells]
-        if src.same_mesh(union):
-            grads = np.einsum("mk,mkd->md", corner_vals, _grads(union))
-            jump = _edge_jumps(union, grads)
-        else:
-            parents = meshmod.ancestor_cell_map(union, src)
-            src_grads = st.solution.cell_gradients()
-            jump = _edge_jumps(union, src_grads[parents], skip_same=parents)
-        coeffs = _solve_local(
-            union, corner_vals, jump, scheme.b[st.index], scheme.c[st.index], f
+        l = st.index
+        combined += scheme.a[l] * _local_coeffs(
+            union, st.solution, scheme.b[l], scheme.c[l], f
         )
-        combined += scheme.a[st.index] * coeffs
     combined *= scheme.C
     return float(np.sqrt(np.sum(_enrichment_norms(union, combined))))
 

@@ -161,7 +161,7 @@ def _quad_points(mesh):
 
 
 def _rhs_at_quad(mesh, f):
-    key = ("fq", f.kind, id(f))
+    key = ("fq", f)
     fq = mesh._cache.get(key)
     if fq is None:
         qp = _quad_points(mesh)
@@ -190,7 +190,7 @@ def _matrices(mesh):
 
 
 def _load_vector(mesh, f):
-    key = ("load", f.kind, id(f))
+    key = ("load", f)
     F = mesh._cache.get(key)
     if F is None:
         fq = _rhs_at_quad(mesh, f)

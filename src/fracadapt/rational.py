@@ -137,15 +137,12 @@ _KAPPA_GRID = np.round(np.arange(0.50, 0.10 - 1e-9, -0.02), 2)
 _SAFETY = 100.0
 
 
-def choose_kappa(s, tol, lambda0, f_norm, fixed=None):
+def choose_kappa(s, tol, lambda0, f_norm):
     """Pick the coarsest kappa whose a priori bound is well below ``tol``.
 
     Scans kappa in {0.50, 0.48, ..., 0.10} and returns the largest value with
-    ``epsilon_bound * f_norm <= tol / 100``.  Passing ``fixed`` bypasses the
-    scan (the production default is 0.26).
+    ``epsilon_bound * f_norm <= tol / 100``.
     """
-    if fixed is not None:
-        return float(fixed)
     if tol <= 0.0 or f_norm <= 0.0:
         raise ValueError("tol and f_norm must be positive")
     for kappa in _KAPPA_GRID:

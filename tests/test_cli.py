@@ -39,7 +39,6 @@ def small_run(tmp_path_factory):
             "--tol", "1e-9",
             "--max-iter", "4",
             "--k", "2",
-            "--threads", "1",
             "--out", str(out),
         ]
     )
@@ -99,7 +98,6 @@ def test_rerun_reproduces_log_except_wall(small_run, tmp_path):
             "--tol", "1e-9",
             "--max-iter", "4",
             "--k", "2",
-            "--threads", "1",
             "--out", str(again),
         ]
     )

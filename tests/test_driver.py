@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from fracadapt import estimators
 from fracadapt.driver import RunConfig, decay_rate, run
 from fracadapt.driver import IterationRecord
+from fracadapt.estimators import combined_equal_mesh_estimate
 from fracadapt.fem import RhsField
 from fracadapt.mesh import DomainSpec, is_refinement_of
 
@@ -124,6 +126,35 @@ def test_uniform_mode_quadruples_cells():
     assert 3.5 < dofs[2] / dofs[1] < 4.7
 
 
+@pytest.mark.parametrize("mode", ["singlemesh", "uniform"])
+def test_shared_mesh_union_estimate_matches_combined(mode):
+    # on a shared mesh the driver's union estimate must equal the
+    # independent per-cell combination of the local solutions
+    cfg = small_config(max_iterations=3, mode=mode)
+    res = run(cfg)
+    direct = combined_equal_mesh_estimate(res.scheme, res.states, cfg.f)
+    assert res.records[-1].eta_union == pytest.approx(direct, rel=1e-12)
+
+
+def test_nonfinite_indicator_fails_loudly(monkeypatch):
+    real = estimators.local_indicators
+    calls = []
+
+    def broken(mesh, w, b, c, f):
+        eta = real(mesh, w, b, c, f)
+        calls.append(b)
+        if len(calls) == 3:
+            eta[0] = np.nan
+        return eta
+
+    monkeypatch.setattr(estimators, "local_indicators", broken)
+    with pytest.raises(ValueError) as exc:
+        run(small_config(max_iterations=2))
+    msg = str(exc.value)
+    assert "l = 2" in msg
+    assert f"b_l = {calls[2]:.6g}" in msg and "c_l = 1" in msg
+
+
 def test_multimesh_cheaper_than_singlemesh():
     multi = run(small_config(max_iterations=6))
     single = run(small_config(max_iterations=6, mode="singlemesh"))
@@ -138,14 +169,6 @@ def test_on_checkpoint_callback():
 
     run(small_config(max_iterations=4, k=2), on_checkpoint=cb)
     assert [m for m, _ in seen] == [0, 2]
-
-
-def test_threads_give_same_records():
-    a = run(small_config(max_iterations=4, threads=1))
-    b = run(small_config(max_iterations=4, threads=4))
-    for ra, rb in zip(a.records, b.records):
-        assert ra.eta_union == rb.eta_union
-        assert ra.totcost == rb.totcost
 
 
 def test_decay_rate_exact_power_law():

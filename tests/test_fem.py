@@ -97,6 +97,18 @@ def test_extreme_coefficients_scaled_solve():
     assert np.allclose(w.nodal_values[center], 1.0, atol=0.05)
 
 
+def test_caches_not_served_across_fields():
+    # fields built and dropped in a loop may reuse one id(); the per-mesh
+    # load-vector and quadrature caches must still tell them apart
+    m = make_initial_mesh(UNIT, 32)
+    ref = assemble_and_solve(make_initial_mesh(UNIT, 32), 1.0, 1.0, RhsField.one())
+    for k in range(50):
+        w = assemble_and_solve(
+            m, 1.0, 1.0, RhsField.manufactured(lambda x, y: (k + 1) * np.ones_like(x))
+        )
+        assert np.allclose(w.nodal_values, (k + 1) * ref.nodal_values, rtol=1e-12, atol=0)
+
+
 def test_reaction_limit_mass_identity():
     # with b -> 0 the discrete problem is M w = F; verify against a direct
     # dense solve of the mass system

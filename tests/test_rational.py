@@ -100,10 +100,6 @@ def test_choose_kappa_meets_tolerance():
     assert epsilon_bound(0.5, kappa + 0.02, 4.54) * 2.0 > 1e-4 / 100
 
 
-def test_choose_kappa_fixed_bypass():
-    assert choose_kappa(0.5, 1e-4, 4.54, 2.0, fixed=0.26) == 0.26
-
-
 def test_choose_kappa_unreachable():
     with pytest.raises(KappaSelectionError):
         choose_kappa(0.5, 1e-300, 4.54, 1.0)
