@@ -27,6 +27,11 @@ __all__ = [
 
 _INITIAL_CELLS = {"square": 512, "unit-square": 512, "lshape": 384}
 
+# bulk marking stops once the marked share reaches theta * total minus this
+# fraction of the total, so that rounding in the cumulative sum cannot demand
+# one mark more than the exact sum would
+MARKING_SLACK = 1e-14
+
 
 @dataclass
 class RunConfig:
@@ -46,6 +51,8 @@ class RunConfig:
             raise ValueError("theta must lie in (0, 1]")
         if self.k < 1:
             raise ValueError("k must be a positive integer")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be a positive integer")
         if self.mode not in ("multimesh", "singlemesh", "uniform"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.initial_cells is None:
@@ -110,7 +117,7 @@ def doerfler_mark(states, scheme, theta):
         return marks
     order = np.lexsort((ks, ls, -vals))
     cum = np.cumsum(vals[order])
-    take = int(np.searchsorted(cum, theta * total - 1e-14 * total) + 1)
+    take = int(np.searchsorted(cum, theta * total - MARKING_SLACK * total) + 1)
     take = min(take, len(order))
     pos = {st.index: i for i, st in enumerate(states)}
     for idx in order[:take]:
@@ -166,8 +173,6 @@ def run(config, reference=None, on_checkpoint=None):
     marked_per_iter = []
     cumcost = 0
     stopped = "max-iter"
-    union = None
-    solution = None
 
     for m in range(cfg.max_iterations):
         t0 = time.perf_counter()
@@ -197,6 +202,7 @@ def run(config, reference=None, on_checkpoint=None):
             total_dofs=total_dofs,
         )
 
+        # iteration 0 is a checkpoint, so union and solution are always set
         checkpoint = m % cfg.k == 0
         if checkpoint:
             # when every state shares one mesh, the union is that mesh
@@ -255,10 +261,6 @@ def run(config, reference=None, on_checkpoint=None):
         refine_counts += 1
         marked_per_iter.append([st.index for st in states])
 
-    if solution is None:
-        # no checkpoint reached (k > iterations run); build the final state
-        union = union_mesh([st.mesh for st in states])
-        solution = fem.combine_on_union(scheme, states, union)
     return RunResult(
         records=records,
         solution=solution,

@@ -1,12 +1,23 @@
 """Conforming triangle meshes with bisection refinement and exact overlays.
 
 Meshes are immutable values.  Every mesh is described by a *forest*: a fixed
-initial triangulation (the roots) plus, for each root cell, the set of leaf
-paths of a binary bisection tree.  A path is a tuple of 0/1 choices recording
-which child was taken at each bisection.  Because the geometry of a child is
-determined entirely by its parent, two meshes descending from the same initial
-mesh can be overlaid exactly by merging their forests, with no geometric
-predicates involved.
+initial triangulation (the roots) plus, for each root cell, the leaves of a
+binary bisection tree.  A tree node is the root index plus the path of 0/1
+choices recording which child was taken at each bisection, packed into one
+int64 *key*::
+
+    key = root << 46 | bits << 6 | level
+
+``level`` is the path length and ``bits`` holds the path left-aligned in a
+40-bit field (first choice in the highest bit, unused bits zero).  A path is
+therefore at most ``MAX_LEVEL = 40`` bisections deep, and a forest has fewer
+than ``2**17`` roots; refining past that depth raises MeshStructureError.
+Sorted keys list the nodes root by root in preorder (a node before its
+descendants, child 0's subtree before child 1's), so the leaf keys of a mesh,
+sorted, give its cell order: root, then lexicographic path.  Because the
+geometry of a child is determined entirely by its parent, two meshes
+descending from the same initial mesh can be overlaid exactly by merging
+their key arrays, with no geometric predicates involved.
 
 Cell storage convention: each cell is a counterclockwise vertex triple
 ``(v0, v1, v2)`` whose refinement edge is ``(v0, v1)`` and whose peak (newest
@@ -15,6 +26,11 @@ produces the children ``(v2, v0, m)`` and ``(v1, v2, m)``, which is the
 standard newest-vertex rule.  All initial cells are right isosceles triangles
 with the hypotenuse as refinement edge, so the refinement edge of every
 descendant is its (unique) longest edge.
+
+Vertex numbering: the initial vertices come first, then one midpoint per
+bisected edge, ordered by the key of the first node (in key order) that
+bisects that edge.  Midpoints are identified by their edge, so the initial
+vertices must be distinct points.
 """
 
 from dataclasses import dataclass
@@ -33,6 +49,12 @@ __all__ = [
     "write_mesh",
     "read_mesh",
 ]
+
+MAX_LEVEL = 40
+_LEVEL_BITS = 6
+_LEVEL_MASK = (1 << _LEVEL_BITS) - 1
+_ROOT_SHIFT = MAX_LEVEL + _LEVEL_BITS
+_MAX_ROOTS = 1 << (63 - _ROOT_SHIFT)
 
 
 class MeshStructureError(Exception):
@@ -78,6 +100,8 @@ class _ForestBase:
         self.vertices = np.asarray(vertices, dtype=float)
         self.cells = np.asarray(cells, dtype=np.int64)
         self.domain = domain
+        if len(self.cells) >= _MAX_ROOTS:
+            raise MeshStructureError(f"a forest has at most {_MAX_ROOTS - 1} roots")
 
     def equivalent(self, other):
         if self is other:
@@ -90,6 +114,38 @@ class _ForestBase:
         )
 
 
+# -- node keys ---------------------------------------------------------------
+
+
+def _child_keys(keys, bit):
+    """Keys of child ``bit`` (0 or 1) of the nodes ``keys``."""
+    level = keys & _LEVEL_MASK
+    if level.size and level.max() >= MAX_LEVEL:
+        raise MeshStructureError(f"bisection deeper than MAX_LEVEL = {MAX_LEVEL}")
+    return keys + 1 + (np.int64(bit) << (_ROOT_SHIFT - 1 - level))
+
+
+def _is_prefix(p, q):
+    """Elementwise: is node ``p`` equal to or an ancestor of node ``q``?
+
+    Exact when ``p <= q``: a node sorting before ``q`` that shares its first
+    level(p) choices is an ancestor of ``q``.
+    """
+    shift = _ROOT_SHIFT - (p & _LEVEL_MASK)
+    return (p >> shift) == (q >> shift)
+
+
+def _ancestor_index(fine, coarse):
+    """Index of the coarse cell containing each fine cell, or None if some
+    fine cell lies in no coarse cell."""
+    ck, fk = coarse.cell_key, fine.cell_key
+    # a coarse ancestor is the last coarse key not after the fine key: the
+    # keys between them would lie in its subtree, and coarse leaves are disjoint
+    pos = np.searchsorted(ck, fk, side="right") - 1
+    ok = (pos >= 0) & _is_prefix(ck[np.maximum(pos, 0)], fk)
+    return pos if ok.all() else None
+
+
 class TriMesh:
     """Immutable conforming triangulation obtained by bisections of a fixed
     initial mesh.
@@ -98,89 +154,107 @@ class TriMesh:
     ----------
     vertices : (n, 2) float array
     cells : (m, 3) int array, counterclockwise, refinement edge ``(v0, v1)``
+    cell_key : (m,) sorted int64 array, forest key of each cell (see module doc)
     cell_root : (m,) int array, index of the initial cell each cell descends from
-    cell_path : list of tuples, bisection path from the root cell
+    edges : (e, 2) int array, sorted vertex pairs in lexicographic order
+    cell_edge : (m, 3) int array, edge ids of local edges (v0,v1), (v1,v2), (v2,v0)
+    edge_cells : (e, 2) int array, incident cells (second is -1 on the boundary)
+    edge_count : (e,) int array, number of incident cells
     boundary_vertex : (n,) bool array
     """
 
-    def __init__(self, base, leaf_sets):
+    def __init__(self, base, cell_key):
         self.base = base
-        self.leaf_sets = leaf_sets  # tuple of frozensets, one per root cell
+        self.cell_key = cell_key
         self._build()
         self._cache = {}
 
     # -- construction -------------------------------------------------------
 
     def _build(self):
-        base = self.base
-        coords = [(float(x), float(y)) for x, y in base.vertices]
-        index = {c: i for i, c in enumerate(coords)}
-
-        def vid(x, y):
-            key = (x, y)
-            i = index.get(key)
-            if i is None:
-                i = len(coords)
-                coords.append(key)
-                index[key] = i
-            return i
-
-        cells = []
-        roots = []
-        paths = []
-        for r, (a, b, c) in enumerate(base.cells):
-            leaves = self.leaf_sets[r]
-            internal = set()
-            for p in leaves:
-                for i in range(len(p)):
-                    internal.add(p[:i])
-            stack = [((), int(a), int(b), int(c))]
-            while stack:
-                path, va, vb, vc = stack.pop()
-                if path in leaves:
-                    cells.append((va, vb, vc))
-                    roots.append(r)
-                    paths.append(path)
-                elif path in internal:
-                    xa, ya = coords[va]
-                    xb, yb = coords[vb]
-                    vm = vid((xa + xb) / 2.0, (ya + yb) / 2.0)
-                    stack.append((path + (1,), vb, vc, vm))
-                    stack.append((path + (0,), vc, va, vm))
-                else:
-                    raise MeshStructureError(
-                        f"leaf set of root {r} does not cover the root cell"
-                    )
-        self.vertices = np.array(coords, dtype=float)
-        self.cells = np.array(cells, dtype=np.int64)
-        self.cell_root = np.array(roots, dtype=np.int64)
-        self.cell_path = paths
+        """Vertices and cells of the leaves ``cell_key``, descending the forest
+        one level at a time."""
+        base, keys = self.base, self.cell_key
+        nb = len(base.vertices)
+        stride = nb + len(keys)  # bounds every vertex id made here
+        xy = base.vertices
+        # provisional vertex ids: base ids, then midpoints in creation order;
+        # edge keys (lo * stride + hi) map to midpoints, sentinel-terminated
+        edge_tab = np.array([np.iinfo(np.int64).max])
+        mid_tab = np.array([-1])
+        split_key, split_mid = [], []
+        cells = np.empty((len(keys), 3), dtype=np.int64)
+        found = 0
+        node = np.arange(len(base.cells), dtype=np.int64) << _ROOT_SHIFT
+        tri = base.cells
+        while node.size:
+            pos = np.minimum(np.searchsorted(keys, node), len(keys) - 1)
+            leaf = keys[pos] == node
+            cells[pos[leaf]] = tri[leaf]
+            found += np.count_nonzero(leaf)
+            node, tri = node[~leaf], tri[~leaf]
+            lo = np.minimum(tri[:, 0], tri[:, 1])
+            hi = np.maximum(tri[:, 0], tri[:, 1])
+            edge, inv = np.unique(lo * stride + hi, return_inverse=True)
+            at = np.searchsorted(edge_tab, edge)
+            new = edge_tab[at] != edge
+            mid = mid_tab[at]
+            mid[new] = len(xy) + np.arange(np.count_nonzero(new))
+            edge_tab = np.insert(edge_tab, at[new], edge[new])
+            mid_tab = np.insert(mid_tab, at[new], mid[new])
+            ends = xy[np.stack([edge[new] // stride, edge[new] % stride])]
+            xy = np.concatenate([xy, (ends[0] + ends[1]) / 2.0])
+            m = mid[inv]
+            split_key.append(node)
+            split_mid.append(m)
+            node = np.stack([_child_keys(node, 0), _child_keys(node, 1)], axis=1)
+            node = node.ravel()
+            tri = np.stack(
+                [
+                    np.stack([tri[:, 2], tri[:, 0], m], axis=1),
+                    np.stack([tri[:, 1], tri[:, 2], m], axis=1),
+                ],
+                axis=1,
+            ).reshape(-1, 3)
+        if found != len(keys):
+            raise MeshStructureError("cell keys do not tile the forest roots")
+        # rank midpoints by the first node (in key order) that bisects their edge
+        split_key = np.concatenate(split_key)
+        seq = np.concatenate(split_mid)[np.argsort(split_key)] - nb
+        _, first = np.unique(seq, return_index=True)
+        remap = np.arange(len(xy))
+        remap[nb + np.argsort(first)] = np.arange(nb, len(xy))
+        self.vertices = np.empty_like(xy)
+        self.vertices[remap] = xy
+        self.cells = remap[cells]
+        self.cell_root = keys >> _ROOT_SHIFT
         self._compute_edges()
 
     def _compute_edges(self):
         c = self.cells
-        pairs = np.concatenate(
-            [c[:, [0, 1]], c[:, [1, 2]], c[:, [2, 0]]], axis=0
-        )
-        pairs_sorted = np.sort(pairs, axis=1)
-        edges, inv, counts = np.unique(
-            pairs_sorted, axis=0, return_inverse=True, return_counts=True
-        )
-        self.edges = edges
-        inv = inv.reshape(-1)
+        m, n = len(c), len(self.vertices)
+        pairs = np.concatenate([c[:, [0, 1]], c[:, [1, 2]], c[:, [2, 0]]], axis=0)
+        key = pairs.min(axis=1) * n + pairs.max(axis=1)
+        order = np.argsort(key, kind="stable")
+        sk = key[order]
+        first = np.ones(len(sk), dtype=bool)
+        first[1:] = sk[1:] != sk[:-1]
+        first_idx = np.flatnonzero(first)
+        edges = sk[first_idx]
+        self.edges = np.stack([edges // n, edges % n], axis=1)
+        inv = np.empty(len(key), dtype=np.intp)
+        inv[order] = np.cumsum(first) - 1
         # cell_edge[k, j] = global edge id of local edge j of cell k,
         # local edges ordered (v0,v1), (v1,v2), (v2,v0)
-        self.cell_edge = inv.reshape(3, len(c)).T
+        self.cell_edge = inv.reshape(3, m).T
+        counts = np.diff(np.append(first_idx, len(sk)))
         self.edge_count = counts
-        bmask = np.zeros(len(self.vertices), dtype=bool)
-        bnd = edges[counts == 1]
-        bmask[bnd.ravel()] = True
+        bmask = np.zeros(n, dtype=bool)
+        bmask[self.edges[counts == 1].ravel()] = True
         self.boundary_vertex = bmask
         # up-to-two incident cells per edge (second is -1 on the boundary)
         e2c = np.full((len(edges), 2), -1, dtype=np.int64)
-        order = np.argsort(inv, kind="stable")
-        cell_of = np.tile(np.arange(len(c)), 3)[order]
-        first_idx = np.searchsorted(inv[order], np.arange(len(edges)))
+        cell_of = order % m
         e2c[:, 0] = cell_of[first_idx]
         shared = counts == 2
         e2c[shared, 1] = cell_of[first_idx[shared] + 1]
@@ -201,7 +275,7 @@ class TriMesh:
         return int(np.count_nonzero(~self.boundary_vertex))
 
     def cell_generation(self, k):
-        return len(self.cell_path[k])
+        return int(self.cell_key[k] & _LEVEL_MASK)
 
     def cell_areas(self):
         x = self.vertices[self.cells]
@@ -210,63 +284,58 @@ class TriMesh:
         return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
     def same_mesh(self, other):
-        return (
-            self is other
-            or (self.base.equivalent(other.base) and self.leaf_sets == other.leaf_sets)
+        return self is other or (
+            self.base.equivalent(other.base)
+            and np.array_equal(self.cell_key, other.cell_key)
         )
 
     def locate(self, points, tol=1e-12):
         """Containing cell index and barycentric coordinates for each point.
 
-        Points must lie inside the domain (within ``tol``).  Location walks
-        the bisection forest, so it is exact with respect to the mesh
-        hierarchy.
+        Points must lie inside the domain (within ``tol``).  A point goes to
+        the first root cell that contains it, then down the bisection forest
+        into child 0 whenever child 0 contains it, so location is exact with
+        respect to the mesh hierarchy.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        base = self.base
-        leaf_index = {
-            (int(r), p): k
-            for k, (r, p) in enumerate(zip(self.cell_root, self.cell_path))
-        }
-        out_cell = np.empty(len(points), dtype=np.int64)
-        out_bary = np.empty((len(points), 3), dtype=float)
-        bv = base.vertices
-        for i, pt in enumerate(points):
-            root = None
-            for r, (a, b, c) in enumerate(base.cells):
-                lam = _barycentric(bv[a], bv[b], bv[c], pt)
-                if lam.min() >= -tol:
-                    root = r
-                    tri = (bv[a].copy(), bv[b].copy(), bv[c].copy())
-                    break
-            if root is None:
-                raise ValueError(f"point {pt} outside the domain")
-            path = ()
-            A, B, C = tri
-            leaves = self.leaf_sets[root]
-            while path not in leaves:
-                M = 0.5 * (A + B)
-                lam0 = _barycentric(C, A, M, pt)
-                if lam0.min() >= -tol:
-                    path = path + (0,)
-                    A, B, C = C, A, M
-                else:
-                    path = path + (1,)
-                    A, B, C = B, C, M
-            k = leaf_index[(root, path)]
-            va, vb, vc = self.cells[k]
-            out_cell[i] = k
-            out_bary[i] = _barycentric(
-                self.vertices[va], self.vertices[vb], self.vertices[vc], pt
-            )
-        return out_cell, out_bary
+        bv, bc = self.base.vertices, self.base.cells
+        root = np.full(len(points), -1, dtype=np.int64)
+        # blocks of points bound the (points x roots) work arrays
+        block = max(1, (1 << 16) // len(bc))
+        for s in range(0, len(points), block):
+            p = points[s : s + block, None, :]
+            lam = _barycentric(bv[bc[:, 0]], bv[bc[:, 1]], bv[bc[:, 2]], p)
+            inside = lam.min(axis=2) >= -tol
+            first = inside.argmax(axis=1)
+            root[s : s + block] = np.where(inside.any(axis=1), first, -1)
+        if np.any(root < 0):
+            raise ValueError(f"point {points[np.argmax(root < 0)]} outside the domain")
+        cell = np.empty(len(points), dtype=np.int64)
+        todo = np.arange(len(points))
+        node = root << _ROOT_SHIFT
+        A, B, C = (bv[bc[root, j]] for j in range(3))
+        keys = self.cell_key
+        while todo.size:
+            pos = np.minimum(np.searchsorted(keys, node), len(keys) - 1)
+            leaf = keys[pos] == node
+            cell[todo[leaf]] = pos[leaf]
+            todo, node, A, B, C = (x[~leaf] for x in (todo, node, A, B, C))
+            M = 0.5 * (A + B)
+            in0 = _barycentric(C, A, M, points[todo]).min(axis=1) >= -tol
+            w0 = in0[:, None]
+            A, B, C = np.where(w0, C, B), np.where(w0, A, C), M
+            node = np.where(in0, _child_keys(node, 0), _child_keys(node, 1))
+        x = self.vertices[self.cells[cell]]
+        return cell, _barycentric(x[:, 0], x[:, 1], x[:, 2], points)
 
 
 def _barycentric(A, B, C, p):
-    T = np.array([[B[0] - A[0], C[0] - A[0]], [B[1] - A[1], C[1] - A[1]]])
-    rhs = np.array([p[0] - A[0], p[1] - A[1]])
-    lam12 = np.linalg.solve(T, rhs)
-    return np.array([1.0 - lam12[0] - lam12[1], lam12[0], lam12[1]])
+    """Barycentric coordinates (..., 3) of points ``p`` in triangles ABC;
+    all arguments broadcast over leading axes, last axis holds (x, y)."""
+    T = np.stack([B - A, C - A], axis=-1)
+    lam12 = np.linalg.solve(T, (p - A)[..., None])[..., 0]
+    l1, l2 = lam12[..., 0], lam12[..., 1]
+    return np.stack([1.0 - l1 - l2, l1, l2], axis=-1)
 
 
 # -- initial meshes ----------------------------------------------------------
@@ -330,19 +399,15 @@ def make_initial_mesh(domain, target_cells):
             # diagonal a-c is the hypotenuse of both triangles
             cells.append((c, a, b))
             cells.append((a, c, d))
-    base = _ForestBase(np.array(verts), np.array(cells), domain)
-    return TriMesh(base, tuple(frozenset({()}) for _ in cells))
+    return _root_mesh(_ForestBase(np.array(verts), np.array(cells), domain))
+
+
+def _root_mesh(base):
+    """The unrefined mesh of a forest: one leaf per root."""
+    return TriMesh(base, np.arange(len(base.cells), dtype=np.int64) << _ROOT_SHIFT)
 
 
 # -- refinement --------------------------------------------------------------
-
-
-@dataclass
-class _WorkCell:
-    root: int
-    path: tuple
-    verts: tuple  # (v0, v1, v2)
-    alive: bool = True
 
 
 def refine(mesh, marked):
@@ -351,111 +416,47 @@ def refine(mesh, marked):
     Returns a new mesh; the input is unchanged.  Unmarked cells are bisected
     only as needed to remove hanging nodes (standard newest-vertex closure).
     """
-    marked = sorted(set(int(k) for k in marked))
-    if not marked:
+    marked = np.fromiter(marked, dtype=np.int64)
+    if not marked.size:
         return mesh
-    if any(k < 0 or k >= mesh.num_cells for k in marked):
+    if marked.min() < 0 or marked.max() >= mesh.num_cells:
         raise ValueError("marked set contains invalid cell ids")
-
-    coords = [tuple(p) for p in mesh.vertices]
-    index = {c: i for i, c in enumerate(coords)}
-    work = [
-        _WorkCell(int(r), p, (int(a), int(b), int(c)))
-        for (r, p, (a, b, c)) in zip(mesh.cell_root, mesh.cell_path, mesh.cells)
-    ]
-    edge2cells = {}
-
-    def ekey(i, j):
-        return (i, j) if i < j else (j, i)
-
-    def add_edges(cid):
-        a, b, c = work[cid].verts
-        for e in (ekey(a, b), ekey(b, c), ekey(c, a)):
-            edge2cells.setdefault(e, []).append(cid)
-
-    def drop_edges(cid):
-        a, b, c = work[cid].verts
-        for e in (ekey(a, b), ekey(b, c), ekey(c, a)):
-            lst = edge2cells[e]
-            lst.remove(cid)
-            if not lst:
-                del edge2cells[e]
-
-    for cid in range(len(work)):
-        add_edges(cid)
-
-    def neighbor_across(cid, e):
-        for other in edge2cells.get(e, ()):
-            if other != cid and work[other].alive:
-                return other
-        return None
-
-    def bisect(cid):
-        cell = work[cid]
-        a, b, c = cell.verts
-        xa, ya = coords[a]
-        xb, yb = coords[b]
-        mkey = ((xa + xb) / 2.0, (ya + yb) / 2.0)
-        m = index.get(mkey)
-        if m is None:
-            m = len(coords)
-            coords.append(mkey)
-            index[mkey] = m
-        drop_edges(cid)
-        cell.alive = False
-        for child_verts, bit in (((c, a, m), 0), ((b, c, m), 1)):
-            child = _WorkCell(cell.root, cell.path + (bit,), child_verts)
-            work.append(child)
-            add_edges(len(work) - 1)
-
-    def ensure_bisected(c0):
-        stack = [c0]
-        while stack:
-            cid = stack[-1]
-            if not work[cid].alive:
-                stack.pop()
-                continue
-            a, b, _ = work[cid].verts
-            e = ekey(a, b)
-            nb = neighbor_across(cid, e)
-            if nb is None:
-                bisect(cid)
-                stack.pop()
-            else:
-                na, nbv, _ = work[nb].verts
-                if ekey(na, nbv) == e:
-                    bisect(cid)
-                    bisect(nb)
-                    stack.pop()
-                else:
-                    stack.append(nb)
-
-    for cid in marked:
-        if work[cid].alive:
-            ensure_bisected(cid)
-
-    leaf_sets = [set() for _ in mesh.base.cells]
-    for cell in work:
-        if cell.alive:
-            leaf_sets[cell.root].add(cell.path)
-    return TriMesh(mesh.base, tuple(frozenset(s) for s in leaf_sets))
+    # edge-marking closure: a cell with any marked edge has its refinement edge marked
+    ce = mesh.cell_edge
+    marked_edge = np.zeros(len(mesh.edges), dtype=bool)
+    marked_edge[ce[marked, 0]] = True
+    while True:
+        split = marked_edge[ce].any(axis=1)
+        ref = ce[split, 0]
+        if marked_edge[ref].all():
+            break
+        marked_edge[ref] = True
+    # a split cell's child 0 (v2, v0, m) is split again if edge (v2, v0) is
+    # marked, child 1 (v1, v2, m) if edge (v1, v2) is
+    keys = mesh.cell_key[split]
+    parts = [mesh.cell_key[~split]]
+    for bit, edge in ((0, 2), (1, 1)):
+        child = _child_keys(keys, bit)
+        again = marked_edge[ce[split, edge]]
+        twice = child[again]
+        parts += [child[~again], _child_keys(twice, 0), _child_keys(twice, 1)]
+    return TriMesh(mesh.base, np.sort(np.concatenate(parts)))
 
 
 def uniform_refine(mesh):
     """Split every cell into its four generation-(g+2) descendants."""
-    leaf_sets = tuple(
-        frozenset(p + bits for p in leaves for bits in ((0, 0), (0, 1), (1, 0), (1, 1)))
-        for leaves in mesh.leaf_sets
-    )
-    return TriMesh(mesh.base, leaf_sets)
+    children = (_child_keys(mesh.cell_key, 0), _child_keys(mesh.cell_key, 1))
+    quads = [_child_keys(c, bit) for c in children for bit in (0, 1)]
+    return TriMesh(mesh.base, np.stack(quads, axis=1).ravel())
 
 
 def union_mesh(meshes):
     """Coarsest common refinement (overlay) of meshes sharing one initial mesh.
 
-    Computed by merging the bisection forests: per root cell, keep the deepest
-    fringe of the combined leaf sets.  The result is conforming because the
-    overlay of conforming newest-vertex refinements is conforming.
+    Computed by merging the bisection forests: sort all leaf keys, then keep
+    each distinct key that is not an ancestor of the next one (the deepest
+    fringe).  The result is conforming because the overlay of conforming
+    newest-vertex refinements is conforming.
     """
     meshes = list(meshes)
     if not meshes:
@@ -466,28 +467,18 @@ def union_mesh(meshes):
             raise MeshStructureError("meshes do not share an initial mesh")
     if all(m.same_mesh(meshes[0]) for m in meshes):
         return meshes[0]
-    merged = []
-    for r in range(len(base.cells)):
-        all_paths = set()
-        for m in meshes:
-            all_paths |= m.leaf_sets[r]
-        prefixes = set()
-        for p in all_paths:
-            for i in range(len(p)):
-                prefixes.add(p[:i])
-        merged.append(frozenset(p for p in all_paths if p not in prefixes))
-    return TriMesh(base, tuple(merged))
+    distinct = {id(m): m.cell_key for m in meshes}
+    keys = np.unique(np.concatenate(list(distinct.values())))
+    keep = np.ones(len(keys), dtype=bool)
+    keep[:-1] = ~_is_prefix(keys[:-1], keys[1:])
+    return TriMesh(base, keys[keep])
 
 
 def is_refinement_of(fine, coarse):
     """True if every cell of ``coarse`` is a union of cells of ``fine``."""
     if not fine.base.equivalent(coarse.base):
         return False
-    for lf, lc in zip(fine.leaf_sets, coarse.leaf_sets):
-        for p in lf:
-            if not any(p[: len(q)] == q for q in lc if len(q) <= len(p)):
-                return False
-    return True
+    return _ancestor_index(fine, coarse) is not None
 
 
 def ancestor_cell_map(fine, coarse):
@@ -502,21 +493,9 @@ def ancestor_cell_map(fine, coarse):
         return cached[1]
     if not fine.base.equivalent(coarse.base):
         raise MeshStructureError("meshes do not share an initial mesh")
-    leaf_index = {
-        (int(r), p): k
-        for k, (r, p) in enumerate(zip(coarse.cell_root, coarse.cell_path))
-    }
-    out = np.empty(fine.num_cells, dtype=np.int64)
-    for k, (r, p) in enumerate(zip(fine.cell_root, fine.cell_path)):
-        r = int(r)
-        hit = None
-        for cut in range(len(p), -1, -1):
-            hit = leaf_index.get((r, p[:cut]))
-            if hit is not None:
-                break
-        if hit is None:
-            raise MeshStructureError("target mesh is not a refinement of the source")
-        out[k] = hit
+    out = _ancestor_index(fine, coarse)
+    if out is None:
+        raise MeshStructureError("target mesh is not a refinement of the source")
     out.setflags(write=False)
     fine._cache[key] = (coarse, out)
     return out
@@ -545,37 +524,55 @@ def _write_mesh_stream(mesh, fh):
         fh.write(f"{a} {b} {c}\n")
 
 
+def _read_rows(fh, count, width, parse, what):
+    rows = []
+    for i in range(count):
+        line = fh.readline()
+        if not line:
+            raise ValueError(f"mesh file ends after {i} of {count} {what} lines")
+        tokens = line.split()
+        if len(tokens) != width:
+            raise ValueError(
+                f"{what} line {i + 1} has {len(tokens)} numbers, expected {width}"
+            )
+        rows.append([parse(t) for t in tokens])
+    return rows
+
+
 def read_mesh(path):
     """Read the ASCII mesh format back into a TriMesh.
 
     The cells of the file become the roots of a fresh forest.  Each cell is
     rotated so its (unique) longest edge comes first, which recovers the
     refinement edge for any mesh this package produces; ties are broken by the
-    smallest opposite-vertex index.
+    smallest opposite-vertex index.  Raises ValueError for a malformed or
+    truncated file, a vertex index out of range, or two vertices at the same
+    point.
     """
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 4 or header[0] != "nodes" or header[2] != "cells":
             raise ValueError("malformed mesh header")
         nv, nc = int(header[1]), int(header[3])
-        verts = np.array(
-            [[float(t) for t in fh.readline().split()] for _ in range(nv)]
+        verts = np.array(_read_rows(fh, nv, 2, float, "vertex"), dtype=float)
+        cells = np.array(_read_rows(fh, nc, 3, int, "cell"), dtype=np.int64)
+    verts, cells = verts.reshape(nv, 2), cells.reshape(nc, 3)
+    bad = (cells < 0) | (cells >= nv)
+    if bad.any():
+        k = int(np.argmax(bad.any(axis=1)))
+        raise ValueError(
+            f"cell {k} refers to a vertex outside 0..{nv - 1}: {cells[k].tolist()}"
         )
-        cells = np.array(
-            [[int(t) for t in fh.readline().split()] for _ in range(nc)],
-            dtype=np.int64,
-        )
-    canon = np.empty_like(cells)
-    for k, tri in enumerate(cells):
-        a, b, c = (int(t) for t in tri)
-        x = verts[[a, b, c]]
-        d1, d2 = x[1] - x[0], x[2] - x[0]
-        if d1[0] * d2[1] - d1[1] * d2[0] < 0:
-            a, b, c = a, c, b
-            x = verts[[a, b, c]]
-        rots = [(a, b, c), (b, c, a), (c, a, b)]
-        lengths = [np.hypot(*(verts[r[1]] - verts[r[0]])) for r in rots]
-        best = max(range(3), key=lambda i: (lengths[i], -rots[i][2]))
-        canon[k] = rots[best]
-    base = _ForestBase(verts, canon)
-    return TriMesh(base, tuple(frozenset({()}) for _ in canon))
+    if len(np.unique(verts, axis=0)) != nv:
+        raise ValueError("two vertices share the same coordinates")
+    x = verts[cells]
+    d1, d2 = x[:, 1] - x[:, 0], x[:, 2] - x[:, 0]
+    flip = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] < 0
+    cells[flip] = cells[flip][:, [0, 2, 1]]
+    rots = np.stack([cells, cells[:, [1, 2, 0]], cells[:, [2, 0, 1]]], axis=1)
+    d = verts[rots[:, :, 1]] - verts[rots[:, :, 0]]
+    lengths = np.hypot(d[..., 0], d[..., 1])
+    longest = lengths == lengths.max(axis=1, keepdims=True)
+    best = np.argmin(np.where(longest, rots[:, :, 2], nv), axis=1)
+    canon = rots[np.arange(nc), best]
+    return _root_mesh(_ForestBase(verts, canon))

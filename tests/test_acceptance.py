@@ -15,7 +15,7 @@ import pytest
 
 import fracadapt as fa
 from fracadapt import estimators
-from fracadapt.driver import doerfler_mark
+from fracadapt.driver import MARKING_SLACK, doerfler_mark
 
 SQUARE = fa.DomainSpec("square")
 UNIT = fa.DomainSpec("unit-square")
@@ -381,7 +381,7 @@ def _exhaustive_minimum(flat, theta):
         return 0
     for size in range(len(flat) + 1):
         for combo in itertools.combinations(flat, size):
-            if sum(combo) >= theta * total - 1e-12 * total:
+            if sum(combo) >= theta * total - MARKING_SLACK * total:
                 return size
     return len(flat)
 

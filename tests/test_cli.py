@@ -129,6 +129,21 @@ def test_export_mesh_dofs_match_log(small_run):
     assert m.num_interior_vertices == int(rows["2"]["union_dofs"])
 
 
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("nodes 4 cells 2\n0 0\n1 0\n1 1\n0 1\n0 1 2\n", "ends after 1 of 2 cell lines"),
+        ("nodes 4 cells 1\n0 0\n1 0\n1 1\n0 1\n0 1 4\n", "cell 0 refers to a vertex"),
+        ("nodes 4 cells 1\n0 0\n1 0\n1 1\n1 0\n0 1 2\n", "same coordinates"),
+    ],
+)
+def test_export_mesh_rejects_bad_file(tmp_path, capsys, text, problem):
+    (tmp_path / "mesh_m0000.txt").write_text(text)
+    assert run_cli(["export-mesh", str(tmp_path), "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and problem in err
+
+
 def test_export_mesh_missing_checkpoint(small_run, capsys):
     out, _ = small_run
     assert run_cli(["export-mesh", str(out), "77"]) == 1
@@ -166,6 +181,11 @@ def test_rates_too_few_rows(tmp_path, capsys):
 
 def test_rates_missing_file(capsys):
     assert run_cli(["rates", "/nonexistent/log.csv"]) == 1
+
+
+def test_run_rejects_zero_iterations(capsys):
+    assert run_cli(["run", "--s", "0.5", "--max-iter", "0"]) == 1
+    assert "error: max_iterations" in capsys.readouterr().err
 
 
 def test_run_rejects_bad_theta(capsys):

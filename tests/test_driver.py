@@ -36,6 +36,9 @@ def test_config_validation():
         small_config(k=0)
     with pytest.raises(ValueError):
         small_config(mode="magic")
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="max_iterations"):
+            small_config(max_iterations=n)
 
 
 def test_run_produces_expected_records():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracadapt.driver import doerfler_mark
+from fracadapt.driver import MARKING_SLACK, doerfler_mark
 from fracadapt.fem import ParametricState
 
 
@@ -38,7 +38,7 @@ def _exhaustive_minimum(weighted_sq, theta):
         return 0
     for size in range(len(flat) + 1):
         for combo in itertools.combinations(flat, size):
-            if sum(combo) >= theta * total - 1e-12 * total:
+            if sum(combo) >= theta * total - MARKING_SLACK * total:
                 return size
     return len(flat)
 
@@ -86,6 +86,16 @@ def test_deterministic_tie_break():
     states = _states([[1.0, 1.0], [1.0, 1.0]])
     marks = doerfler_mark(states, scheme, 0.25)
     assert marks == [{0}, set()]
+
+
+def test_oracle_shares_marking_slack():
+    # a remainder between 1e-14 and 1e-12 of the total: theta = 1 needs both
+    scheme = _FakeScheme([1.0, 1.0])
+    inds = [[np.sqrt(1.196e-10)], [12.0]]
+    marks = doerfler_mark(_states(inds), scheme, 1.0)
+    weighted_sq = [[v**2 for v in row] for row in inds]
+    assert marks == [{0}, {0}]
+    assert _exhaustive_minimum(weighted_sq, 1.0) == 2
 
 
 @settings(max_examples=200, deadline=None)

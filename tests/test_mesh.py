@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import forest_reference
 from fracadapt.mesh import (
+    _MAX_ROOTS,
+    MAX_LEVEL,
+    _ForestBase,
     DomainSpec,
     MeshStructureError,
     ancestor_cell_map,
@@ -17,6 +21,16 @@ from fracadapt.mesh import (
 
 SQUARE = DomainSpec("square")
 LSHAPE = DomainSpec("lshape")
+FOREST_ARRAYS = (
+    "vertices",
+    "cells",
+    "cell_root",
+    "edges",
+    "cell_edge",
+    "edge_cells",
+    "edge_count",
+    "boundary_vertex",
+)
 
 
 def assert_conforming(mesh):
@@ -72,14 +86,26 @@ def test_cells_are_right_isosceles():
 def test_refine_marks_are_bisected():
     m = make_initial_mesh(SQUARE, 32)
     marked = {0, 7, 20}
-    gen = {(int(m.cell_root[k]), m.cell_path[k]) for k in marked}
+    gen = m.cell_key[sorted(marked)]
     m2 = refine(m, marked)
-    # each marked cell is gone from the leaf set of the new mesh
-    for r, p in gen:
-        assert p not in m2.leaf_sets[r]
+    # each marked cell is gone from the leaf keys of the new mesh
+    assert not np.isin(gen, m2.cell_key).any()
     assert_conforming(m2)
     assert m2.cell_areas().sum() == pytest.approx(4.0)
     assert is_refinement_of(m2, m)
+
+
+def test_refine_past_depth_limit_raises():
+    m = make_initial_mesh(SQUARE, 8)
+    with pytest.raises(MeshStructureError):
+        for _ in range(2 * MAX_LEVEL):
+            m = refine(m, {max(range(m.num_cells), key=m.cell_generation)})
+    assert max(m.cell_generation(k) for k in range(m.num_cells)) >= MAX_LEVEL - 1
+
+
+def test_forest_root_limit():
+    with pytest.raises(MeshStructureError):
+        _ForestBase(np.zeros((3, 2)), np.zeros((_MAX_ROOTS, 3), dtype=np.int64))
 
 
 def test_refine_empty_returns_same():
@@ -163,9 +189,7 @@ def test_union_is_coarsest_common_refinement():
     assert_conforming(u)
     for m in meshes:
         assert is_refinement_of(u, m)
-    for r in range(len(m0.base.cells)):
-        for p in u.leaf_sets[r]:
-            assert any(p in m.leaf_sets[r] for m in meshes)
+    assert np.isin(u.cell_key, np.concatenate([m.cell_key for m in meshes])).all()
 
 
 def test_union_incompatible_bases():
@@ -234,6 +258,24 @@ def test_read_mesh_malformed(tmp_path):
         read_mesh(p)
 
 
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("nodes 3 cells 1\n0 0\n1 0\n", "ends after 2 of 3 vertex lines"),
+        ("nodes 3 cells 1\n0 0\n1 0\n0 1\n", "ends after 0 of 1 cell lines"),
+        ("nodes 3 cells 1\n0 0\n1 0\n0 1\n0 1\n", "cell line 1 has 2 numbers"),
+        ("nodes 3 cells 1\n0 0\n1 0\n0 1\n0 1 3\n", "outside 0..2"),
+        ("nodes 3 cells 1\n0 0\n1 0\n0 1\n0 1 -1\n", "outside 0..2"),
+        ("nodes 4 cells 1\n0 0\n1 0\n0 1\n1 0\n0 1 2\n", "same coordinates"),
+    ],
+)
+def test_read_mesh_names_the_problem(tmp_path, text, problem):
+    p = tmp_path / "bad.txt"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=problem):
+        read_mesh(p)
+
+
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_refine_conformity_property(data):
@@ -268,3 +310,45 @@ def test_union_overlay_property(data):
     for m in meshes:
         assert is_refinement_of(u, m)
     assert u.cell_areas().sum() == pytest.approx(4.0)
+
+
+def assert_same_as_reference(mesh, ref):
+    for name in FOREST_ARRAYS:
+        assert np.array_equal(getattr(mesh, name), getattr(ref, name)), name
+    assert np.array_equal(mesh.cell_key, forest_reference.keys_of(ref))
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), initial=st.sampled_from([(SQUARE, 8), (LSHAPE, 24)]))
+def test_forest_matches_loop_reference(data, initial):
+    """Refine, union, uniform refine, ancestor map and locate give exactly the
+    arrays of the tuple-path loop implementation."""
+    m0 = make_initial_mesh(*initial)
+    meshes, refs = [], []
+    for _ in range(data.draw(st.integers(1, 3))):
+        m, r = m0, forest_reference.from_mesh(m0)
+        assert_same_as_reference(m, r)
+        for _ in range(data.draw(st.integers(0, 5))):
+            marked = data.draw(
+                st.sets(st.integers(0, m.num_cells - 1), min_size=1, max_size=5)
+            )
+            m, r = refine(m, marked), forest_reference.refine(r, marked)
+            assert_same_as_reference(m, r)
+        meshes.append(m)
+        refs.append(r)
+    u, ru = union_mesh(meshes), forest_reference.union_mesh(refs)
+    assert_same_as_reference(u, ru)
+    for m, r in zip(meshes, refs):
+        assert np.array_equal(
+            ancestor_cell_map(u, m), forest_reference.ancestor_cell_map(ru, r)
+        )
+        assert is_refinement_of(m, u) == forest_reference.is_refinement_of(r, ru)
+    assert_same_as_reference(
+        uniform_refine(meshes[0]), forest_reference.uniform_refine(refs[0])
+    )
+    # vertices and edge midpoints sit on cell boundaries, centroids inside
+    x = u.vertices[u.cells]
+    pts = np.concatenate([u.vertices, x.mean(axis=1), 0.5 * (x[:, 0] + x[:, 1])])
+    cells, bary = u.locate(pts)
+    ref_cells, ref_bary = ru.locate(pts)
+    assert np.array_equal(cells, ref_cells) and np.array_equal(bary, ref_bary)
