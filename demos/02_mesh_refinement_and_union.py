@@ -6,6 +6,7 @@ overlay ("union") of several independently refined meshes is computed exactly
 by merging the forests.
 """
 
+import os
 import tempfile
 
 import numpy as np
@@ -38,9 +39,10 @@ print(f"union refines ma: {is_refinement_of(u, ma)}, mb: {is_refinement_of(u, mb
 print(f"areas add up: sum = {u.cell_areas().sum():.12f} (domain area 3)")
 
 # ASCII round trip is bit-exact
-with tempfile.NamedTemporaryFile("w", suffix=".txt", delete=False) as fh:
-    path = fh.name
-write_mesh(u, path)
-again = read_mesh(path)
-write_mesh(again, path + ".2")
-print("round trip bit-exact:", open(path).read() == open(path + ".2").read())
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "union.txt")
+    write_mesh(u, path)
+    again = read_mesh(path)
+    write_mesh(again, path + ".2")
+    with open(path) as first, open(path + ".2") as second:
+        print("round trip bit-exact:", first.read() == second.read())

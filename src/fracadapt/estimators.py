@@ -1,21 +1,31 @@
 """Hierarchical (local Neumann) error indicators and the global estimates.
 
-Each cell K carries a 3-dimensional enrichment space: the hat functions of
-the three edge midpoints on the 4-subtriangle partition of K obtained by two
-newest-vertex bisections.  The local problem on K,
+Each cell K carries a 3-dimensional enrichment space: the hats of the three
+edge midpoints on the 4-subtriangle partition of K made by two newest-vertex
+bisections.  The local problem on K,
 
     b (grad e, grad v)_K + c (e, v)_K
         = (r, v)_K - 1/2 sum_F (J_F, v)_F      for all v in the enrichment,
 
-with interior residual r = f - c w (the Laplacian of a P1 function vanishes
-cellwise) and edge flux jumps J_F, is a 3x3 SPD system solved in closed form
-for all cells at once.  The per-cell indicator is the L2 norm of e.
+with residual r = f - c w (the Laplacian of a P1 function vanishes cellwise)
+and edge flux jumps J_F, is a 3x3 SPD system; the indicator is ||e||_{L2(K)}.
+
+With B = [v1 - v0, v2 - v0], the enrichment mass matrix is M_K = |K| M_ref,
+and the stiffness matrix S_K = q00 T00 + q01 (T01 + T10) + q11 T11 depends
+only on the shape q = adj(B^T B) / |det B| (the T are reference-cell tensors).
+Cells with exactly equal q form a shape class: one for every mesh bisected
+from a uniform grid, up to one per cell for a mesh read from a file.  Per
+class, the eigenbasis S V = M_ref V diag(lam), V^T M_ref V = I, turns the
+solve into a division, y = V^T r_K / (b lam + c |K|), and ||e_K||^2 =
+|K| |y|^2.  The eigenvalues are positive, so the denominator is positive and
+grows only like b; a 3x3 determinant grows like b^3 and overflows near
+b = 1e103, while the pole sums reach b = 1.2e165.
 """
 
 import numpy as np
 
 from . import mesh as meshmod
-from .fem import TRI_QP, TRI_QW, FeFunction, _areas, _grads, transfer_p1
+from .fem import TRI_QP, TRI_QW, FeFunction, _areas, transfer_p1
 
 __all__ = [
     "local_indicators",
@@ -26,173 +36,157 @@ __all__ = [
 ]
 
 # local node numbering: 0,1,2 = cell corners; 3,4,5 = midpoints m01, m12, m20
-_NODE_BARY = np.array(
-    [
-        [1.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0],
-        [0.0, 0.0, 1.0],
-        [0.5, 0.5, 0.0],
-        [0.0, 0.5, 0.5],
-        [0.5, 0.0, 0.5],
-    ]
-)
+_NODE_BARY = np.vstack([np.eye(3), (np.eye(3) + np.roll(np.eye(3), 1, axis=1)) / 2.0])
 # the four subtriangles of the double bisection, as local node triples
 _SUBTRI = np.array([[3, 2, 5], [0, 3, 5], [3, 1, 4], [2, 3, 4]])
 # nodal values of the three midpoint hats on the 6 local nodes
-_VFULL = np.zeros((3, 6))
-_VFULL[0, 3] = _VFULL[1, 4] = _VFULL[2, 5] = 1.0
+_VFULL = np.eye(6)[3:]
 
 # cell-barycentric coordinates of the quadrature points of each subtriangle
-_CB = np.einsum("qk,tkj->tqj", TRI_QP, _NODE_BARY[_SUBTRI])  # (4, 6, 3)
-# midpoint-hat values at those points
-_PHI = np.einsum("itk,qk->itq", _VFULL[:, _SUBTRI], TRI_QP)
+_CB = np.einsum("qk,tkj->tqj", TRI_QP, _NODE_BARY[_SUBTRI]).reshape(24, 3)
+# quadrature weight times midpoint-hat value, per (subtriangle, point)
+_WPHI = np.einsum("q,itk,qk->tqi", TRI_QW, _VFULL[:, _SUBTRI], TRI_QP).reshape(24, 3)
+# the modal tables use the basis (phi_0, phi_1 + phi_2, phi_1 - phi_2)
+_PT = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, -1.0]])
+
+# states stacked per block in the union estimate; larger blocks raise the
+# peak memory of a run for no measurable speed
+_BLOCK = 8
 
 
-def _enrichment_geometry(mesh):
-    """Per-cell 3x3 enrichment stiffness/mass and edge normals, cached."""
-    cached = mesh._cache.get("enr")
-    if cached is not None:
-        return cached
-    X = mesh.vertices[mesh.cells]  # (m, 3, 2)
-    area = _areas(mesh)
-    sub_area = area / 4.0
-    S = np.zeros((len(X), 3, 3))
-    M = np.zeros((len(X), 3, 3))
-    mass_ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    for t in range(4):
-        Y = np.einsum("kj,mjd->mkd", _NODE_BARY[_SUBTRI[t]], X)  # subtri corners
-        area2 = 2.0 * sub_area
-        g = np.empty((len(X), 3, 2))
-        for k in range(3):
-            p1 = Y[:, (k + 1) % 3]
-            p2 = Y[:, (k + 2) % 3]
-            g[:, k, 0] = (p1[:, 1] - p2[:, 1]) / area2
-            g[:, k, 1] = (p2[:, 0] - p1[:, 0]) / area2
-        Vt = _VFULL[:, _SUBTRI[t]]  # (3, 3) basis values at subtri corners
-        Genr = np.einsum("ik,mkd->mid", Vt, g)
-        S += sub_area[:, None, None] * np.einsum("mid,mjd->mij", Genr, Genr)
-        M += sub_area[:, None, None] * (Vt @ mass_ref @ Vt.T)[None]
-    # quadrature points of the 4 subtriangles in physical coordinates
-    qpts = np.einsum("tqj,mjd->mtqd", _CB, X)
+def _reference_tables():
+    """On the reference cell (0,0), (1,0), (0,1): the stiffness tensors
+    (T00, T01 + T10, T11), the mass matrix M_ref per unit area, and G with
+    (phi_i, P1 hat j)_K = |K| / 4 * G[i, j].  All sums are exact before the
+    last division, so entries equal in exact arithmetic are equal bitwise."""
+    V = _VFULL[:, _SUBTRI].transpose(1, 0, 2)  # (subtriangle, basis, corner)
+    corners = _NODE_BARY[_SUBTRI]  # barycentric; (x, y) = (lam1, lam2) here
+    P = np.concatenate([np.ones((4, 3, 1)), corners[..., 1:]], axis=2)
+    g = V @ np.swapaxes(np.linalg.inv(P)[:, 1:], 1, 2)  # basis gradients
+    T = np.einsum("tia,tjb->abij", g, g) / 8.0  # subtriangle area 1/8
+    mass = np.ones((3, 3)) + np.eye(3)  # 12 x the unit-area P1 mass matrix
+    M = np.einsum("tia,ab,tjb->ij", V, mass, V) / 48.0
+    G = np.einsum("tia,ab,tbj->ij", V, mass, corners) / 12.0
+    return np.stack([T[0, 0], T[0, 1] + T[1, 0], T[1, 1]]), M, G
+
+
+_T, _MREF, _G = _reference_tables()
+_LINV = np.linalg.inv(np.linalg.cholesky(_PT @ _MREF @ _PT.T))
+
+
+def _matvec(A, x):
+    """A (3, 3) or (m, 3, 3) times x (m, 3, L), summed left to right one
+    element at a time, so the rounding does not depend on a cell's position."""
+    first_two = A[..., :1] * x[:, None, 0] + A[..., 1:2] * x[:, None, 1]
+    return first_two + A[..., 2:] * x[:, None, 2]
+
+
+def _shape(mesh):
+    """Scale-free shape (q00, q01, q11) of adj(B^T B) / |det B| per cell."""
+    x = mesh.vertices[mesh.cells]
+    e1, e2 = x[:, 1] - x[:, 0], x[:, 2] - x[:, 0]
+    det = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    q = np.stack([(e2 * e2).sum(axis=1), -(e1 * e2).sum(axis=1), (e1 * e1).sum(axis=1)])
+    return (q / det).T
+
+
+def _geometry(mesh):
+    """Shape classes with their modal tables, areas and edge normals, cached."""
+    geo = mesh._cache.get("modal")
+    if geo is not None:
+        return geo
+    q = _shape(mesh)
+    order = np.lexsort(q.T[::-1])
+    qs = q[order]
+    new = np.ones(len(q), dtype=bool)
+    new[1:] = np.any(qs[1:] != qs[:-1], axis=1)
+    cls = np.empty(len(q), dtype=np.intp)
+    cls[order] = np.cumsum(new) - 1
+    # eigenbasis in the _PT basis: a class symmetric under the mirror swapping
+    # phi_1 and phi_2 keeps exact zeros there, so mirror-image cells get equal
+    # indicators bit for bit and marking breaks their ties by cell id
+    S = _PT @ np.einsum("ka,aij->kij", qs[new], _T) @ _PT.T
+    lam, U = np.linalg.eigh(_LINV @ S @ _LINV.T)
     # fixed edge normals, outward with respect to edge_cells[:, 0]
     ev = mesh.vertices[mesh.edges]
     tang = ev[:, 1] - ev[:, 0]
     length = np.hypot(tang[:, 0], tang[:, 1])
     normal = np.stack([tang[:, 1], -tang[:, 0]], axis=1) / length[:, None]
-    c0 = mesh.edge_cells[:, 0]
-    opp = mesh.cells[c0].sum(axis=1) - mesh.edges.sum(axis=1)
+    opp = mesh.cells[mesh.edge_cells[:, 0]].sum(axis=1) - mesh.edges.sum(axis=1)
     flip = np.einsum("ed,ed->e", normal, mesh.vertices[opp] - ev[:, 0]) > 0
     normal[flip] *= -1.0
-    cached = {
-        "S": S,
-        "M": M,
-        "qpts": qpts,
-        "sub_area": sub_area,
-        "edge_normal": normal,
-        "edge_length": length,
-    }
-    mesh._cache["enr"] = cached
-    return cached
+    W = np.swapaxes(U, 1, 2) @ _LINV
+    geo = dict(cls=cls, lam=lam, W=W, area=_areas(mesh), normal=normal, length=length)
+    mesh._cache["modal"] = geo
+    return geo
 
 
-def _f_at_enrichment_quad(mesh, f):
-    key = ("enr_fq", f)
-    fq = mesh._cache.get(key)
-    if fq is None:
-        qpts = _enrichment_geometry(mesh)["qpts"]
-        fq = f(qpts[..., 0], qpts[..., 1])  # (m, 4, 6)
-        mesh._cache[key] = fq
-    return fq
+def _f_moments(mesh, f):
+    """(f, phi_i)_K / (|K| / 4) per cell, shape (m, 3), cached per field."""
+    key = ("enr_f", f)
+    F = mesh._cache.get(key)
+    if F is None:
+        qpts = _CB @ mesh.vertices[mesh.cells]  # (m, 24, 2)
+        F = f(qpts[..., 0], qpts[..., 1]) @ _WPHI
+        mesh._cache[key] = F
+    return F
 
 
 def _edge_jumps(mesh, cell_grads, skip_same=None):
     """Flux-jump scalar (gradient jump dotted with the fixed normal) per edge.
 
-    ``skip_same`` is an optional per-cell label array; edges whose two cells
-    carry the same label get an exact zero (used on the union mesh, where
-    edges interior to a source cell have no jump by construction).
+    ``cell_grads`` is (m, 2) or stacked (m, 2, L).  ``skip_same`` is an
+    optional per-cell label array; edges whose two cells carry the same label
+    get an exact zero (used on the union mesh, where edges interior to a
+    source cell have no jump by construction).
     """
-    geo = _enrichment_geometry(mesh)
-    c1 = mesh.edge_cells[:, 0]
-    c2 = mesh.edge_cells[:, 1]
-    interior = c2 >= 0
-    j = np.zeros(len(mesh.edges))
-    sel = interior.copy()
+    normal = _geometry(mesh)["normal"]
+    c1, c2 = mesh.edge_cells.T
+    sel = c2 >= 0
     if skip_same is not None:
-        sel &= np.where(interior, skip_same[c1] != skip_same[np.maximum(c2, 0)], False)
-    dg = cell_grads[c1[sel]] - cell_grads[np.maximum(c2, 0)[sel]]
-    j[sel] = np.einsum("ed,ed->e", dg, geo["edge_normal"][sel])
+        sel[sel] = skip_same[c1[sel]] != skip_same[c2[sel]]
+    j = np.zeros((len(mesh.edges),) + cell_grads.shape[2:])
+    dg = cell_grads[c1[sel]] - cell_grads[c2[sel]]
+    j[sel] = np.einsum("ed...,ed->e...", dg, normal[sel])
     return j
 
 
-def _solve_local(mesh, corner_vals, edge_jump, b, c, f):
-    """Solve every cell's 3x3 local Neumann problem; returns coefficients (m, 3).
-
-    ``corner_vals``: P1 solution values at the three cell corners.
-    ``edge_jump``: per-edge gradient-jump scalar (without the b factor).
-
-    The system is divided by the smallest power of two above max(b, c), as
-    if b, c and f were: the solution is unchanged bit for bit, and the 3x3
-    determinant cannot overflow for extreme b.
-    """
-    geo = _enrichment_geometry(mesh)
-    fq = _f_at_enrichment_quad(mesh, f)
-    wq = np.einsum("tqj,mj->mtq", _CB, corner_vals)
-    resid = fq - c * wq
-    rhs = geo["sub_area"][:, None] * np.einsum("mtq,q,itq->mi", resid, TRI_QW, _PHI)
-    # edge term: -1/2 * (J, phi_i)_F = -b * jump * |F| / 4 on phi_i's own edge
-    jl = edge_jump * geo["edge_length"]
-    rhs -= 0.25 * b * jl[mesh.cell_edge]
-    scale = np.ldexp(1.0, np.frexp(max(b, c))[1])
-    A = (b / scale) * geo["S"] + (c / scale) * geo["M"]
-    return _cramer_solve(A, rhs / scale)
+def _rhs(mesh, corner_vals, jump, b, c, f):
+    """Local right-hand sides (m, 3, L): (r, phi_i)_K - b |F_i| J_i / 4 for
+    corner values (m, 3, L), jumps (e, L) and one b, c per column."""
+    geo = _geometry(mesh)
+    jl = (jump * geo["length"][:, None])[mesh.cell_edge]
+    resid = _f_moments(mesh, f)[..., None] - c * _matvec(_G, corner_vals)
+    return geo["area"][:, None, None] / 4.0 * resid - 0.25 * b * jl
 
 
-def _cramer_solve(A, rhs):
-    a, bb, cc = A[:, 0, 0], A[:, 0, 1], A[:, 0, 2]
-    d, e, g = A[:, 1, 0], A[:, 1, 1], A[:, 1, 2]
-    h, i, j = A[:, 2, 0], A[:, 2, 1], A[:, 2, 2]
-    det = a * (e * j - g * i) - bb * (d * j - g * h) + cc * (d * i - e * h)
-    inv = np.empty_like(A)
-    inv[:, 0, 0] = e * j - g * i
-    inv[:, 0, 1] = cc * i - bb * j
-    inv[:, 0, 2] = bb * g - cc * e
-    inv[:, 1, 0] = g * h - d * j
-    inv[:, 1, 1] = a * j - cc * h
-    inv[:, 1, 2] = cc * d - a * g
-    inv[:, 2, 0] = d * i - e * h
-    inv[:, 2, 1] = bb * h - a * i
-    inv[:, 2, 2] = a * e - bb * d
-    return np.einsum("mij,mj->mi", inv, rhs) / det[:, None]
-
-
-def _enrichment_norms(mesh, coeffs):
-    geo = _enrichment_geometry(mesh)
-    return np.einsum("mi,mij,mj->m", coeffs, geo["M"], coeffs)
-
-
-def _local_coeffs(target, w, b, c, f):
-    """Enrichment coefficients (m, 3) on ``target`` for a P1 ``w`` that lives
-    on ``target`` or on a coarsening of it.
+def _modal_coeffs(target, src, W, b, c, f):
+    """Modal coefficients y (m, 3, L) of the local problems on ``target`` for
+    the P1 functions with stacked nodal values W (n, L) on ``src``, which is
+    ``target`` or a coarsening of it; b and c give one value per column.
 
     On a proper refinement, edges of ``target`` interior to one cell of
-    ``w.mesh`` carry no jump by construction and are skipped as exact zeros.
+    ``src`` carry no jump by construction and are skipped as exact zeros.
     """
-    if w.mesh.same_mesh(target):
-        corner_vals = w.nodal_values[target.cells]
-        grads = np.einsum("mk,mkd->md", corner_vals, _grads(target))
-        jump = _edge_jumps(target, grads)
+    geo = _geometry(target)
+    w = FeFunction(src, W)
+    if src.same_mesh(target):
+        jump = _edge_jumps(target, w.cell_gradients())
     else:
-        parents = meshmod.ancestor_cell_map(target, w.mesh)
+        parents = meshmod.ancestor_cell_map(target, src)
         jump = _edge_jumps(target, w.cell_gradients()[parents], skip_same=parents)
-        corner_vals = transfer_p1(w, target).nodal_values[target.cells]
-    return _solve_local(target, corner_vals, jump, b, c, f)
+        W = transfer_p1(w, target).nodal_values
+    r = _rhs(target, W[target.cells], jump, b, c, f)
+    r = np.stack([r[:, 0], r[:, 1] + r[:, 2], r[:, 1] - r[:, 2]], axis=1)  # _PT @ r
+    cls = geo["cls"]
+    den = geo["lam"][cls][..., None] * b + geo["area"][:, None, None] * c
+    return _matvec(geo["W"][cls], r) / den
 
 
 def local_indicators(mesh, w, b, c, f):
     """Per-cell indicator ||e_K||_{L2(K)} for one parametric problem."""
-    coeffs = _local_coeffs(mesh, w, b, c, f)
-    return np.sqrt(np.maximum(_enrichment_norms(mesh, coeffs), 0.0))
+    y = _modal_coeffs(mesh, w.mesh, w.nodal_values[:, None], b, c, f)
+    return np.sqrt(_geometry(mesh)["area"] * np.sum(y[..., 0] ** 2, axis=1))
 
 
 def global_triangle_estimate(scheme, states):
@@ -209,48 +203,54 @@ def combined_equal_mesh_estimate(scheme, states, f):
     """Single-mesh estimate: combine per-cell local solutions before the norm.
 
     All states must live on the same mesh.  Returns
-    sqrt(sum_K ||C sum_l a_l e_{l,K}||^2).
+    sqrt(sum_K ||C sum_l a_l e_{l,K}||^2).  Every local system
+    (b S_K + c M_K) e = r_K is solved densely, without the modal basis, so
+    this is an independent reference for the union estimate.
     """
     mesh = states[0].mesh
     for st in states:
         if not st.mesh.same_mesh(mesh):
             raise meshmod.MeshStructureError("states are not on a shared mesh")
+    S = np.einsum("ma,aij->mij", _shape(mesh), _T)
+    M = _geometry(mesh)["area"][:, None, None] * _MREF
     combined = np.zeros((mesh.num_cells, 3))
     for st in states:
         w = st.solution
-        corner_vals = w.nodal_values[mesh.cells]
-        grads = np.einsum("mk,mkd->md", corner_vals, _grads(mesh))
-        jump = _edge_jumps(mesh, grads)
-        coeffs = _solve_local(
-            mesh, corner_vals, jump, scheme.b[st.index], scheme.c[st.index], f
-        )
-        combined += scheme.a[st.index] * coeffs
+        b, c = scheme.b[st.index], scheme.c[st.index]
+        jump = _edge_jumps(mesh, w.cell_gradients()[..., None])
+        rhs = _rhs(mesh, w.nodal_values[mesh.cells][..., None], jump, b, c, f)
+        combined += scheme.a[st.index] * np.linalg.solve(b * S + c * M, rhs)[..., 0]
     combined *= scheme.C
-    return float(np.sqrt(np.sum(_enrichment_norms(mesh, combined))))
+    return float(np.sqrt(np.sum(np.einsum("mi,mij,mj->m", combined, M, combined))))
 
 
 def global_union_estimate(scheme, states, union, f):
     """Union-mesh estimate: local problems on every union cell for every l,
     sqrt(sum_K ||C sum_l a_l e_{l,K}||^2).
 
-    Each parametric solution is transferred (exactly) onto the union mesh;
-    when all states share one mesh, the union is that mesh.
+    States that share a mesh are stacked, in blocks of ``_BLOCK``, and
+    transferred (exactly) onto the union mesh together; when all states share
+    one mesh, the union is that mesh.
     """
-    combined = np.zeros((union.num_cells, 3))
+    groups = {}
     for st in states:
-        l = st.index
-        combined += scheme.a[l] * _local_coeffs(
-            union, st.solution, scheme.b[l], scheme.c[l], f
-        )
-    combined *= scheme.C
-    return float(np.sqrt(np.sum(_enrichment_norms(union, combined))))
+        groups.setdefault(id(st.mesh), (st.mesh, []))[1].append(st)
+    combined = np.zeros((union.num_cells, 3))
+    for src, group in groups.values():
+        for start in range(0, len(group), _BLOCK):
+            block = group[start : start + _BLOCK]
+            l = np.array([st.index for st in block])
+            W = np.stack([st.solution.nodal_values for st in block], axis=1)
+            y = _modal_coeffs(union, src, W, scheme.b[l], scheme.c[l], f)
+            combined += y @ scheme.a[l]
+    area = _geometry(union)["area"]
+    return scheme.C * float(np.sqrt(np.sum(area * np.sum(combined**2, axis=1))))
 
 
 def union_jump_edge_count(union, src):
     """Number of union edges that can carry a nonzero jump for a problem on
     ``src`` (interior union edges separating different source cells)."""
     parents = meshmod.ancestor_cell_map(union, src)
-    c1 = union.edge_cells[:, 0]
-    c2 = union.edge_cells[:, 1]
+    c1, c2 = union.edge_cells.T
     interior = c2 >= 0
     return int(np.count_nonzero(interior & (parents[c1] != parents[np.maximum(c2, 0)])))

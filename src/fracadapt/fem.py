@@ -48,7 +48,11 @@ class SolveError(Exception):
 
 @dataclass
 class FeFunction:
-    """Piecewise-linear function: a mesh plus one nodal value per vertex."""
+    """Piecewise-linear function: a mesh plus one nodal value per vertex.
+
+    ``nodal_values`` may also be (n, L), L functions stacked column by column;
+    every method then returns one trailing column per function.
+    """
 
     mesh: object
     nodal_values: np.ndarray
@@ -62,18 +66,18 @@ class FeFunction:
         """Evaluate at arbitrary points inside the domain."""
         cells, bary = self.mesh.locate(points)
         vals = self.nodal_values[self.mesh.cells[cells]]
-        return np.einsum("pk,pk->p", bary, vals)
+        return np.einsum("pk,pk...->p...", bary, vals)
 
     def cell_values_at(self, bary_points):
-        """Values at fixed barycentric points of every cell, shape (m, q)."""
-        vals = self.nodal_values[self.mesh.cells]
-        return vals @ np.asarray(bary_points).T
+        """Values at fixed barycentric points of every cell, shape (m, q, ...)."""
+        vals = np.moveaxis(self.nodal_values[self.mesh.cells], 1, -1)
+        return np.moveaxis(vals @ np.asarray(bary_points).T, -1, 1)
 
     def cell_gradients(self):
-        """Constant gradient per cell, shape (m, 2)."""
+        """Constant gradient per cell, shape (m, 2, ...)."""
         g = _grads(self.mesh)
         vals = self.nodal_values[self.mesh.cells]
-        return np.einsum("mk,mkd->md", vals, g)
+        return np.einsum("mk...,mkd->md...", vals, g)
 
 
 def _test2_eval(x, y):
@@ -172,35 +176,43 @@ def _rhs_at_quad(mesh, f):
 
 def _matrices(mesh):
     """Global stiffness and mass matrices (all vertices), CSR."""
-    cached = mesh._cache.get("KM")
-    if cached is None:
-        g = _grads(mesh)
-        area = _areas(mesh)
-        kloc = np.einsum("mid,mjd,m->mij", g, g, area)
-        mloc = (np.ones((3, 3)) + np.eye(3)) / 12.0
-        mloc = area[:, None, None] * mloc[None]
-        rows = np.repeat(mesh.cells, 3, axis=1).reshape(-1)
-        cols = np.tile(mesh.cells, (1, 3)).reshape(-1)
-        n = mesh.num_vertices
-        K = sp.coo_matrix((kloc.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
-        M = sp.coo_matrix((mloc.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
-        cached = (K, M)
-        mesh._cache["KM"] = cached
-    return cached
+    g = _grads(mesh)
+    area = _areas(mesh)
+    kloc = np.einsum("mid,mjd,m->mij", g, g, area)
+    mloc = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    mloc = area[:, None, None] * mloc[None]
+    rows = np.repeat(mesh.cells, 3, axis=1).reshape(-1)
+    cols = np.tile(mesh.cells, (1, 3)).reshape(-1)
+    n = mesh.num_vertices
+    K = sp.coo_matrix((kloc.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
+    M = sp.coo_matrix((mloc.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
+    return K, M
 
 
 def _load_vector(mesh, f):
-    key = ("load", f)
+    fq = _rhs_at_quad(mesh, f)
+    area = _areas(mesh)
+    # F_i = sum_q w_q area f(x_q) lambda_i(x_q)
+    contrib = np.einsum("mq,q,qk,m->mk", fq, TRI_QW, TRI_QP, area)
+    F = np.zeros(mesh.num_vertices)
+    np.add.at(F, mesh.cells.reshape(-1), contrib.reshape(-1))
+    return F
+
+
+def _interior_system(mesh, f):
+    """K_II and M_II (CSC) and F_I on the interior vertices; the matrices are
+    cached per mesh, the load vector per mesh and field."""
+    interior = ~mesh.boundary_vertex
+    KM = mesh._cache.get("KM_II")
+    if KM is None:
+        KM = tuple(A[interior][:, interior].tocsc() for A in _matrices(mesh))
+        mesh._cache["KM_II"] = KM
+    key = ("load_I", f)
     F = mesh._cache.get(key)
     if F is None:
-        fq = _rhs_at_quad(mesh, f)
-        area = _areas(mesh)
-        # F_i = sum_q w_q area f(x_q) lambda_i(x_q)
-        contrib = np.einsum("mq,q,qk,m->mk", fq, TRI_QW, TRI_QP, area)
-        F = np.zeros(mesh.num_vertices)
-        np.add.at(F, mesh.cells.reshape(-1), contrib.reshape(-1))
+        F = _load_vector(mesh, f)[interior]
         mesh._cache[key] = F
-    return F
+    return KM + (F,)
 
 
 # -- operations --------------------------------------------------------------
@@ -216,13 +228,10 @@ def assemble_and_solve(mesh, b, c, f, rel_tol=1e-10):
     """
     if b <= 0.0 or c <= 0.0:
         raise ValueError("coefficients b and c must be positive")
-    K, M = _matrices(mesh)
-    F = _load_vector(mesh, f)
-    interior = ~mesh.boundary_vertex
+    K, M, F = _interior_system(mesh, f)
     scale = max(b, c)
     A = (b / scale) * K + (c / scale) * M
-    A = A[interior][:, interior].tocsc()
-    rhs = F[interior] / scale
+    rhs = F / scale
     w = np.zeros(mesh.num_vertices)
     if rhs.size:
         sol = spla.spsolve(A, rhs)
@@ -234,12 +243,13 @@ def assemble_and_solve(mesh, b, c, f, rel_tol=1e-10):
                     f"relative residual {res:.3e} exceeds rel_tol {rel_tol:.1e}",
                     residual=res,
                 )
-        w[interior] = sol
+        w[~mesh.boundary_vertex] = sol
     return FeFunction(mesh, w)
 
 
 def transfer_p1(f, target):
-    """Exact nodal transfer of a P1 function onto a refinement of its mesh."""
+    """Exact nodal transfer of a P1 function onto a refinement of its mesh;
+    stacked (n, L) nodal values are transferred column by column."""
     src = f.mesh
     if src.same_mesh(target):
         return FeFunction(target, f.nodal_values.copy())
@@ -254,10 +264,11 @@ def transfer_p1(f, target):
     l1 = (d[..., 0] * e2[:, None, 1] - d[..., 1] * e2[:, None, 0]) / det[:, None]
     l2 = (d[..., 1] * e1[:, None, 0] - d[..., 0] * e1[:, None, 1]) / det[:, None]
     lam = np.stack([1.0 - l1 - l2, l1, l2], axis=-1)  # (mt, 3, 3)
-    svals = f.nodal_values[src.cells[parents]]  # (mt, 3)
-    tvals = np.einsum("mpk,mk->mp", lam, svals)
-    out = np.empty(target.num_vertices)
-    out[target.cells.reshape(-1)] = tvals.reshape(-1)
+    svals = f.nodal_values[src.cells[parents]]  # (mt, 3, ...)
+    tvals = np.einsum("mpk,mk...->mp...", lam, svals)
+    stack = svals.shape[2:]
+    out = np.empty((target.num_vertices,) + stack)
+    out[target.cells.reshape(-1)] = tvals.reshape((-1,) + stack)
     return FeFunction(target, out)
 
 

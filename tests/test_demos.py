@@ -1,5 +1,5 @@
-"""Smoke test: the quick demos (01-03) run to completion.  Demos 04 and 05 run
-whole adaptive solves and are left out for time."""
+"""Smoke test: the quick demos (01-04) run to completion and leave no files
+behind.  Demo 05 runs two whole adaptive solves and is left out for time."""
 
 import os
 import subprocess
@@ -9,11 +9,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-QUICK_DEMOS = sorted((ROOT / "demos").glob("0[123]_*.py"))
+QUICK_DEMOS = sorted((ROOT / "demos").glob("0[1234]_*.py"))
 
 
 def test_quick_demos_found():
-    assert len(QUICK_DEMOS) == 3
+    assert len(QUICK_DEMOS) == 4
 
 
 @pytest.mark.parametrize("demo", QUICK_DEMOS, ids=lambda p: p.stem)
@@ -30,3 +30,4 @@ def test_demo_runs(demo, tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert not any(tmp_path.iterdir()), sorted(p.name for p in tmp_path.iterdir())

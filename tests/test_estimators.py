@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,13 +12,21 @@ from fracadapt.estimators import (
     local_indicators,
     union_jump_edge_count,
 )
-from fracadapt.fem import FeFunction, ParametricState, RhsField, assemble_and_solve
+from fracadapt.fem import (
+    FeFunction,
+    ParametricState,
+    RhsField,
+    assemble_and_solve,
+    transfer_p1,
+)
 from fracadapt.mesh import (
     DomainSpec,
     make_initial_mesh,
+    read_mesh,
     refine,
     uniform_refine,
     union_mesh,
+    write_mesh,
 )
 from fracadapt.oracle import l2_error
 from fracadapt.rational import bp_coefficients
@@ -45,38 +54,133 @@ def test_indicators_nonnegative_finite():
     assert eta.max() > 0.0
 
 
-def test_local_system_against_dense_reference():
-    # rebuild one cell's 3x3 enrichment system with a brute-force quadrature
-    # over the 4 subtriangles and compare
-    m = make_initial_mesh(UNIT, 8)
-    geo = estimators._enrichment_geometry(m)
-    k = 3
-    X = m.vertices[m.cells[k]]
-    S_ref = np.zeros((3, 3))
-    M_ref = np.zeros((3, 3))
-    corners6 = estimators._NODE_BARY @ X  # 6 local nodes
-    for t in range(4):
-        tri = corners6[estimators._SUBTRI[t]]
+# corners v0, v1, v2, then the midpoints of (v0, v1), (v1, v2), (v2, v0)
+_NODES = np.array(
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0.5, 0.5, 0], [0, 0.5, 0.5], [0.5, 0, 0.5]]
+)
+# children (v2, v0, m01) and (v1, v2, m01), each bisected once more
+_SUBTRIANGLES = [[3, 2, 5], [0, 3, 5], [3, 1, 4], [2, 3, 4]]
+
+
+def _subtriangle_matrices(X):
+    """Enrichment stiffness and mass of the cell with corners X (3, 2), by
+    brute-force quadrature over its 4 subtriangles."""
+    S = np.zeros((3, 3))
+    M = np.zeros((3, 3))
+    nodes = _NODES @ X
+    for sub in _SUBTRIANGLES:
+        tri = nodes[sub]
         e1, e2 = tri[1] - tri[0], tri[2] - tri[0]
         area = 0.5 * abs(e1[0] * e2[1] - e1[1] * e2[0])
-        G = np.linalg.inv(np.column_stack([np.ones(3), tri]))
-        sub_grads = G[1:, :].T  # hats of the subtriangle
-        V = estimators._VFULL[:, estimators._SUBTRI[t]]  # (3 basis, 3 corners)
-        grads = V @ sub_grads
-        S_ref += area * grads @ grads.T
-        M_ref += area * V @ ((np.ones((3, 3)) + np.eye(3)) / 12.0) @ V.T
-    assert np.allclose(geo["S"][k], S_ref, atol=1e-13)
-    assert np.allclose(geo["M"][k], M_ref, atol=1e-13)
+        hat_grads = np.linalg.inv(np.column_stack([np.ones(3), tri]))[1:].T
+        # midpoint hat i is 1 at local node 3 + i: (3 basis, 3 corners)
+        V = (np.array(sub)[None, :] == np.arange(3, 6)[:, None]).astype(float)
+        grads = V @ hat_grads
+        S += area * grads @ grads.T
+        M += area * V @ ((np.ones((3, 3)) + np.eye(3)) / 12.0) @ V.T
+    return S, M
 
 
-def test_cramer_matches_numpy_solve():
-    rng = np.random.default_rng(1)
-    A = rng.normal(size=(20, 3, 3))
-    A = A @ A.transpose(0, 2, 1) + 3.0 * np.eye(3)  # SPD batch
-    rhs = rng.normal(size=(20, 3))
-    x = estimators._cramer_solve(A, rhs)
-    expected = np.linalg.solve(A, rhs[..., None])[..., 0]
-    assert np.allclose(x, expected, rtol=1e-10)
+def _dense_indicators(mesh, w, b, c, f):
+    """Indicators from a dense per-cell solve of (b S_K + c M_K) e = r_K."""
+    jump = estimators._edge_jumps(mesh, w.cell_gradients()[..., None])
+    corner_vals = w.nodal_values[mesh.cells][..., None]
+    rhs = estimators._rhs(mesh, corner_vals, jump, b, c, f)[..., 0]
+    eta = np.empty(mesh.num_cells)
+    for k, cell in enumerate(mesh.cells):
+        S, M = _subtriangle_matrices(mesh.vertices[cell])
+        e = np.linalg.solve(b * S + c * M, rhs[k])
+        eta[k] = np.sqrt(e @ M @ e)
+    return eta
+
+
+def _perturbed_mesh(tmp_path, cells=32, seed=3):
+    """A read_mesh mesh of the unit square with moved interior vertices, so
+    that its cells fall into many shape classes."""
+    m = make_initial_mesh(UNIT, cells)
+    rng = np.random.default_rng(seed)
+    interior = ~m.boundary_vertex
+    m.vertices[interior] += rng.uniform(-0.04, 0.04, size=(np.count_nonzero(interior), 2))
+    path = tmp_path / "perturbed.txt"
+    write_mesh(m, path)
+    out = read_mesh(path)
+    assert len(estimators._geometry(out)["lam"]) > out.num_cells // 2
+    return out
+
+
+def test_closed_form_stiffness_against_subtriangle_quadrature():
+    # S_K from the shape q and the reference tensors, and M_K = |K| M_ref,
+    # on random triangles no two of which are similar
+    rng = np.random.default_rng(11)
+    X = rng.uniform(-2.0, 2.0, size=(40, 3, 2))
+    e1, e2 = X[:, 1] - X[:, 0], X[:, 2] - X[:, 0]
+    area = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    keep = area > 0.05
+    X, area = X[keep], area[keep]
+    cells = SimpleNamespace(vertices=X.reshape(-1, 2), cells=np.arange(3 * len(X)).reshape(-1, 3))
+    S = np.einsum("ma,aij->mij", estimators._shape(cells), estimators._T)
+    for k in range(len(X)):
+        S_ref, M_ref = _subtriangle_matrices(X[k])
+        scale = np.abs(S_ref).max()
+        assert np.allclose(S[k], S_ref, rtol=0, atol=1e-12 * scale)
+        assert np.allclose(area[k] * estimators._MREF, M_ref, rtol=0, atol=1e-14 * area[k])
+
+
+@pytest.mark.parametrize("b", [1e-3, 1.0, 1e3, 1e60, 1e120, 1.2e165])
+def test_modal_solve_matches_dense_solve(b, tmp_path):
+    # many shape classes, b across the whole range of the pole sums
+    m = _perturbed_mesh(tmp_path)
+    rng = np.random.default_rng(2)
+    w = FeFunction(m, rng.normal(size=m.num_vertices))
+    f = RhsField.test2()
+    eta = local_indicators(m, w, b, 0.7, f)
+    assert np.allclose(eta, _dense_indicators(m, w, b, 0.7, f), rtol=1e-12, atol=0)
+
+
+def test_union_estimate_matches_dense_reference_on_perturbed_mesh(tmp_path):
+    scheme = bp_coefficients(0.5, 0.6, 1.0)
+    m = _perturbed_mesh(tmp_path)
+    f = RhsField.one()
+    states = [
+        _solved_state(l, m, scheme.b[l], scheme.c[l], f) for l in range(scheme.N)
+    ]
+    a = combined_equal_mesh_estimate(scheme, states, f)
+    assert global_union_estimate(scheme, states, m, f) == pytest.approx(a, rel=1e-12)
+
+
+def test_union_estimate_matches_transferred_dense_reference(tmp_path):
+    # three source meshes, each holding more states than one stacked block;
+    # the reference solves every transferred state densely on the union
+    scheme = bp_coefficients(0.5, 0.6, 1.0)
+    m0 = _perturbed_mesh(tmp_path)
+    meshes = [m0, refine(m0, {0, 1, 2}), refine(refine(m0, {20, 21}), {5})]
+    f = RhsField.test2()
+    states = [
+        _solved_state(l, meshes[l % 3], scheme.b[l], scheme.c[l], f)
+        for l in range(scheme.N)
+    ]
+    assert scheme.N // 3 > estimators._BLOCK
+    u = union_mesh(meshes)
+    moved = [
+        ParametricState(index=st.index, mesh=u, solution=transfer_p1(st.solution, u))
+        for st in states
+    ]
+    a = combined_equal_mesh_estimate(scheme, moved, f)
+    assert global_union_estimate(scheme, states, u, f) == pytest.approx(a, rel=1e-12)
+
+
+def test_mirror_images_get_equal_indicators():
+    # the unit-square mesh is symmetric under (x, y) -> (y, x); for a
+    # symmetric P1 function and field, mirror-image cells must get bitwise
+    # equal indicators, so that marking breaks their ties by cell id
+    m = make_initial_mesh(UNIT, 128)
+    x, y = m.vertices.T
+    w = FeFunction(m, x * y * (x + y - 2.0) ** 2 * (1.0 - x) * (1.0 - y))
+    eta = local_indicators(m, w, 0.3, 2.0, RhsField.one())
+    centroid = m.vertices[m.cells].mean(axis=1)
+    index = {tuple(np.round(p, 12)): k for k, p in enumerate(centroid)}
+    mirror = np.array([index[tuple(np.round(p[::-1], 12))] for p in centroid])
+    assert np.array_equal(eta, eta[mirror])
 
 
 # bp_coefficients itself over/underflows exp(log_b) at kappa = 0.10 for the

@@ -5,6 +5,7 @@ import pytest
 
 from fracadapt import fem
 from fracadapt.fem import (
+    TRI_QP,
     FeFunction,
     RhsField,
     SolveError,
@@ -172,6 +173,24 @@ def test_transfer_p1_same_mesh_copies():
     wt = transfer_p1(w, m)
     assert np.array_equal(wt.nodal_values, w.nodal_values)
     assert wt.nodal_values is not w.nodal_values
+
+
+def test_stacked_values_match_columns():
+    # (n, L) nodal values: transfer, gradients and cell values must equal the
+    # one-column results column by column; point values sum in another order
+    m0 = make_initial_mesh(UNIT, 32)
+    m1 = refine(m0, {0, 3, 11, 20})
+    rng = np.random.default_rng(5)
+    W = rng.normal(size=(m0.num_vertices, 4))
+    stacked = FeFunction(m0, W)
+    moved = transfer_p1(stacked, m1)
+    pts = rng.uniform(0.001, 0.999, size=(20, 2))
+    for k in range(W.shape[1]):
+        one = FeFunction(m0, W[:, k])
+        assert np.array_equal(moved.nodal_values[:, k], transfer_p1(one, m1).nodal_values)
+        assert np.array_equal(stacked.cell_gradients()[..., k], one.cell_gradients())
+        assert np.allclose(stacked.eval(pts)[:, k], one.eval(pts), rtol=1e-15, atol=1e-15)
+        assert np.array_equal(stacked.cell_values_at(TRI_QP)[..., k], one.cell_values_at(TRI_QP))
 
 
 def test_transfer_preserves_l2_norm():
