@@ -88,6 +88,9 @@ class RunResult:
     solve_counts: np.ndarray
     estimate_counts: np.ndarray
     solved_per_iter: list = field(default_factory=list)
+    # the problems refined at each iteration, not the cells marked: two runs
+    # that mark different cells of the same problems compare equal here, and
+    # only the final ``cell_key`` arrays of the states tell them apart
     marked_per_iter: list = field(default_factory=list)
 
 
@@ -154,15 +157,13 @@ def run(config, reference=None, on_checkpoint=None):
     """
     cfg = config
     lam0 = oracle.faber_krahn_lambda0(cfg.domain)
+    mesh0 = make_initial_mesh(cfg.domain, cfg.initial_cells)
     if cfg.kappa is not None:
         kappa = cfg.kappa
     else:
-        mesh0_tmp = make_initial_mesh(cfg.domain, cfg.initial_cells)
-        f_norm = fem.l2_norm(cfg.f, mesh0_tmp)
+        f_norm = fem.l2_norm(cfg.f, mesh0)
         kappa = rational.choose_kappa(cfg.s, cfg.tol, lam0, f_norm)
     scheme = rational.bp_coefficients(cfg.s, kappa, lam0)
-
-    mesh0 = make_initial_mesh(cfg.domain, cfg.initial_cells)
     states = [fem.ParametricState(index=l, mesh=mesh0) for l in range(scheme.N)]
     solve_counts = np.zeros(scheme.N, dtype=int)
     estimate_counts = np.zeros(scheme.N, dtype=int)

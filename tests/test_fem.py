@@ -14,7 +14,15 @@ from fracadapt.fem import (
     l2_norm,
     transfer_p1,
 )
-from fracadapt.mesh import DomainSpec, make_initial_mesh, refine, uniform_refine, union_mesh
+from fracadapt.mesh import (
+    DomainSpec,
+    make_initial_mesh,
+    read_mesh,
+    refine,
+    uniform_refine,
+    union_mesh,
+    write_mesh,
+)
 from fracadapt.rational import bp_coefficients
 
 UNIT = DomainSpec("unit-square")
@@ -110,22 +118,8 @@ def test_caches_not_served_across_fields():
         assert np.allclose(w.nodal_values, (k + 1) * ref.nodal_values, rtol=1e-12, atol=0)
 
 
-def test_reaction_limit_mass_identity():
-    # with b -> 0 the discrete problem is M w = F; verify against a direct
-    # dense solve of the mass system
-    m = make_initial_mesh(UNIT, 32)
-    f = RhsField.one()
-    K, M = fem._matrices(m)
-    F = fem._load_vector(m, f)
-    interior = ~m.boundary_vertex
-    dense = np.linalg.solve(M.toarray()[np.ix_(interior, interior)], F[interior])
-    w = assemble_and_solve(m, 1e-30, 1.0, f)
-    assert np.allclose(w.nodal_values[interior], dense, rtol=1e-9)
-
-
-def test_stiffness_matrix_against_dense_assembly():
-    m = refine(make_initial_mesh(UNIT, 8), {0})
-    K, M = fem._matrices(m)
+def _dense_matrices(m):
+    """Stiffness and mass on all vertices, assembled cell by cell."""
     n = m.num_vertices
     Kd = np.zeros((n, n))
     Md = np.zeros((n, n))
@@ -136,8 +130,91 @@ def test_stiffness_matrix_against_dense_assembly():
         grads = C[1:, :].T  # (3, 2)
         Kd[np.ix_(cell, cell)] += area * grads @ grads.T
         Md[np.ix_(cell, cell)] += area * (np.ones((3, 3)) + np.eye(3)) / 12.0
-    assert np.allclose(K.toarray(), Kd, atol=1e-12)
-    assert np.allclose(M.toarray(), Md, atol=1e-12)
+    return Kd, Md
+
+
+def _band_to_dense(band, values):
+    """Expand compact band values (``band.k`` or ``band.m``) to the dense
+    symmetric interior matrix in band order."""
+    n, w = len(band.dofs), band.width
+    ab = np.zeros((w + 1) * n)
+    ab[band.pos] = values
+    ab = ab.reshape((w + 1, n), order="F")
+    i, j = np.tril_indices(n)
+    inside = i - j <= w
+    i, j = i[inside], j[inside]
+    A = np.zeros((n, n))
+    A[i, j] = ab[i - j, j]
+    A[j, i] = ab[i - j, j]
+    return A
+
+
+def test_reaction_limit_mass_identity():
+    # with b -> 0 the discrete problem is M w = F; verify against a direct
+    # dense solve of the mass system
+    m = make_initial_mesh(UNIT, 32)
+    f = RhsField.one()
+    band, F = fem._interior_system(m, f)
+    dense = np.linalg.solve(_band_to_dense(band, band.m), F)
+    w = assemble_and_solve(m, 1e-30, 1.0, f)
+    assert np.allclose(w.nodal_values[band.dofs], dense, rtol=1e-9)
+
+
+def test_stiffness_matrix_against_dense_assembly():
+    # the band holds the interior block of both matrices and nothing outside
+    # its width
+    for cells, marked in ((8, {0}), (32, {0, 5})):
+        m = refine(make_initial_mesh(UNIT, cells), marked)
+        Kd, Md = _dense_matrices(m)
+        band = fem._band_system(m)
+        block = np.ix_(band.dofs, band.dofs)
+        assert np.array_equal(np.sort(band.dofs), np.flatnonzero(~m.boundary_vertex))
+        assert np.allclose(_band_to_dense(band, band.k), Kd[block], atol=1e-12)
+        assert np.allclose(_band_to_dense(band, band.m), Md[block], atol=1e-12)
+
+
+def test_band_width_on_refined_grid():
+    # uniform refinement numbers the new midpoints last; the RCM order still
+    # keeps the band of the 15 x 15 interior grid within two grid lines
+    m = uniform_refine(uniform_refine(make_initial_mesh(UNIT, 32)))
+    assert m.num_interior_vertices == 15 * 15
+    assert fem._band_system(m).width <= 2 * 15
+
+
+def _written_and_read(tmp_path):
+    path = tmp_path / "refined.txt"
+    write_mesh(refine(make_initial_mesh(UNIT, 32), {0, 3, 11}), path)
+    return read_mesh(path)
+
+
+_EXTREME = bp_coefficients(0.95, 0.26, 2.0 * math.pi**2)
+
+
+@pytest.mark.parametrize("b", [_EXTREME.b.min(), _EXTREME.b.max()], ids=["b_min", "b_max"])
+@pytest.mark.parametrize(
+    "make_mesh",
+    [
+        lambda tmp: make_initial_mesh(UNIT, 32),
+        lambda tmp: make_initial_mesh(DomainSpec("lshape"), 96),
+        _written_and_read,
+        lambda tmp: make_initial_mesh(UNIT, 8),  # one interior vertex: width 0
+        lambda tmp: make_initial_mesh(UNIT, 2),  # no interior vertex
+    ],
+    ids=["square", "lshape", "read_mesh", "one_interior", "no_interior"],
+)
+def test_band_solve_matches_dense_solve(make_mesh, b, tmp_path):
+    m = make_mesh(tmp_path)
+    f = RhsField.test2()
+    Kd, Md = _dense_matrices(m)
+    F = fem._load_vector(m, f)
+    interior = ~m.boundary_vertex
+    ref = np.zeros(m.num_vertices)
+    if interior.any():
+        block = np.ix_(interior, interior)
+        ref[interior] = np.linalg.solve(b * Kd[block] + Md[block], F[interior])
+    w = assemble_and_solve(m, b, 1.0, f).nodal_values
+    assert np.all(w[~interior] == 0.0)
+    assert np.max(np.abs(w - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 def test_solve_error_carries_residual():
@@ -147,12 +224,21 @@ def test_solve_error_carries_residual():
     assert exc_info.value.residual >= 0.0
 
 
+def test_indefinite_matrix_raises_solve_error():
+    # a stiffness band with flipped sign makes b K + c M negative definite;
+    # the Cholesky failure must surface as SolveError naming b and c
+    m = make_initial_mesh(UNIT, 32)
+    band = fem._band_system(m)
+    band.k[:] *= -1.0
+    with pytest.raises(SolveError, match=r"b = 1.0, c = 1e-06"):
+        assemble_and_solve(m, 1.0, 1e-6, RhsField.one())
+
+
 def test_invalid_coefficients():
     m = make_initial_mesh(UNIT, 8)
-    with pytest.raises(ValueError):
-        assemble_and_solve(m, 0.0, 1.0, RhsField.one())
-    with pytest.raises(ValueError):
-        assemble_and_solve(m, 1.0, -2.0, RhsField.one())
+    for b, c in [(0.0, 1.0), (1.0, -2.0), (math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf)]:
+        with pytest.raises(ValueError, match=r"b = .*, c = "):
+            assemble_and_solve(m, b, c, RhsField.one())
 
 
 def test_transfer_p1_exact_at_random_points():
