@@ -2,13 +2,16 @@
 problems, plus recombination of parametric solutions on the union mesh.
 
 Every problem ``(b K + c M) w = F`` on a mesh is symmetric positive definite
-and shares the matrices ``K`` and ``M``.  Once per mesh the interior vertices
-are put in reverse Cuthill-McKee (RCM) order, which keeps the matrix in a
-narrow band, and the stiffness and mass values are summed from the element
-matrices straight into their positions in that band (one value per interior
-vertex and per interior edge).  Each solve fills one band with
-``b K + c M``, scaled by ``1/max(b, c)``, and factors it with LAPACK's band
-Cholesky (Cuthill and McKee 1969; George and Liu 1981).
+and shares the matrices ``K`` and ``M``.  Once per mesh the stiffness and mass
+values are summed from the element matrices straight into one compressed
+sparse column (CSC) pattern of the interior vertices (one value per interior
+vertex and per interior edge).  Each solve fills that pattern with
+``b K + c M``, scaled by ``1/max(b, c)``, and factors it with SuperLU using
+diagonal pivots.  The fill-reducing column order SuperLU picks at the first
+factorization on a mesh is cached with the pattern, so the many problems
+sharing a mesh pay for the ordering once.  The cost follows the fill of the
+factors, not the band width of the matrix, which on graded meshes grows much
+faster than the number of unknowns.
 """
 
 from dataclasses import dataclass
@@ -16,9 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, solveh_banded
-from scipy.linalg.blas import dsbmv
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.sparse.linalg import splu
 
 from . import mesh as meshmod
 
@@ -187,46 +188,31 @@ def _rhs_at_quad(mesh, f):
     return fq
 
 
-class _Band(NamedTuple):
-    """Interior system of one mesh in reverse Cuthill-McKee (RCM) order.
+class _System(NamedTuple):
+    """Interior system of one mesh: both triangles of K and M on one CSC
+    pattern.
 
-    Row ``i`` of the band is vertex ``dofs[i]``.  ``pos`` are the flat
-    positions, in LAPACK lower band storage of shape ``(width + 1, n)`` in
-    column-major order, of the diagonal and of every interior edge; ``k`` and
-    ``m`` hold the stiffness and mass values at those positions.
+    Row and column ``i`` belong to vertex ``dofs[i]``; ``k`` and ``m`` are the
+    stiffness and mass values in the slots of ``(indices, indptr)``.
+    ``ordered`` tells whether ``dofs`` already follow the fill-reducing order
+    that SuperLU chose at the first factorization on this mesh.
     """
 
     dofs: np.ndarray
-    width: int
-    pos: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
     k: np.ndarray
     m: np.ndarray
+    ordered: bool
 
 
-def _band_system(mesh):
-    """Stiffness and mass of the interior vertices, summed from the element
-    matrices straight into the compact band values; cached per mesh."""
-    band = mesh._cache.get("band")
-    if band is not None:
-        return band
+def _build_system(mesh, dofs, ordered):
+    """Stiffness and mass of the interior vertices ``dofs``, summed from the
+    element matrices into one value per interior vertex and per interior edge
+    and scattered to the CSC slots of the pattern in ``dofs`` order."""
     interior = ~mesh.boundary_vertex
     on = interior[mesh.edges].all(axis=1)
-    e = mesh.edges[on]
     n, n_edges = mesh.num_vertices, len(mesh.edges)
-    graph = sp.csr_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(n, n))
-    # boundary vertices are isolated in the graph; dropping them leaves the
-    # interior in RCM order
-    order = reverse_cuthill_mckee(graph)
-    dofs = order[interior[order]]
-    row = np.empty(n, dtype=np.intp)
-    row[dofs] = np.arange(len(dofs))
-    lo, hi = np.sort(row[e], axis=1).T
-    width = int((hi - lo).max(initial=0))
-    # A[i, j], i >= j, sits at band row i - j of column j.  Lower storage:
-    # with upper storage the factorization of these narrow bands ran 2-10x
-    # slower under two OpenBLAS threads than under one
-    pos = np.concatenate([np.arange(len(dofs)) * (width + 1), hi + lo * width])
-
     g = _grads(mesh)
     area = _areas(mesh)
     # local edge j of a cell joins its corners j and j + 1 (mod 3)
@@ -247,29 +233,49 @@ def _band_system(mesh):
             np.bincount(edge_id, area3, n_edges)[on] / 12.0,
         ]
     )
-    band = _Band(dofs, width, pos, k, m)
-    mesh._cache["band"] = band
-    return band
+    # an interior edge gives entries (i, j) and (j, i), both with its value
+    n_dofs = len(dofs)
+    row = np.empty(n, dtype=np.intp)
+    row[dofs] = np.arange(n_dofs)
+    i, j = row[mesh.edges[on]].T
+    diag = np.arange(n_dofs)
+    edge_value = np.arange(n_dofs, len(k))
+    rows = np.concatenate([diag, i, j])
+    cols = np.concatenate([diag, j, i])
+    slot = np.argsort(cols * n_dofs + rows)  # column-major, rows ascending
+    value = np.concatenate([diag, edge_value, edge_value])[slot]
+    indptr = np.zeros(n_dofs + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=n_dofs), out=indptr[1:])
+    return _System(dofs, rows[slot].astype(np.int32), indptr, k[value], m[value], ordered)
+
+
+def _system(mesh):
+    """The cached interior system of a mesh.  It is built in vertex order;
+    once a factorization has stored SuperLU's column order for the mesh, the
+    next call rebuilds it in that order."""
+    system = mesh._cache.get("system")
+    order = mesh._cache.get("system_order")
+    if system is None or (order is not None and not system.ordered):
+        dofs = np.flatnonzero(~mesh.boundary_vertex)
+        if order is not None:
+            dofs = dofs[order]
+        system = _build_system(mesh, dofs, ordered=order is not None)
+        mesh._cache["system"] = system
+    return system
 
 
 def _load_vector(mesh, f):
-    fq = _rhs_at_quad(mesh, f)
-    area = _areas(mesh)
-    # F_i = sum_q w_q area f(x_q) lambda_i(x_q)
-    contrib = np.einsum("mq,q,qk,m->mk", fq, TRI_QW, TRI_QP, area)
-    return np.bincount(mesh.cells.reshape(-1), contrib.reshape(-1), mesh.num_vertices)
-
-
-def _interior_system(mesh, f):
-    """The band system of the mesh and F_I in band order; the band is cached
-    per mesh, the load vector per mesh and field."""
-    band = _band_system(mesh)
-    key = ("load_I", f)
+    """Load vector on all vertices; cached per mesh and field."""
+    key = ("load", f)
     F = mesh._cache.get(key)
     if F is None:
-        F = _load_vector(mesh, f)[band.dofs]
+        fq = _rhs_at_quad(mesh, f)
+        area = _areas(mesh)
+        # F_i = sum_q w_q area f(x_q) lambda_i(x_q)
+        contrib = np.einsum("mq,q,qk,m->mk", fq, TRI_QW, TRI_QP, area)
+        F = np.bincount(mesh.cells.reshape(-1), contrib.reshape(-1), mesh.num_vertices)
         mesh._cache[key] = F
-    return band, F
+    return F
 
 
 # -- operations --------------------------------------------------------------
@@ -280,36 +286,49 @@ def assemble_and_solve(mesh, b, c, f, rel_tol=1e-10):
 
     The system is scaled by 1/max(b, c) before solving so the conditioning is
     set by the mesh, not by the (possibly extreme) reaction-diffusion
-    coefficients.  The interior vertices are put in reverse Cuthill-McKee
-    order, which keeps the matrix in a narrow band, and the band is factored
-    by LAPACK's band Cholesky (``scipy.linalg.solveh_banded``).  Raises
+    coefficients.  It is factored by SuperLU (``scipy.sparse.linalg.splu``)
+    with diagonal pivots, which is stable for this symmetric positive
+    definite matrix.  The first factorization on a mesh picks a fill-reducing
+    column order (COLAMD); the cached system is then kept in that order and
+    later factorizations on the mesh skip the ordering step.  Raises
     ValueError unless b and c are finite and positive, and SolveError if the
-    matrix is not positive definite or the relative residual of the reduced
-    system exceeds ``rel_tol``.
+    matrix is singular or the relative residual of the reduced system exceeds
+    ``rel_tol``.
     """
     if not (np.isfinite(b) and np.isfinite(c) and b > 0.0 and c > 0.0):
         raise ValueError(f"coefficients must be finite and positive, got b = {b}, c = {c}")
-    band, F = _interior_system(mesh, f)
-    n = len(band.dofs)
+    system = _system(mesh)
+    n = len(system.dofs)
+    w = np.zeros(mesh.num_vertices)
+    if n == 0:
+        return FeFunction(mesh, w)
     scale = max(b, c)
-    ab = np.zeros((band.width + 1) * n)
-    ab[band.pos] = (b / scale) * band.k + (c / scale) * band.m
-    ab = ab.reshape((band.width + 1, n), order="F")
-    rhs = F / scale
+    A = sp.csc_matrix(
+        ((b / scale) * system.k + (c / scale) * system.m, system.indices, system.indptr),
+        shape=(n, n),
+    )
+    rhs = _load_vector(mesh, f)[system.dofs] / scale
     try:
-        sol = solveh_banded(ab, rhs, lower=True, check_finite=False)
-    except LinAlgError as exc:
+        lu = splu(
+            A,
+            permc_spec="NATURAL" if system.ordered else "COLAMD",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:
         raise SolveError(f"b K + c M at b = {b}, c = {c}: {exc}", residual=np.inf) from exc
+    if not system.ordered:
+        mesh._cache["system_order"] = np.argsort(lu.perm_c)
+    sol = lu.solve(rhs)
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm > 0.0:
-        res = np.linalg.norm(dsbmv(band.width, 1.0, ab, sol, beta=-1.0, y=rhs, lower=1)) / rhs_norm
+        res = np.linalg.norm(A @ sol - rhs) / rhs_norm
         if not np.isfinite(res) or res > rel_tol:
             raise SolveError(
                 f"relative residual {res:.3e} exceeds rel_tol {rel_tol:.1e}",
                 residual=res,
             )
-    w = np.zeros(mesh.num_vertices)
-    w[band.dofs] = sol
+    w[system.dofs] = sol
     return FeFunction(mesh, w)
 
 

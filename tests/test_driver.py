@@ -166,9 +166,9 @@ def test_rerun_marks_identical_cells():
     # marked_per_iter list problems, not cells, so compare the final meshes.
     first = run(small_config(max_iterations=6))
     second = run(small_config(max_iterations=6))
-    for r, q in zip(first.records, second.records):
+    for r, q in zip(first.records, second.records, strict=True):
         assert replace(r, wall_time=0.0) == replace(q, wall_time=0.0)
-    for a, b in zip(first.states, second.states):
+    for a, b in zip(first.states, second.states, strict=True):
         assert np.array_equal(a.mesh.cell_key, b.mesh.cell_key)
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from fracadapt import fem
 from fracadapt.fem import (
@@ -133,20 +135,11 @@ def _dense_matrices(m):
     return Kd, Md
 
 
-def _band_to_dense(band, values):
-    """Expand compact band values (``band.k`` or ``band.m``) to the dense
-    symmetric interior matrix in band order."""
-    n, w = len(band.dofs), band.width
-    ab = np.zeros((w + 1) * n)
-    ab[band.pos] = values
-    ab = ab.reshape((w + 1, n), order="F")
-    i, j = np.tril_indices(n)
-    inside = i - j <= w
-    i, j = i[inside], j[inside]
-    A = np.zeros((n, n))
-    A[i, j] = ab[i - j, j]
-    A[j, i] = ab[i - j, j]
-    return A
+def _system_to_dense(system, values):
+    """Expand the cached CSC values (``system.k`` or ``system.m``) to the
+    dense interior matrix in ``system.dofs`` order."""
+    n = len(system.dofs)
+    return sp.csc_matrix((values, system.indices, system.indptr), shape=(n, n)).toarray()
 
 
 def test_reaction_limit_mass_identity():
@@ -154,31 +147,45 @@ def test_reaction_limit_mass_identity():
     # dense solve of the mass system
     m = make_initial_mesh(UNIT, 32)
     f = RhsField.one()
-    band, F = fem._interior_system(m, f)
-    dense = np.linalg.solve(_band_to_dense(band, band.m), F)
+    system = fem._system(m)
+    F = fem._load_vector(m, f)[system.dofs]
+    dense = np.linalg.solve(_system_to_dense(system, system.m), F)
     w = assemble_and_solve(m, 1e-30, 1.0, f)
-    assert np.allclose(w.nodal_values[band.dofs], dense, rtol=1e-9)
+    assert np.allclose(w.nodal_values[system.dofs], dense, rtol=1e-9)
 
 
 def test_stiffness_matrix_against_dense_assembly():
-    # the band holds the interior block of both matrices and nothing outside
-    # its width
+    # the cached system holds the interior block of both matrices, before
+    # and after it is rebuilt in the solver's column order
     for cells, marked in ((8, {0}), (32, {0, 5})):
         m = refine(make_initial_mesh(UNIT, cells), marked)
         Kd, Md = _dense_matrices(m)
-        band = fem._band_system(m)
-        block = np.ix_(band.dofs, band.dofs)
-        assert np.array_equal(np.sort(band.dofs), np.flatnonzero(~m.boundary_vertex))
-        assert np.allclose(_band_to_dense(band, band.k), Kd[block], atol=1e-12)
-        assert np.allclose(_band_to_dense(band, band.m), Md[block], atol=1e-12)
+        for ordered in (False, True):
+            system = fem._system(m)
+            assert system.ordered == ordered
+            block = np.ix_(system.dofs, system.dofs)
+            assert np.array_equal(np.sort(system.dofs), np.flatnonzero(~m.boundary_vertex))
+            assert np.allclose(_system_to_dense(system, system.k), Kd[block], atol=1e-12)
+            assert np.allclose(_system_to_dense(system, system.m), Md[block], atol=1e-12)
+            assemble_and_solve(m, 1.0, 1.0, RhsField.one())
 
 
-def test_band_width_on_refined_grid():
-    # uniform refinement numbers the new midpoints last; the RCM order still
-    # keeps the band of the 15 x 15 interior grid within two grid lines
-    m = uniform_refine(uniform_refine(make_initial_mesh(UNIT, 32)))
-    assert m.num_interior_vertices == 15 * 15
-    assert fem._band_system(m).width <= 2 * 15
+def test_cached_order_keeps_fill():
+    # later solves factor the system in the order SuperLU chose at the first
+    # solve; in natural order that must give the same fill as the first one
+    m = refine(uniform_refine(uniform_refine(make_initial_mesh(UNIT, 32))), {0, 7, 40})
+    natural = fem._system(m)
+    assemble_and_solve(m, 1.0, 1.0, RhsField.one())
+    ordered = fem._system(m)
+    assert not natural.ordered and ordered.ordered
+
+    def fill(system, permc_spec):
+        n = len(system.dofs)
+        A = sp.csc_matrix((system.k + system.m, system.indices, system.indptr), shape=(n, n))
+        lu = splu(A, permc_spec=permc_spec, diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        return lu.L.nnz + lu.U.nnz
+
+    assert fill(ordered, "NATURAL") == fill(natural, "COLAMD") < fill(natural, "NATURAL")
 
 
 def _written_and_read(tmp_path):
@@ -197,12 +204,12 @@ _EXTREME = bp_coefficients(0.95, 0.26, 2.0 * math.pi**2)
         lambda tmp: make_initial_mesh(UNIT, 32),
         lambda tmp: make_initial_mesh(DomainSpec("lshape"), 96),
         _written_and_read,
-        lambda tmp: make_initial_mesh(UNIT, 8),  # one interior vertex: width 0
+        lambda tmp: make_initial_mesh(UNIT, 8),  # one interior vertex
         lambda tmp: make_initial_mesh(UNIT, 2),  # no interior vertex
     ],
     ids=["square", "lshape", "read_mesh", "one_interior", "no_interior"],
 )
-def test_band_solve_matches_dense_solve(make_mesh, b, tmp_path):
+def test_solve_matches_dense_solve(make_mesh, b, tmp_path):
     m = make_mesh(tmp_path)
     f = RhsField.test2()
     Kd, Md = _dense_matrices(m)
@@ -212,9 +219,11 @@ def test_band_solve_matches_dense_solve(make_mesh, b, tmp_path):
     if interior.any():
         block = np.ix_(interior, interior)
         ref[interior] = np.linalg.solve(b * Kd[block] + Md[block], F[interior])
-    w = assemble_and_solve(m, b, 1.0, f).nodal_values
-    assert np.all(w[~interior] == 0.0)
-    assert np.max(np.abs(w - ref)) <= 1e-9 * np.max(np.abs(ref))
+    # the first solve orders the mesh's system, the second reuses that order
+    for _ in range(2):
+        w = assemble_and_solve(m, b, 1.0, f).nodal_values
+        assert np.all(w[~interior] == 0.0)
+        assert np.max(np.abs(w - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 def test_solve_error_carries_residual():
@@ -224,12 +233,13 @@ def test_solve_error_carries_residual():
     assert exc_info.value.residual >= 0.0
 
 
-def test_indefinite_matrix_raises_solve_error():
-    # a stiffness band with flipped sign makes b K + c M negative definite;
-    # the Cholesky failure must surface as SolveError naming b and c
+def test_singular_matrix_raises_solve_error():
+    # zeroing the cached values makes b K + c M singular; the factorization
+    # failure must surface as SolveError naming b and c
     m = make_initial_mesh(UNIT, 32)
-    band = fem._band_system(m)
-    band.k[:] *= -1.0
+    system = fem._system(m)
+    system.k[:] = 0.0
+    system.m[:] = 0.0
     with pytest.raises(SolveError, match=r"b = 1.0, c = 1e-06"):
         assemble_and_solve(m, 1.0, 1e-6, RhsField.one())
 
