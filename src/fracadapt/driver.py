@@ -86,7 +86,6 @@ class RunResult:
     stopped: str
     refine_counts: np.ndarray
     solve_counts: np.ndarray
-    estimate_counts: np.ndarray
     solved_per_iter: list = field(default_factory=list)
     # the problems refined at each iteration, not the cells marked: two runs
     # that mark different cells of the same problems compare equal here, and
@@ -166,7 +165,6 @@ def run(config, reference=None, on_checkpoint=None):
     scheme = rational.bp_coefficients(cfg.s, kappa, lam0)
     states = [fem.ParametricState(index=l, mesh=mesh0) for l in range(scheme.N)]
     solve_counts = np.zeros(scheme.N, dtype=int)
-    estimate_counts = np.zeros(scheme.N, dtype=int)
     refine_counts = np.zeros(scheme.N, dtype=int)
 
     records = []
@@ -180,16 +178,18 @@ def run(config, reference=None, on_checkpoint=None):
         dirty = [st for st in states if st.dirty]
         for st in dirty:
             b, c = scheme.b[st.index], scheme.c[st.index]
-            st.solution = fem.assemble_and_solve(st.mesh, b, c, cfg.f)
+            problem = f"problem l = {st.index} (b_l = {b:.6g}, c_l = {c:.6g})"
+            try:
+                st.solution = fem.assemble_and_solve(st.mesh, b, c, cfg.f)
+            except fem.SolveError as exc:
+                raise fem.SolveError(f"{problem}: {exc}", exc.residual) from exc
+            except ValueError as exc:
+                raise ValueError(f"{problem}: {exc}") from exc
             st.indicators = estimators.local_indicators(st.mesh, st.solution, b, c, cfg.f)
             if not np.all(np.isfinite(st.indicators)):
-                raise ValueError(
-                    f"non-finite error indicator for problem l = {st.index} "
-                    f"(b_l = {b:.6g}, c_l = {c:.6g})"
-                )
+                raise ValueError(f"non-finite error indicator for {problem}")
             st.dirty = False
             solve_counts[st.index] += 1
-            estimate_counts[st.index] += 1
         solved_per_iter.append(sorted(st.index for st in dirty))
 
         totcost = sum(st.mesh.num_interior_vertices for st in dirty)
@@ -208,10 +208,11 @@ def run(config, reference=None, on_checkpoint=None):
         if checkpoint:
             # when every state shares one mesh, the union is that mesh
             union = union_mesh([st.mesh for st in states])
-            rec.eta_union = estimators.global_union_estimate(scheme, states, union, cfg.f)
+            rec.eta_union, solution = estimators.global_union_estimate(
+                scheme, states, union, cfg.f
+            )
             rec.eta_triangle = estimators.global_triangle_estimate(scheme, states)
             rec.union_dofs = union.num_interior_vertices
-            solution = fem.combine_on_union(scheme, states, union)
             if reference is not None:
                 rec.error_ref = oracle.l2_error(reference, solution)
                 rec.effectivity = oracle.effectivity(rec.eta_union, rec.error_ref)
@@ -271,7 +272,6 @@ def run(config, reference=None, on_checkpoint=None):
         stopped=stopped,
         refine_counts=refine_counts,
         solve_counts=solve_counts,
-        estimate_counts=estimate_counts,
         solved_per_iter=solved_per_iter,
         marked_per_iter=marked_per_iter,
     )

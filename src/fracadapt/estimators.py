@@ -32,7 +32,6 @@ __all__ = [
     "global_triangle_estimate",
     "combined_equal_mesh_estimate",
     "global_union_estimate",
-    "union_jump_edge_count",
 ]
 
 # local node numbering: 0,1,2 = cell corners; 3,4,5 = midpoints m01, m12, m20
@@ -160,23 +159,12 @@ def _rhs(mesh, corner_vals, jump, b, c, f):
     return geo["area"][:, None, None] / 4.0 * resid - 0.25 * b * jl
 
 
-def _modal_coeffs(target, src, W, b, c, f):
+def _modal_coeffs(target, corner_vals, jump, b, c, f):
     """Modal coefficients y (m, 3, L) of the local problems on ``target`` for
-    the P1 functions with stacked nodal values W (n, L) on ``src``, which is
-    ``target`` or a coarsening of it; b and c give one value per column.
-
-    On a proper refinement, edges of ``target`` interior to one cell of
-    ``src`` carry no jump by construction and are skipped as exact zeros.
-    """
+    corner values (m, 3, L) and flux jumps (e, L) of L stacked P1 functions
+    on ``target``; b and c give one value per column."""
     geo = _geometry(target)
-    w = FeFunction(src, W)
-    if src.same_mesh(target):
-        jump = _edge_jumps(target, w.cell_gradients())
-    else:
-        parents = meshmod.ancestor_cell_map(target, src)
-        jump = _edge_jumps(target, w.cell_gradients()[parents], skip_same=parents)
-        W = transfer_p1(w, target).nodal_values
-    r = _rhs(target, W[target.cells], jump, b, c, f)
+    r = _rhs(target, corner_vals, jump, b, c, f)
     r = np.stack([r[:, 0], r[:, 1] + r[:, 2], r[:, 1] - r[:, 2]], axis=1)  # _PT @ r
     cls = geo["cls"]
     den = geo["lam"][cls][..., None] * b + geo["area"][:, None, None] * c
@@ -184,8 +172,11 @@ def _modal_coeffs(target, src, W, b, c, f):
 
 
 def local_indicators(mesh, w, b, c, f):
-    """Per-cell indicator ||e_K||_{L2(K)} for one parametric problem."""
-    y = _modal_coeffs(mesh, w.mesh, w.nodal_values[:, None], b, c, f)
+    """Per-cell indicator ||e_K||_{L2(K)} for one parametric problem whose
+    solution ``w`` lives on ``mesh``."""
+    w = FeFunction(mesh, w.nodal_values[:, None])
+    jump = _edge_jumps(mesh, w.cell_gradients())
+    y = _modal_coeffs(mesh, w.nodal_values[mesh.cells], jump, b, c, f)
     return np.sqrt(_geometry(mesh)["area"] * np.sum(y[..., 0] ** 2, axis=1))
 
 
@@ -225,32 +216,39 @@ def combined_equal_mesh_estimate(scheme, states, f):
 
 
 def global_union_estimate(scheme, states, union, f):
-    """Union-mesh estimate: local problems on every union cell for every l,
-    sqrt(sum_K ||C sum_l a_l e_{l,K}||^2).
+    """Union-mesh estimate and recombined solution in one pass.
 
-    States that share a mesh are stacked, in blocks of ``_BLOCK``, and
-    transferred (exactly) onto the union mesh together; when all states share
-    one mesh, the union is that mesh.
+    Returns ``(eta, solution)``: eta = sqrt(sum_K ||C sum_l a_l e_{l,K}||^2)
+    from the local problems on every union cell for every l, and the
+    ``FeFunction`` C sum_l a_l w_l on ``union``.  States that share a mesh
+    are stacked in blocks of ``_BLOCK``.  A source mesh that is the union
+    itself (when all states share one mesh) is used as it is; any other is a
+    coarsening of the union, so each block is transferred onto it exactly,
+    and union edges interior to one source cell carry no jump by
+    construction and are skipped as exact zeros.
     """
     groups = {}
     for st in states:
         groups.setdefault(id(st.mesh), (st.mesh, []))[1].append(st)
     combined = np.zeros((union.num_cells, 3))
+    solution = np.zeros(union.num_vertices)
     for src, group in groups.values():
+        same = src.same_mesh(union)
+        if not same:
+            parents = meshmod.ancestor_cell_map(union, src)
         for start in range(0, len(group), _BLOCK):
             block = group[start : start + _BLOCK]
             l = np.array([st.index for st in block])
-            W = np.stack([st.solution.nodal_values for st in block], axis=1)
-            y = _modal_coeffs(union, src, W, scheme.b[l], scheme.c[l], f)
+            w = FeFunction(src, np.stack([st.solution.nodal_values for st in block], axis=1))
+            if same:
+                W = w.nodal_values
+                jump = _edge_jumps(union, w.cell_gradients())
+            else:
+                W = transfer_p1(w, union).nodal_values
+                jump = _edge_jumps(union, w.cell_gradients()[parents], skip_same=parents)
+            y = _modal_coeffs(union, W[union.cells], jump, scheme.b[l], scheme.c[l], f)
             combined += y @ scheme.a[l]
+            solution += W @ scheme.a[l]
     area = _geometry(union)["area"]
-    return scheme.C * float(np.sqrt(np.sum(area * np.sum(combined**2, axis=1))))
-
-
-def union_jump_edge_count(union, src):
-    """Number of union edges that can carry a nonzero jump for a problem on
-    ``src`` (interior union edges separating different source cells)."""
-    parents = meshmod.ancestor_cell_map(union, src)
-    c1, c2 = union.edge_cells.T
-    interior = c2 >= 0
-    return int(np.count_nonzero(interior & (parents[c1] != parents[np.maximum(c2, 0)])))
+    eta = scheme.C * float(np.sqrt(np.sum(area * np.sum(combined**2, axis=1))))
+    return eta, FeFunction(union, scheme.C * solution)

@@ -1,6 +1,10 @@
 """P1 Galerkin assembly and solution of the parametric reaction-diffusion
 problems, plus recombination of parametric solutions on the union mesh.
 
+The adaptive loop gets the recombined solution from the union estimate's
+pass (``estimators.global_union_estimate``); ``combine_on_union`` is the
+one-shot public recombination for callers that hold only the states.
+
 Every problem ``(b K + c M) w = F`` on a mesh is symmetric positive definite
 and shares the matrices ``K`` and ``M``.  Once per mesh the stiffness and mass
 values are summed from the element matrices straight into one compressed
@@ -170,22 +174,12 @@ def _areas(mesh):
 
 def _quad_points(mesh):
     """Physical quadrature points per cell, shape (m, 6, 2)."""
-    qp = mesh._cache.get("qp")
-    if qp is None:
-        x = mesh.vertices[mesh.cells]
-        qp = np.einsum("qk,mkd->mqd", TRI_QP, x)
-        mesh._cache["qp"] = qp
-    return qp
+    return np.einsum("qk,mkd->mqd", TRI_QP, mesh.vertices[mesh.cells])
 
 
 def _rhs_at_quad(mesh, f):
-    key = ("fq", f)
-    fq = mesh._cache.get(key)
-    if fq is None:
-        qp = _quad_points(mesh)
-        fq = f(qp[..., 0], qp[..., 1])
-        mesh._cache[key] = fq
-    return fq
+    qp = _quad_points(mesh)
+    return f(qp[..., 0], qp[..., 1])
 
 
 class _System(NamedTuple):

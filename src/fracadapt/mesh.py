@@ -349,57 +349,39 @@ def make_initial_mesh(domain, target_cells):
     hypotenuse is the refinement edge of both triangles.
     """
     if domain.kind in ("square", "unit-square"):
-        n2 = target_cells / 2.0
-        n = int(round(np.sqrt(n2)))
+        n = int(round(np.sqrt(target_cells / 2.0)))
         if 2 * n * n != target_cells or n < 1:
             raise ValueError(
                 f"{target_cells} cells not achievable on a uniform grid of {domain.kind}"
             )
-        if domain.kind == "square":
-            lo, hi = -1.0, 1.0
-        else:
-            lo, hi = 0.0, 1.0
-        keep = lambda i, j: True  # noqa: E731
-    elif domain.kind == "lshape":
+        cut = 0
+    else:
         # 2 * (3/4) * n^2 cells on the [-1,1]^2 grid minus the lower-left quadrant
-        n2 = target_cells * 2.0 / 3.0
-        n = int(round(np.sqrt(n2)))
+        n = int(round(np.sqrt(target_cells * 2.0 / 3.0)))
         if 3 * n * n // 2 != target_cells or n % 2 != 0:
             raise ValueError(
                 f"{target_cells} cells not achievable on a uniform L-shape grid"
             )
-        lo, hi = -1.0, 1.0
-        half = n // 2
-        keep = lambda i, j: not (i < half and j < half)  # noqa: E731
-    else:  # pragma: no cover
-        raise ValueError(domain.kind)
-
+        cut = n // 2
+    lo, hi = (0.0, 1.0) if domain.kind == "unit-square" else (-1.0, 1.0)
     h = (hi - lo) / n
-    vid = {}
-    verts = []
-
-    def v(i, j):
-        key = (i, j)
-        k = vid.get(key)
-        if k is None:
-            k = len(verts)
-            verts.append((lo + i * h, lo + j * h))
-            vid[key] = k
-        return k
-
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            if not keep(i, j):
-                continue
-            a = v(i, j)
-            b = v(i + 1, j)
-            c = v(i + 1, j + 1)
-            d = v(i, j + 1)
-            # diagonal a-c is the hypotenuse of both triangles
-            cells.append((c, a, b))
-            cells.append((a, c, d))
-    return _root_mesh(_ForestBase(np.array(verts), np.array(cells), domain))
+    # grid squares row by row, without the cut x cut block at the lower left
+    j, i = np.divmod(np.arange(n * n), n)
+    keep = (i >= cut) | (j >= cut)
+    i, j = i[keep], j[keep]
+    # corners a, b, c, d of each square, counter-clockwise from the lower left
+    gi = np.stack([i, i + 1, i + 1, i], axis=1).reshape(-1)
+    gj = np.stack([j, j, j + 1, j + 1], axis=1).reshape(-1)
+    # vertices are numbered in the order the squares first touch them
+    _, first, inverse = np.unique(gj * (n + 1) + gi, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    a, b, c, d = rank[inverse].reshape(-1, 4).T
+    # diagonal a-c is the hypotenuse of both triangles
+    cells = np.stack([c, a, b, a, c, d], axis=1).reshape(-1, 3)
+    touched = np.sort(first)
+    verts = np.stack([lo + gi[touched] * h, lo + gj[touched] * h], axis=1)
+    return _root_mesh(_ForestBase(verts, cells, domain))
 
 
 def _root_mesh(base):

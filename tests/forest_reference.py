@@ -1,7 +1,8 @@
 """Loop reference for the bisection forest in ``fracadapt.mesh``.
 
 This is the tuple-path implementation the array-native forest replaced, kept
-as the reference the tests compare against.  Each root cell carries a
+as the reference the tests compare against, together with the loop that
+built the initial grid before ``make_initial_mesh`` was vectorised.  Each root cell carries a
 frozenset of leaf paths (tuples of 0/1 bisection choices); building,
 refinement (recursive newest-vertex closure), overlay and the ancestor map
 walk those paths in Python.  Meshes here share ``_ForestBase`` with the real
@@ -396,3 +397,36 @@ def ancestor_cell_map(fine, coarse):
     out.setflags(write=False)
     fine._cache[key] = (coarse, out)
     return out
+
+
+def initial_grid(domain, n):
+    """Vertices and cells of the uniform grid of n x n squares on the domain,
+    built square by square; vertices are numbered as first touched."""
+    lo, hi = (0.0, 1.0) if domain.kind == "unit-square" else (-1.0, 1.0)
+    half = n // 2 if domain.kind == "lshape" else 0
+    h = (hi - lo) / n
+    vid = {}
+    verts = []
+
+    def v(i, j):
+        key = (i, j)
+        k = vid.get(key)
+        if k is None:
+            k = len(verts)
+            verts.append((lo + i * h, lo + j * h))
+            vid[key] = k
+        return k
+
+    cells = []
+    for j in range(n):
+        for i in range(n):
+            if i < half and j < half:
+                continue
+            a = v(i, j)
+            b = v(i + 1, j)
+            c = v(i + 1, j + 1)
+            d = v(i, j + 1)
+            # diagonal a-c is the hypotenuse of both triangles
+            cells.append((c, a, b))
+            cells.append((a, c, d))
+    return np.array(verts), np.array(cells)

@@ -356,7 +356,7 @@ def test_10_estimator_path_equivalence():
         states.append(
             fa.ParametricState(index=l, mesh=mesh, solution=w, dirty=False)
         )
-    via_union = estimators.global_union_estimate(scheme, states, mesh, f)
+    via_union = estimators.global_union_estimate(scheme, states, mesh, f)[0]
     direct = estimators.combined_equal_mesh_estimate(scheme, states, f)
     rel = abs(via_union - direct) / direct
     check(

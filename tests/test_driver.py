@@ -3,11 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fracadapt import estimators
+from fracadapt import estimators, fem
 from fracadapt.driver import RunConfig, decay_rate, run
 from fracadapt.driver import IterationRecord
 from fracadapt.estimators import combined_equal_mesh_estimate
-from fracadapt.fem import RhsField
+from fracadapt.fem import RhsField, SolveError
 from fracadapt.mesh import DomainSpec, is_refinement_of
 
 SQUARE = DomainSpec("square")
@@ -158,6 +158,31 @@ def test_nonfinite_indicator_fails_loudly(monkeypatch):
     msg = str(exc.value)
     assert "l = 2" in msg
     assert f"b_l = {calls[2]:.6g}" in msg and "c_l = 1" in msg
+
+
+@pytest.mark.parametrize(
+    "error",
+    [ValueError("coefficients rejected"), SolveError("residual too large", residual=0.5)],
+    ids=["ValueError", "SolveError"],
+)
+def test_failed_solve_names_the_problem(monkeypatch, error):
+    real = fem.assemble_and_solve
+    calls = []
+
+    def failing(mesh, b, c, f):
+        calls.append((b, c))
+        if len(calls) == 3:
+            raise error
+        return real(mesh, b, c, f)
+
+    monkeypatch.setattr(fem, "assemble_and_solve", failing)
+    with pytest.raises(type(error)) as exc:
+        run(small_config(max_iterations=2))
+    b, c = calls[2]
+    assert type(exc.value) is type(error) and exc.value.__cause__ is error
+    assert str(exc.value) == f"problem l = 2 (b_l = {b:.6g}, c_l = {c:.6g}): {error}"
+    if isinstance(error, SolveError):
+        assert exc.value.residual == 0.5
 
 
 def test_rerun_marks_identical_cells():

@@ -10,13 +10,13 @@ from fracadapt.estimators import (
     global_triangle_estimate,
     global_union_estimate,
     local_indicators,
-    union_jump_edge_count,
 )
 from fracadapt.fem import (
     FeFunction,
     ParametricState,
     RhsField,
     assemble_and_solve,
+    combine_on_union,
     transfer_p1,
 )
 from fracadapt.mesh import (
@@ -145,7 +145,7 @@ def test_union_estimate_matches_dense_reference_on_perturbed_mesh(tmp_path):
         _solved_state(l, m, scheme.b[l], scheme.c[l], f) for l in range(scheme.N)
     ]
     a = combined_equal_mesh_estimate(scheme, states, f)
-    assert global_union_estimate(scheme, states, m, f) == pytest.approx(a, rel=1e-12)
+    assert global_union_estimate(scheme, states, m, f)[0] == pytest.approx(a, rel=1e-12)
 
 
 def test_union_estimate_matches_transferred_dense_reference(tmp_path):
@@ -166,7 +166,29 @@ def test_union_estimate_matches_transferred_dense_reference(tmp_path):
         for st in states
     ]
     a = combined_equal_mesh_estimate(scheme, moved, f)
-    assert global_union_estimate(scheme, states, u, f) == pytest.approx(a, rel=1e-12)
+    assert global_union_estimate(scheme, states, u, f)[0] == pytest.approx(a, rel=1e-12)
+
+
+def test_union_pass_returns_recombined_solution(tmp_path):
+    # the solution of the union pass must equal the one-shot recombination,
+    # for three source meshes each holding more states than one stacked block
+    # and for states that all share one mesh
+    scheme = bp_coefficients(0.5, 0.6, 1.0)
+    m0 = _perturbed_mesh(tmp_path)
+    meshes = [m0, refine(m0, {0, 1, 2}), refine(refine(m0, {20, 21}), {5})]
+    f = RhsField.test2()
+    assert scheme.N // 3 > estimators._BLOCK
+    for sources in (meshes, meshes[1:2]):
+        states = [
+            _solved_state(l, sources[l % len(sources)], scheme.b[l], scheme.c[l], f)
+            for l in range(scheme.N)
+        ]
+        u = union_mesh(sources)
+        solution = global_union_estimate(scheme, states, u, f)[1]
+        assert solution.mesh is u
+        expected = combine_on_union(scheme, states, u).nodal_values
+        err = np.max(np.abs(solution.nodal_values - expected)) / np.max(np.abs(expected))
+        assert err <= 1e-14
 
 
 def test_mirror_images_get_equal_indicators():
@@ -283,7 +305,7 @@ def test_union_estimate_equals_combined_when_meshes_equal():
         _solved_state(l, m, scheme.b[l], scheme.c[l], f) for l in range(scheme.N)
     ]
     a = combined_equal_mesh_estimate(scheme, states, f)
-    b = global_union_estimate(scheme, states, m, f)
+    b = global_union_estimate(scheme, states, m, f)[0]
     assert b == pytest.approx(a, rel=1e-12)
 
 
@@ -298,32 +320,9 @@ def test_union_estimate_triangle_bound():
         for l in range(scheme.N)
     ]
     u = union_mesh([st.mesh for st in states])
-    eta_u = global_union_estimate(scheme, states, u, f)
+    eta_u = global_union_estimate(scheme, states, u, f)[0]
     eta_t = global_triangle_estimate(scheme, states)
     assert 0.0 < eta_u < eta_t
-
-
-def test_union_jump_skip_list():
-    # union edges interior to a source cell cannot carry a jump for that
-    # problem; the count of jump-capable edges must match a geometric census
-    m0 = make_initial_mesh(UNIT, 8)
-    src = refine(m0, {0})
-    other = refine(m0, {5, 6})
-    u = union_mesh([src, other])
-    n_skip_capable = union_jump_edge_count(u, src)
-    # brute force: interior union edges whose midpoint is NOT interior to a
-    # source cell (i.e. lies on a source edge)
-    count = 0
-    from fracadapt.mesh import ancestor_cell_map
-
-    parents = ancestor_cell_map(u, src)
-    for e, (c1, c2) in zip(u.edges, u.edge_cells):
-        if c2 < 0:
-            continue
-        if parents[c1] != parents[c2]:
-            count += 1
-    assert n_skip_capable == count
-    assert n_skip_capable < np.count_nonzero(u.edge_cells[:, 1] >= 0)
 
 
 def test_union_estimate_skips_interior_source_edges():

@@ -7,6 +7,7 @@ from fracadapt.mesh import (
     _MAX_ROOTS,
     MAX_LEVEL,
     _ForestBase,
+    _root_mesh,
     DomainSpec,
     MeshStructureError,
     ancestor_cell_map,
@@ -65,6 +66,25 @@ def test_initial_mesh_lshape():
     k = np.flatnonzero((m.vertices[:, 0] == 0.0) & (m.vertices[:, 1] == 0.0))
     assert len(k) == 1 and m.boundary_vertex[k[0]]
     assert_conforming(m)
+
+
+# (domain, cells, grid squares per side)
+_INITIAL_GRIDS = (
+    [("square", 2 * n * n, n) for n in (1, 2, 4, 8, 16, 32)]
+    + [("unit-square", 2 * n * n, n) for n in (2, 16)]
+    + [("lshape", 3 * n * n // 2, n) for n in (2, 4, 8, 16, 32)]
+)
+
+
+@pytest.mark.parametrize("kind, cells, n", _INITIAL_GRIDS)
+def test_initial_mesh_matches_loop_reference(kind, cells, n):
+    domain = DomainSpec(kind)
+    m = make_initial_mesh(domain, cells)
+    verts, ref_cells = forest_reference.initial_grid(domain, n)
+    ref = _root_mesh(_ForestBase(verts, ref_cells, domain))
+    assert m.vertices.dtype == ref.vertices.dtype and m.cells.dtype == ref.cells.dtype
+    for name in ("vertices", "cells", "edges", "cell_edge", "edge_cells", "boundary_vertex"):
+        assert np.array_equal(getattr(m, name), getattr(ref, name)), name
 
 
 def test_initial_mesh_bad_count():
