@@ -4,8 +4,10 @@ One independently refined mesh is kept per parametric reaction-diffusion
 problem.  Marking is joint weighted bulk marking over the union of all
 (problem, cell) indicator pairs; problems whose mark set comes back empty
 carry their mesh, solution and indicators over to the next iteration without
-any recomputation.  The union-mesh estimate gates the stopping criterion and
-is computed every ``k``-th iteration.
+any recomputation.  Problems refined to equal meshes get separate mesh
+objects that share one build and its caches (see ``mesh``).  The union-mesh
+estimate gates the stopping criterion and is computed every ``k``-th
+iteration.
 """
 
 import time

@@ -25,7 +25,8 @@ b = 1e103, while the pole sums reach b = 1.2e165.
 import numpy as np
 
 from . import mesh as meshmod
-from .fem import TRI_QP, TRI_QW, FeFunction, _areas, transfer_p1
+from .fem import TRI_QP, TRI_QW, FeFunction, _areas, _matvec, _nested_barycentric
+from .fem import transfer_p1  # noqa: F401  (the benchmark tracer wraps this name)
 
 __all__ = [
     "local_indicators",
@@ -71,13 +72,6 @@ def _reference_tables():
 
 _T, _MREF, _G = _reference_tables()
 _LINV = np.linalg.inv(np.linalg.cholesky(_PT @ _MREF @ _PT.T))
-
-
-def _matvec(A, x):
-    """A (3, 3) or (m, 3, 3) times x (m, 3, L), summed left to right one
-    element at a time, so the rounding does not depend on a cell's position."""
-    first_two = A[..., :1] * x[:, None, 0] + A[..., 1:2] * x[:, None, 1]
-    return first_two + A[..., 2:] * x[:, None, 2]
 
 
 def _shape(mesh):
@@ -131,22 +125,27 @@ def _f_moments(mesh, f):
     return F
 
 
-def _edge_jumps(mesh, cell_grads, skip_same=None):
-    """Flux-jump scalar (gradient jump dotted with the fixed normal) per edge.
-
-    ``cell_grads`` is (m, 2) or stacked (m, 2, L).  ``skip_same`` is an
-    optional per-cell label array; edges whose two cells carry the same label
-    get an exact zero (used on the union mesh, where edges interior to a
-    source cell have no jump by construction).
-    """
-    normal = _geometry(mesh)["normal"]
+def _jump_sides(mesh, labels=None):
+    """(mask, side-1 cells, side-2 cells) of the interior edges; with per-cell
+    ``labels`` the sides are labels, and edges inside one label are left out
+    (on the union mesh, edges inside a source cell have no jump)."""
     c1, c2 = mesh.edge_cells.T
     sel = c2 >= 0
-    if skip_same is not None:
-        sel[sel] = skip_same[c1[sel]] != skip_same[c2[sel]]
-    j = np.zeros((len(mesh.edges),) + cell_grads.shape[2:])
-    dg = cell_grads[c1[sel]] - cell_grads[c2[sel]]
-    j[sel] = np.einsum("ed...,ed->e...", dg, normal[sel])
+    if labels is not None:
+        c1, c2 = labels[c1], labels[c2]  # boundary edges stay out through sel
+        sel &= c1 != c2
+    return sel, c1[sel], c2[sel]
+
+
+def _edge_jumps(mesh, grads, sides=None):
+    """Flux-jump scalar (gradient jump dotted with the fixed normal) per edge,
+    for gradients (k, 2) or stacked (k, 2, L) per side of ``sides`` (default:
+    ``_jump_sides(mesh)``); edges left out get an exact zero."""
+    sel, s1, s2 = _jump_sides(mesh) if sides is None else sides
+    normal = _geometry(mesh)["normal"][sel].reshape((-1, 2) + (1,) * (grads.ndim - 2))
+    dg = grads[s1] - grads[s2]
+    j = np.zeros((len(mesh.edges),) + grads.shape[2:])
+    j[sel] = dg[:, 0] * normal[:, 0] + dg[:, 1] * normal[:, 1]
     return j
 
 
@@ -159,25 +158,27 @@ def _rhs(mesh, corner_vals, jump, b, c, f):
     return geo["area"][:, None, None] / 4.0 * resid - 0.25 * b * jl
 
 
-def _modal_coeffs(target, corner_vals, jump, b, c, f):
+def _modal_coeffs(target, basis, corner_vals, jump, b, c, f):
     """Modal coefficients y (m, 3, L) of the local problems on ``target`` for
     corner values (m, 3, L) and flux jumps (e, L) of L stacked P1 functions
-    on ``target``; b and c give one value per column."""
-    geo = _geometry(target)
+    on ``target``; b and c give one value per column, and ``basis`` holds
+    the modal basis W (m, 3, 3) and eigenvalues (m, 3) of each cell's class."""
+    W, lam = basis
     r = _rhs(target, corner_vals, jump, b, c, f)
     r = np.stack([r[:, 0], r[:, 1] + r[:, 2], r[:, 1] - r[:, 2]], axis=1)  # _PT @ r
-    cls = geo["cls"]
-    den = geo["lam"][cls][..., None] * b + geo["area"][:, None, None] * c
-    return _matvec(geo["W"][cls], r) / den
+    den = lam[..., None] * b + _geometry(target)["area"][:, None, None] * c
+    return _matvec(W, r) / den
 
 
 def local_indicators(mesh, w, b, c, f):
     """Per-cell indicator ||e_K||_{L2(K)} for one parametric problem whose
     solution ``w`` lives on ``mesh``."""
+    geo = _geometry(mesh)
     w = FeFunction(mesh, w.nodal_values[:, None])
     jump = _edge_jumps(mesh, w.cell_gradients())
-    y = _modal_coeffs(mesh, w.nodal_values[mesh.cells], jump, b, c, f)
-    return np.sqrt(_geometry(mesh)["area"] * np.sum(y[..., 0] ** 2, axis=1))
+    basis = geo["W"][geo["cls"]], geo["lam"][geo["cls"]]
+    y = _modal_coeffs(mesh, basis, w.nodal_values[mesh.cells], jump, b, c, f)
+    return np.sqrt(geo["area"] * np.sum(y[..., 0] ** 2, axis=1))
 
 
 def global_triangle_estimate(scheme, states):
@@ -221,34 +222,40 @@ def global_union_estimate(scheme, states, union, f):
     Returns ``(eta, solution)``: eta = sqrt(sum_K ||C sum_l a_l e_{l,K}||^2)
     from the local problems on every union cell for every l, and the
     ``FeFunction`` C sum_l a_l w_l on ``union``.  States that share a mesh
-    are stacked in blocks of ``_BLOCK``.  A source mesh that is the union
-    itself (when all states share one mesh) is used as it is; any other is a
-    coarsening of the union, so each block is transferred onto it exactly,
-    and union edges interior to one source cell carry no jump by
-    construction and are skipped as exact zeros.
+    are stacked in blocks of ``_BLOCK``.  A source mesh other than the union
+    is a coarsening of it: once per source, a table gives each union cell the
+    corners of its source cell and its own corners' barycentric coordinates
+    there, for exact interpolation, and jumps are taken from source-cell
+    gradients on the union edges between two source cells only.
     """
     groups = {}
     for st in states:
         groups.setdefault(id(st.mesh), (st.mesh, []))[1].append(st)
+    geo = _geometry(union)
+    basis = geo["W"][geo["cls"]], geo["lam"][geo["cls"]]  # hoisted out of the blocks
     combined = np.zeros((union.num_cells, 3))
-    solution = np.zeros(union.num_vertices)
+    corner_sum = np.zeros((union.num_cells, 3))
     for src, group in groups.values():
-        same = src.same_mesh(union)
-        if not same:
+        if src.same_mesh(union):
+            corners, lam, sides = union.cells, None, _jump_sides(union)
+        else:
             parents = meshmod.ancestor_cell_map(union, src)
+            corners, lam = _nested_barycentric(src, union, parents)
+            sides = _jump_sides(union, parents)
+        partial = np.zeros(src.num_vertices)
         for start in range(0, len(group), _BLOCK):
             block = group[start : start + _BLOCK]
             l = np.array([st.index for st in block])
             w = FeFunction(src, np.stack([st.solution.nodal_values for st in block], axis=1))
-            if same:
-                W = w.nodal_values
-                jump = _edge_jumps(union, w.cell_gradients())
-            else:
-                W = transfer_p1(w, union).nodal_values
-                jump = _edge_jumps(union, w.cell_gradients()[parents], skip_same=parents)
-            y = _modal_coeffs(union, W[union.cells], jump, scheme.b[l], scheme.c[l], f)
+            vals = w.nodal_values[corners]
+            vals = vals if lam is None else _matvec(lam, vals)
+            jump = _edge_jumps(union, w.cell_gradients(), sides)
+            y = _modal_coeffs(union, basis, vals, jump, scheme.b[l], scheme.c[l], f)
             combined += y @ scheme.a[l]
-            solution += W @ scheme.a[l]
-    area = _geometry(union)["area"]
-    eta = scheme.C * float(np.sqrt(np.sum(area * np.sum(combined**2, axis=1))))
-    return eta, FeFunction(union, scheme.C * solution)
+            partial += w.nodal_values @ scheme.a[l]
+        partial = partial[corners]
+        corner_sum += partial if lam is None else _matvec(lam, partial)
+    solution = np.empty(union.num_vertices)
+    solution[union.cells] = scheme.C * corner_sum
+    eta = scheme.C * float(np.sqrt(np.sum(geo["area"] * np.sum(combined**2, axis=1))))
+    return eta, FeFunction(union, solution)

@@ -13,9 +13,8 @@ vertex and per interior edge).  Each solve fills that pattern with
 ``b K + c M``, scaled by ``1/max(b, c)``, and factors it with SuperLU using
 diagonal pivots.  The fill-reducing column order SuperLU picks at the first
 factorization on a mesh is cached with the pattern, so the many problems
-sharing a mesh pay for the ordering once.  The cost follows the fill of the
-factors, not the band width of the matrix, which on graded meshes grows much
-faster than the number of unknowns.
+sharing a mesh pay for the ordering once.  Equal meshes share one cache (see
+``mesh``), so they also share the pattern, load vectors and SuperLU order.
 """
 
 from dataclasses import dataclass
@@ -93,9 +92,7 @@ class FeFunction:
 
     def cell_gradients(self):
         """Constant gradient per cell, shape (m, 2, ...)."""
-        g = _grads(self.mesh)
-        vals = self.nodal_values[self.mesh.cells]
-        return np.einsum("mk...,mkd->md...", vals, g)
+        return _matvec(np.swapaxes(_grads(self.mesh), 1, 2), self.nodal_values[self.mesh.cells])
 
 
 def _test2_eval(x, y):
@@ -146,6 +143,15 @@ class ParametricState:
 # -- cached per-mesh geometry -----------------------------------------------
 
 
+def _matvec(A, x):
+    """A (p, 3) or (m, p, 3) times x (m, 3, ...) cell by cell, summed term by
+    term in order, so the rounding does not depend on a cell's position."""
+    v = x.reshape(len(x), 1, 3, -1)
+    out = A[..., 0, None] * v[:, :, 0] + A[..., 1, None] * v[:, :, 1]
+    out += A[..., 2, None] * v[:, :, 2]
+    return out.reshape((len(x), A.shape[-2]) + x.shape[2:])
+
+
 def _grads(mesh):
     """P1 hat-function gradients per cell, shape (m, 3, 2)."""
     g = mesh._cache.get("grads")
@@ -174,7 +180,7 @@ def _areas(mesh):
 
 def _quad_points(mesh):
     """Physical quadrature points per cell, shape (m, 6, 2)."""
-    return np.einsum("qk,mkd->mqd", TRI_QP, mesh.vertices[mesh.cells])
+    return _matvec(TRI_QP, mesh.vertices[mesh.cells])
 
 
 def _rhs_at_quad(mesh, f):
@@ -210,8 +216,9 @@ def _build_system(mesh, dofs, ordered):
     g = _grads(mesh)
     area = _areas(mesh)
     # local edge j of a cell joins its corners j and j + 1 (mod 3)
-    k_diag = area[:, None] * np.einsum("mjd,mjd->mj", g, g)
-    k_edge = area[:, None] * np.einsum("mjd,mjd->mj", g, np.roll(g, -1, axis=1))
+    g_next = np.roll(g, -1, axis=1)
+    k_diag = area[:, None] * (g[..., 0] * g[..., 0] + g[..., 1] * g[..., 1])
+    k_edge = area[:, None] * (g[..., 0] * g_next[..., 0] + g[..., 1] * g_next[..., 1])
     area3 = np.repeat(area, 3)
     edge_id = mesh.cell_edge.reshape(-1)
     vertex_id = mesh.cells.reshape(-1)
@@ -265,8 +272,8 @@ def _load_vector(mesh, f):
     if F is None:
         fq = _rhs_at_quad(mesh, f)
         area = _areas(mesh)
-        # F_i = sum_q w_q area f(x_q) lambda_i(x_q)
-        contrib = np.einsum("mq,q,qk,m->mk", fq, TRI_QW, TRI_QP, area)
+        # F_i = sum_q w_q area f(x_q) lambda_i(x_q), summed over q in order
+        contrib = sum(fq[:, q, None] * TRI_QW[q] * TRI_QP[q] * area[:, None] for q in range(6))
         F = np.bincount(mesh.cells.reshape(-1), contrib.reshape(-1), mesh.num_vertices)
         mesh._cache[key] = F
     return F
@@ -326,6 +333,21 @@ def assemble_and_solve(mesh, b, c, f, rel_tol=1e-10):
     return FeFunction(mesh, w)
 
 
+def _nested_barycentric(src, target, parents):
+    """Corner vertices (mt, 3) of the ``src`` cell ``parents`` holding each
+    ``target`` cell, and the barycentric coordinates (mt, 3, 3) of the
+    target cell's corners in it."""
+    corners = src.cells[parents]
+    A = src.vertices[corners]  # (mt, 3, 2) source triangle corners
+    P = target.vertices[target.cells]  # (mt, 3, 2) target corners
+    e1, e2 = A[:, 1] - A[:, 0], A[:, 2] - A[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    d = P - A[:, 0][:, None, :]
+    l1 = (d[..., 0] * e2[:, None, 1] - d[..., 1] * e2[:, None, 0]) / det[:, None]
+    l2 = (d[..., 1] * e1[:, None, 0] - d[..., 0] * e1[:, None, 1]) / det[:, None]
+    return corners, np.stack([1.0 - l1 - l2, l1, l2], axis=-1)
+
+
 def transfer_p1(f, target):
     """Exact nodal transfer of a P1 function onto a refinement of its mesh;
     stacked (n, L) nodal values are transferred column by column."""
@@ -333,21 +355,9 @@ def transfer_p1(f, target):
     if src.same_mesh(target):
         return FeFunction(target, f.nodal_values.copy())
     parents = meshmod.ancestor_cell_map(target, src)
-    A = src.vertices[src.cells[parents]]  # (mt, 3, 2) source triangle corners
-    P = target.vertices[target.cells]  # (mt, 3, 2) target corners
-    # barycentric coordinates of each target corner in its source triangle
-    e1 = A[:, 1] - A[:, 0]
-    e2 = A[:, 2] - A[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    d = P - A[:, 0][:, None, :]
-    l1 = (d[..., 0] * e2[:, None, 1] - d[..., 1] * e2[:, None, 0]) / det[:, None]
-    l2 = (d[..., 1] * e1[:, None, 0] - d[..., 0] * e1[:, None, 1]) / det[:, None]
-    lam = np.stack([1.0 - l1 - l2, l1, l2], axis=-1)  # (mt, 3, 3)
-    svals = f.nodal_values[src.cells[parents]]  # (mt, 3, ...)
-    tvals = np.einsum("mpk,mk...->mp...", lam, svals)
-    stack = svals.shape[2:]
-    out = np.empty((target.num_vertices,) + stack)
-    out[target.cells.reshape(-1)] = tvals.reshape((-1,) + stack)
+    corners, lam = _nested_barycentric(src, target, parents)
+    out = np.empty((target.num_vertices,) + f.nodal_values.shape[1:])
+    out[target.cells] = _matvec(lam, f.nodal_values[corners])
     return FeFunction(target, out)
 
 
@@ -359,10 +369,8 @@ def combine_on_union(scheme, states, union):
     """
     groups = {}
     for st in states:
-        key = id(st.mesh)
-        if key not in groups:
-            groups[key] = (st.mesh, np.zeros(st.mesh.num_vertices))
-        groups[key][1][:] += scheme.a[st.index] * st.solution.nodal_values
+        group = groups.setdefault(id(st.mesh), [st.mesh, 0.0])
+        group[1] += scheme.a[st.index] * st.solution.nodal_values
     out = np.zeros(union.num_vertices)
     for m, partial in groups.values():
         out += transfer_p1(FeFunction(m, partial), union).nodal_values

@@ -31,8 +31,15 @@ Vertex numbering: the initial vertices come first, then one midpoint per
 bisected edge, ordered by the key of the first node (in key order) that
 bisects that edge.  Midpoints are identified by their edge, so the initial
 vertices must be distinct points.
+
+Equal meshes are built once.  While a mesh of a forest is alive, ``refine``,
+``uniform_refine`` and ``union_mesh`` return a mesh with the same leaves as
+a new object that shares its arrays and its per-mesh caches (FE system, load
+vectors, SuperLU order, estimator geometry); each call returns its own object.
 """
 
+import copy
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,12 +101,13 @@ class DomainSpec:
 class _ForestBase:
     """Shared, immutable description of an initial mesh (the forest roots)."""
 
-    __slots__ = ("vertices", "cells", "domain")
+    __slots__ = ("vertices", "cells", "domain", "leaves")
 
     def __init__(self, vertices, cells, domain=None):
         self.vertices = np.asarray(vertices, dtype=float)
         self.cells = np.asarray(cells, dtype=np.int64)
         self.domain = domain
+        self.leaves = weakref.WeakValueDictionary()
         if len(self.cells) >= _MAX_ROOTS:
             raise MeshStructureError(f"a forest has at most {_MAX_ROOTS - 1} roots")
 
@@ -386,7 +394,19 @@ def make_initial_mesh(domain, target_cells):
 
 def _root_mesh(base):
     """The unrefined mesh of a forest: one leaf per root."""
-    return TriMesh(base, np.arange(len(base.cells), dtype=np.int64) << _ROOT_SHIFT)
+    return _leaf_mesh(base, np.arange(len(base.cells), dtype=np.int64) << _ROOT_SHIFT)
+
+
+def _leaf_mesh(base, keys):
+    """The mesh of the sorted leaf keys ``keys``: a new object that shares the
+    arrays and ``_cache`` of a live mesh with these leaves (every cache entry
+    is a function of the leaves), or else a new build."""
+    built = base.leaves.get(keys.tobytes())  # weak: it holds no mesh alive
+    if built is None:
+        return base.leaves.setdefault(keys.tobytes(), TriMesh(base, keys))
+    twin = copy.copy(built)
+    twin._built = built  # holds the registered mesh, and so its entry, alive
+    return twin
 
 
 # -- refinement --------------------------------------------------------------
@@ -395,7 +415,8 @@ def _root_mesh(base):
 def refine(mesh, marked):
     """Bisect every marked cell at least once and close for conformity.
 
-    Returns a new mesh; the input is unchanged.  Unmarked cells are bisected
+    Returns a new object, which shares arrays and caches with any live mesh
+    of equal leaves; the input is unchanged.  Unmarked cells are bisected
     only as needed to remove hanging nodes (standard newest-vertex closure).
     """
     marked = np.fromiter(marked, dtype=np.int64)
@@ -422,14 +443,14 @@ def refine(mesh, marked):
         again = marked_edge[ce[split, edge]]
         twice = child[again]
         parts += [child[~again], _child_keys(twice, 0), _child_keys(twice, 1)]
-    return TriMesh(mesh.base, np.sort(np.concatenate(parts)))
+    return _leaf_mesh(mesh.base, np.sort(np.concatenate(parts)))
 
 
 def uniform_refine(mesh):
     """Split every cell into its four generation-(g+2) descendants."""
     children = (_child_keys(mesh.cell_key, 0), _child_keys(mesh.cell_key, 1))
     quads = [_child_keys(c, bit) for c in children for bit in (0, 1)]
-    return TriMesh(mesh.base, np.stack(quads, axis=1).ravel())
+    return _leaf_mesh(mesh.base, np.stack(quads, axis=1).ravel())
 
 
 def union_mesh(meshes):
@@ -449,11 +470,11 @@ def union_mesh(meshes):
             raise MeshStructureError("meshes do not share an initial mesh")
     if all(m.same_mesh(meshes[0]) for m in meshes):
         return meshes[0]
-    distinct = {id(m): m.cell_key for m in meshes}
+    distinct = {id(m.cell_key): m.cell_key for m in meshes}  # twins share keys
     keys = np.unique(np.concatenate(list(distinct.values())))
     keep = np.ones(len(keys), dtype=bool)
     keep[:-1] = ~_is_prefix(keys[:-1], keys[1:])
-    return TriMesh(base, keys[keep])
+    return _leaf_mesh(base, keys[keep])
 
 
 def is_refinement_of(fine, coarse):

@@ -27,6 +27,8 @@ __all__ = [
     "faber_krahn_lambda0",
 ]
 
+EVAL_BLOCK = 4096  # points per block in SpectralSolution.eval, bounding its buffers
+
 
 def faber_krahn_lambda0(domain):
     """Guaranteed lower bound pi * j01^2 / |Omega| for the first Dirichlet
@@ -66,11 +68,11 @@ class SpectralSolution:
         jj = np.searchsorted(ju, self.modes_j)
         A[ii, jj] = self.u_coef * 2.0 / math.sqrt(lx * ly)
         out = np.empty(len(points))
-        for lo in range(0, len(points), 65536):  # bound the (points, modes) buffers
-            blk = points[lo : lo + 65536]
+        for lo in range(0, len(points), EVAL_BLOCK):
+            blk = points[lo : lo + EVAL_BLOCK]
             sx = np.sin(np.outer((blk[:, 0] - x0) * (math.pi / lx), iu))
             sy = np.sin(np.outer((blk[:, 1] - y0) * (math.pi / ly), ju))
-            out[lo : lo + 65536] = np.einsum("pi,pi->p", sx, sy @ A.T)
+            out[lo : lo + EVAL_BLOCK] = np.einsum("pi,pi->p", sx, sy @ A.T)
         return out
 
     def tail_bound(self, extra=4):

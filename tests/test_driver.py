@@ -1,9 +1,10 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fracadapt import estimators, fem
+from fracadapt import estimators, fem, mesh
 from fracadapt.driver import RunConfig, decay_rate, run
 from fracadapt.driver import IterationRecord
 from fracadapt.estimators import combined_equal_mesh_estimate
@@ -195,6 +196,25 @@ def test_rerun_marks_identical_cells():
         assert replace(r, wall_time=0.0) == replace(q, wall_time=0.0)
     for a, b in zip(first.states, second.states, strict=True):
         assert np.array_equal(a.mesh.cell_key, b.mesh.cell_key)
+
+
+def test_each_live_mesh_is_built_once(monkeypatch):
+    # equal refinements and unions are twins of a live mesh, not new builds:
+    # no mesh is built while a built mesh with the same leaves is alive
+    built = []
+    real = mesh.TriMesh._build
+
+    def spy(self):
+        keys = self.cell_key.tobytes()
+        assert not any(k == keys and ref() is not None for k, ref in built)
+        real(self)
+        built.append((keys, weakref.ref(self)))
+
+    monkeypatch.setattr(mesh.TriMesh, "_build", spy)
+    res = run(small_config(max_iterations=6))
+    # the run does refine problems to equal meshes
+    keys = {st.mesh.cell_key.tobytes() for st in res.states}
+    assert len(keys) < len({id(st.mesh) for st in res.states})
 
 
 def test_multimesh_cheaper_than_singlemesh():

@@ -21,6 +21,7 @@ from fracadapt.fem import (
 )
 from fracadapt.mesh import (
     DomainSpec,
+    ancestor_cell_map,
     make_initial_mesh,
     read_mesh,
     refine,
@@ -191,6 +192,42 @@ def test_union_pass_returns_recombined_solution(tmp_path):
         assert err <= 1e-14
 
 
+def test_union_table_interpolates_like_transfer(tmp_path):
+    # the per-source table gives each union cell the corner values that an
+    # exact transfer puts on the union vertices
+    m0 = _perturbed_mesh(tmp_path)
+    src = refine(m0, {0, 1, 2})
+    u = union_mesh([src, refine(refine(m0, {20, 21}), {5})])
+    rng = np.random.default_rng(5)
+    w = FeFunction(src, rng.normal(size=(src.num_vertices, 3)))
+    corners, lam = fem._nested_barycentric(src, u, ancestor_cell_map(u, src))
+    table = fem._matvec(lam, w.nodal_values[corners])
+    moved = transfer_p1(w, u).nodal_values[u.cells]
+    assert np.max(np.abs(table - moved)) <= 1e-15 * np.max(np.abs(moved))
+
+
+def test_union_pass_makes_no_transfer(monkeypatch, tmp_path):
+    scheme = bp_coefficients(0.5, 0.6, 1.0)
+    m0 = _perturbed_mesh(tmp_path)
+    meshes = [m0, refine(m0, {0, 1, 2}), refine(m0, {20, 21})]
+    f = RhsField.one()
+    states = [
+        _solved_state(l, meshes[l % 3], scheme.b[l], scheme.c[l], f)
+        for l in range(scheme.N)
+    ]
+    u = union_mesh(meshes)
+    expected = global_union_estimate(scheme, states, u, f)
+
+    def refuse(*args):
+        raise AssertionError("transfer_p1 called")
+
+    monkeypatch.setattr(fem, "transfer_p1", refuse)
+    monkeypatch.setattr(estimators, "transfer_p1", refuse)
+    eta, solution = global_union_estimate(scheme, states, u, f)
+    assert eta == expected[0]
+    assert np.array_equal(solution.nodal_values, expected[1].nodal_values)
+
+
 def test_mirror_images_get_equal_indicators():
     # the unit-square mesh is symmetric under (x, y) -> (y, x); for a
     # symmetric P1 function and field, mirror-image cells must get bitwise
@@ -336,10 +373,8 @@ def test_union_estimate_skips_interior_source_edges():
     u = union_mesh([src, other])
     f = RhsField.one()
     w = assemble_and_solve(src, 1.0, 1.0, f)
-    from fracadapt.mesh import ancestor_cell_map
-
     parents = ancestor_cell_map(u, src)
-    jumps = estimators._edge_jumps(u, w.cell_gradients()[parents], skip_same=parents)
+    jumps = estimators._edge_jumps(u, w.cell_gradients(), estimators._jump_sides(u, parents))
     interior = u.edge_cells[:, 1] >= 0
     same_parent = interior & (
         parents[u.edge_cells[:, 0]] == parents[np.maximum(u.edge_cells[:, 1], 0)]

@@ -120,6 +120,24 @@ def test_caches_not_served_across_fields():
         assert np.allclose(w.nodal_values, (k + 1) * ref.nodal_values, rtol=1e-12, atol=0)
 
 
+def test_twin_solve_matches_fresh_mesh():
+    # a twin reuses the system, load vector and SuperLU order of the mesh it
+    # shares a cache with; its solve must match one on an unshared mesh
+    f = RhsField.test2()
+    marks = {0, 5, 17}
+    m0 = make_initial_mesh(UNIT, 32)
+    first = refine(m0, marks)
+    assemble_and_solve(first, 1e-3, 1.0, f)
+    twin = refine(m0, marks)
+    assert twin is not first and twin._cache is first._cache
+    fresh = refine(make_initial_mesh(UNIT, 32), marks)
+    assert fresh._cache is not first._cache
+    for b, c in ((1e-3, 1.0), (2.5, 0.5)):
+        w, ref = assemble_and_solve(twin, b, c, f), assemble_and_solve(fresh, b, c, f)
+        err = np.max(np.abs(w.nodal_values - ref.nodal_values))
+        assert err <= 1e-13 * np.max(np.abs(ref.nodal_values))
+
+
 def _dense_matrices(m):
     """Stiffness and mass on all vertices, assembled cell by cell."""
     n = m.num_vertices

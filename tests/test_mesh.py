@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from fracadapt.mesh import (
     _root_mesh,
     DomainSpec,
     MeshStructureError,
+    TriMesh,
     ancestor_cell_map,
     is_refinement_of,
     make_initial_mesh,
@@ -210,6 +213,41 @@ def test_union_is_coarsest_common_refinement():
     for m in meshes:
         assert is_refinement_of(u, m)
     assert np.isin(u.cell_key, np.concatenate([m.cell_key for m in meshes])).all()
+
+
+def assert_twins(a, b):
+    """``b`` is a second object for the mesh ``a``: it shares the arrays and
+    the cache, and both equal a fresh build of the same leaves."""
+    assert a is not b
+    assert b.cell_key is a.cell_key and b._cache is a._cache
+    fresh = TriMesh(a.base, a.cell_key.copy())
+    for name in FOREST_ARRAYS:
+        assert getattr(b, name) is getattr(a, name), name
+        assert np.array_equal(getattr(b, name), getattr(fresh, name)), name
+
+
+def test_equal_refinements_are_twins():
+    m0 = make_initial_mesh(SQUARE, 32)
+    a, b = refine(m0, {0, 7}), refine(m0, [7, 0])
+    assert_twins(a, b)
+    assert_twins(uniform_refine(m0), uniform_refine(m0))
+    # a union equal to a live mesh is its twin, as are equal unions
+    c = refine(m0, {20})
+    assert_twins(a, union_mesh([m0, a]))
+    assert_twins(union_mesh([a, c]), union_mesh([c, b]))
+    # the root mesh of a forest too
+    assert_twins(m0, _root_mesh(m0.base))
+
+
+def test_twin_registry_holds_no_mesh_alive():
+    m0 = make_initial_mesh(SQUARE, 32)
+    base = m0.base
+    meshes = [refine(m0, {0}), refine(m0, {0}), uniform_refine(m0)]
+    meshes.append(union_mesh(meshes[1:]))  # the uniform refinement again
+    assert len(base.leaves) == 3  # with the root mesh
+    del m0, meshes
+    gc.collect()
+    assert len(base.leaves) == 0
 
 
 def test_union_incompatible_bases():

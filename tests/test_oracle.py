@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fracadapt import oracle
 from fracadapt.fem import FeFunction, RhsField
 from fracadapt.mesh import DomainSpec, make_initial_mesh, uniform_refine
 from fracadapt.oracle import (
@@ -100,6 +101,18 @@ def test_series_vs_quadrature_agree_for_unit_rhs():
     )
     pts = np.random.default_rng(0).uniform(0.05, 0.95, size=(30, 2))
     assert np.allclose(a.eval(pts), b.eval(pts), atol=1e-10)
+
+
+def test_eval_blocks_do_not_change_values(monkeypatch):
+    # eval works through the points in blocks to bound its buffers; the
+    # block size may change only the rounding of the matrix product (BLAS
+    # takes other code paths for products with a few rows)
+    ref = spectral_reference(SQUARE, RhsField.one(), 0.5, modes=2000)
+    pts = np.random.default_rng(1).uniform(-0.99, 0.99, size=(oracle.EVAL_BLOCK + 300, 2))
+    default = ref.eval(pts)
+    monkeypatch.setattr(oracle, "EVAL_BLOCK", 7)
+    small = ref.eval(pts)
+    assert np.max(np.abs(small - default)) <= 1e-14 * np.max(np.abs(default))
 
 
 def test_l2_error_exact_for_representable_function():
