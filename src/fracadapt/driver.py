@@ -83,8 +83,8 @@ class RunResult:
     union: object
     states: list
     scheme: rational.RationalScheme
-    # "tol" (eta_union < tol), "max-iter", or "converged" (marking found no
-    # cell with a nonzero indicator)
+    # "tol" (eta_union < tol), "max-iter", or "converged" (marking marked no
+    # cell: every indicator is zero, or their bulk target underflows to zero)
     stopped: str
     refine_counts: np.ndarray
     solve_counts: np.ndarray
@@ -116,12 +116,13 @@ def doerfler_mark(states, scheme, theta):
     ks = np.concatenate(ks)
     vals = np.concatenate(vals)
     total = vals.sum()
+    target = theta * total - MARKING_SLACK * total
     marks = [set() for _ in states]
-    if total <= 0.0:
+    if target <= 0.0:  # the empty prefix reaches it, also when it underflows
         return marks
     order = np.lexsort((ks, ls, -vals))
     cum = np.cumsum(vals[order])
-    take = int(np.searchsorted(cum, theta * total - MARKING_SLACK * total) + 1)
+    take = int(np.searchsorted(cum, target) + 1)
     take = min(take, len(order))
     pos = {st.index: i for i, st in enumerate(states)}
     for idx in order[:take]:
@@ -129,20 +130,20 @@ def doerfler_mark(states, scheme, theta):
     return marks
 
 
-def decay_rate(records, window=15, estimate="eta_union", abscissa="union_dofs"):
-    """Minus the slope of log(estimate) vs log(dofs) over the last ``window``
-    records that carry estimates.
+def decay_rate(records, window=15, estimate="eta_union"):
+    """Minus the slope of log(estimate) vs log(union dofs) over the last
+    ``window`` records that carry estimates.
 
-    The default abscissa is the union-space dimension.  The total dof count
-    (sum over all parametric problems) is also available; at small scale it is
-    dominated by the fixed cost of the many never-refined problems, which
-    inflates the apparent rate, so the union dimension is the comparable one.
+    The abscissa is the union-space dimension, not the total dof count (sum
+    over all parametric problems): at small scale that is dominated by the
+    fixed cost of the many never-refined problems, which inflates the
+    apparent rate, so the union dimension is the comparable one.
     """
     est = [r for r in records if r.eta_union is not None]
     if len(est) < window:
         raise ValueError(f"need at least {window} records with estimates, got {len(est)}")
     est = est[-window:]
-    x = np.log([getattr(r, abscissa) for r in est])
+    x = np.log([r.union_dofs for r in est])
     y = np.log([getattr(r, estimate) for r in est])
     slope = np.polyfit(x, y, 1)[0]
     return -float(slope)

@@ -221,16 +221,17 @@ def global_union_estimate(scheme, states, union, f):
 
     Returns ``(eta, solution)``: eta = sqrt(sum_K ||C sum_l a_l e_{l,K}||^2)
     from the local problems on every union cell for every l, and the
-    ``FeFunction`` C sum_l a_l w_l on ``union``.  States that share a mesh
-    are stacked in blocks of ``_BLOCK``.  A source mesh other than the union
-    is a coarsening of it: once per source, a table gives each union cell the
-    corners of its source cell and its own corners' barycentric coordinates
-    there, for exact interpolation, and jumps are taken from source-cell
-    gradients on the union edges between two source cells only.
+    ``FeFunction`` C sum_l a_l w_l on ``union``.  States whose meshes share
+    leaves form one group and are stacked in blocks of ``_BLOCK``.  A source
+    mesh other than the union is a coarsening of it: once per source, a table
+    gives each union cell the corners of its source cell and its own corners'
+    barycentric coordinates there, for exact interpolation, and jumps are
+    taken from source-cell gradients on the union edges between two source
+    cells only.
     """
     groups = {}
-    for st in states:
-        groups.setdefault(id(st.mesh), (st.mesh, []))[1].append(st)
+    for st in states:  # twins share one _cache (see ``mesh``)
+        groups.setdefault(id(st.mesh._cache), (st.mesh, []))[1].append(st)
     geo = _geometry(union)
     basis = geo["W"][geo["cls"]], geo["lam"][geo["cls"]]  # hoisted out of the blocks
     combined = np.zeros((union.num_cells, 3))

@@ -364,12 +364,12 @@ def transfer_p1(f, target):
 def combine_on_union(scheme, states, union):
     """Fully discrete combination C * sum_l a_l w_l on the union mesh.
 
-    States sharing a mesh object are summed nodally before the (exact)
+    States whose meshes share leaves are summed nodally before the (exact)
     transfer, which matters when many problems still sit on the initial mesh.
     """
     groups = {}
-    for st in states:
-        group = groups.setdefault(id(st.mesh), [st.mesh, 0.0])
+    for st in states:  # twins share one _cache (see ``mesh``)
+        group = groups.setdefault(id(st.mesh._cache), [st.mesh, 0.0])
         group[1] += scheme.a[st.index] * st.solution.nodal_values
     out = np.zeros(union.num_vertices)
     for m, partial in groups.values():

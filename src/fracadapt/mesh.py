@@ -32,10 +32,13 @@ bisected edge, ordered by the key of the first node (in key order) that
 bisects that edge.  Midpoints are identified by their edge, so the initial
 vertices must be distinct points.
 
-Equal meshes are built once.  While a mesh of a forest is alive, ``refine``,
-``uniform_refine`` and ``union_mesh`` return a mesh with the same leaves as
-a new object that shares its arrays and its per-mesh caches (FE system, load
-vectors, SuperLU order, estimator geometry); each call returns its own object.
+A mesh is identified by its leaves.  While a mesh of a forest is alive,
+``refine``, ``uniform_refine`` and ``union_mesh`` return a mesh with the same
+leaves as a *twin*: a new object sharing its arrays and ``_cache`` dict (FE
+system, load vectors, SuperLU order, estimator geometry).  Every ``_cache``
+entry is a function of the leaves, and of the ``RhsField`` where keyed by
+one, and holds no mesh; so twins share the dict safely, ``id(mesh._cache)``
+groups meshes by leaves, and no cache keeps another mesh alive.
 """
 
 import copy
@@ -62,6 +65,7 @@ _LEVEL_BITS = 6
 _LEVEL_MASK = (1 << _LEVEL_BITS) - 1
 _ROOT_SHIFT = MAX_LEVEL + _LEVEL_BITS
 _MAX_ROOTS = 1 << (63 - _ROOT_SHIFT)
+_LOCATE_TOL = 1e-12  # barycentric slack of ``locate`` at cell boundaries
 
 
 class MeshStructureError(Exception):
@@ -101,12 +105,11 @@ class DomainSpec:
 class _ForestBase:
     """Shared, immutable description of an initial mesh (the forest roots)."""
 
-    __slots__ = ("vertices", "cells", "domain", "leaves")
+    __slots__ = ("vertices", "cells", "leaves")
 
-    def __init__(self, vertices, cells, domain=None):
+    def __init__(self, vertices, cells):
         self.vertices = np.asarray(vertices, dtype=float)
         self.cells = np.asarray(cells, dtype=np.int64)
-        self.domain = domain
         self.leaves = weakref.WeakValueDictionary()
         if len(self.cells) >= _MAX_ROOTS:
             raise MeshStructureError(f"a forest has at most {_MAX_ROOTS - 1} roots")
@@ -297,13 +300,13 @@ class TriMesh:
             and np.array_equal(self.cell_key, other.cell_key)
         )
 
-    def locate(self, points, tol=1e-12):
+    def locate(self, points):
         """Containing cell index and barycentric coordinates for each point.
 
-        Points must lie inside the domain (within ``tol``).  A point goes to
-        the first root cell that contains it, then down the bisection forest
-        into child 0 whenever child 0 contains it, so location is exact with
-        respect to the mesh hierarchy.
+        Points must lie inside the domain (within ``_LOCATE_TOL``).  A point
+        goes to the first root cell that contains it, then down the bisection
+        forest into child 0 whenever child 0 contains it, so location is
+        exact with respect to the mesh hierarchy.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         bv, bc = self.base.vertices, self.base.cells
@@ -313,7 +316,7 @@ class TriMesh:
         for s in range(0, len(points), block):
             p = points[s : s + block, None, :]
             lam = _barycentric(bv[bc[:, 0]], bv[bc[:, 1]], bv[bc[:, 2]], p)
-            inside = lam.min(axis=2) >= -tol
+            inside = lam.min(axis=2) >= -_LOCATE_TOL
             first = inside.argmax(axis=1)
             root[s : s + block] = np.where(inside.any(axis=1), first, -1)
         if np.any(root < 0):
@@ -329,7 +332,7 @@ class TriMesh:
             cell[todo[leaf]] = pos[leaf]
             todo, node, A, B, C = (x[~leaf] for x in (todo, node, A, B, C))
             M = 0.5 * (A + B)
-            in0 = _barycentric(C, A, M, points[todo]).min(axis=1) >= -tol
+            in0 = _barycentric(C, A, M, points[todo]).min(axis=1) >= -_LOCATE_TOL
             w0 = in0[:, None]
             A, B, C = np.where(w0, C, B), np.where(w0, A, C), M
             node = np.where(in0, _child_keys(node, 0), _child_keys(node, 1))
@@ -389,7 +392,7 @@ def make_initial_mesh(domain, target_cells):
     cells = np.stack([c, a, b, a, c, d], axis=1).reshape(-1, 3)
     touched = np.sort(first)
     verts = np.stack([lo + gi[touched] * h, lo + gj[touched] * h], axis=1)
-    return _root_mesh(_ForestBase(verts, cells, domain))
+    return _root_mesh(_ForestBase(verts, cells))
 
 
 def _root_mesh(base):
@@ -398,9 +401,9 @@ def _root_mesh(base):
 
 
 def _leaf_mesh(base, keys):
-    """The mesh of the sorted leaf keys ``keys``: a new object that shares the
-    arrays and ``_cache`` of a live mesh with these leaves (every cache entry
-    is a function of the leaves), or else a new build."""
+    """The mesh of the sorted leaf keys ``keys``: a twin of a live mesh with
+    these leaves, sharing its arrays and ``_cache`` (see the module doc), or
+    else a new build."""
     built = base.leaves.get(keys.tobytes())  # weak: it holds no mesh alive
     if built is None:
         return base.leaves.setdefault(keys.tobytes(), TriMesh(base, keys))
@@ -415,9 +418,9 @@ def _leaf_mesh(base, keys):
 def refine(mesh, marked):
     """Bisect every marked cell at least once and close for conformity.
 
-    Returns a new object, which shares arrays and caches with any live mesh
-    of equal leaves; the input is unchanged.  Unmarked cells are bisected
-    only as needed to remove hanging nodes (standard newest-vertex closure).
+    Returns ``mesh`` itself if nothing is marked, else a new object (a twin
+    of any live mesh with equal leaves).  Unmarked cells are bisected only
+    as needed to remove hanging nodes (standard newest-vertex closure).
     """
     marked = np.fromiter(marked, dtype=np.int64)
     if not marked.size:
@@ -488,19 +491,13 @@ def ancestor_cell_map(fine, coarse):
     """For each cell of ``fine``, the index of the ``coarse`` cell containing it.
 
     Raises MeshStructureError if ``coarse`` is not a coarsening of ``fine``.
-    The map is cached on ``fine``.
+    Not cached, so ``fine`` holds no reference to ``coarse``.
     """
-    key = ("ancestors", id(coarse))
-    cached = fine._cache.get(key)
-    if cached is not None and cached[0] is coarse:
-        return cached[1]
     if not fine.base.equivalent(coarse.base):
         raise MeshStructureError("meshes do not share an initial mesh")
     out = _ancestor_index(fine, coarse)
     if out is None:
         raise MeshStructureError("target mesh is not a refinement of the source")
-    out.setflags(write=False)
-    fine._cache[key] = (coarse, out)
     return out
 
 

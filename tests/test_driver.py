@@ -217,6 +217,27 @@ def test_each_live_mesh_is_built_once(monkeypatch):
     assert len(keys) < len({id(st.mesh) for st in res.states})
 
 
+def _meshes_in(value):
+    """Every TriMesh reachable from ``value`` through tuples, lists and dicts."""
+    if isinstance(value, mesh.TriMesh):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.items():
+            yield from _meshes_in(item)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _meshes_in(item)
+
+
+def test_mesh_caches_hold_no_mesh():
+    # every _cache entry is a function of the leaves (see ``mesh``), so no
+    # cache may hold a mesh, which would keep it alive and tie it to an object
+    res = run(small_config(max_iterations=6))
+    assert any(not st.mesh.same_mesh(res.union) for st in res.states)
+    for m in [st.mesh for st in res.states] + [res.union]:
+        assert not list(_meshes_in(m._cache))
+
+
 def test_multimesh_cheaper_than_singlemesh():
     multi = run(small_config(max_iterations=6))
     single = run(small_config(max_iterations=6, mode="singlemesh"))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fracadapt import estimators, fem
+from fracadapt import mesh as meshmod
 from fracadapt.estimators import (
     combined_equal_mesh_estimate,
     global_triangle_estimate,
@@ -226,6 +227,43 @@ def test_union_pass_makes_no_transfer(monkeypatch, tmp_path):
     eta, solution = global_union_estimate(scheme, states, u, f)
     assert eta == expected[0]
     assert np.array_equal(solution.nodal_values, expected[1].nodal_values)
+
+
+def test_union_pass_groups_twin_meshes(monkeypatch, tmp_path):
+    # twins (equal leaves, separate objects) form one source group: one
+    # ancestor map per distinct source mesh, and the result of one shared object
+    scheme = bp_coefficients(0.5, 0.6, 1.0)
+    m0 = _perturbed_mesh(tmp_path)
+    a, b = refine(m0, {0, 1, 2}), refine(m0, {20, 21})
+    twins = [m0, a, refine(m0, {2, 1, 0}), b, refine(m0, {21, 20})]
+    assert twins[2] is not a and twins[2]._cache is a._cache
+    f = RhsField.test2()
+    u = union_mesh([a, b])
+
+    def solved_on(meshes):
+        return [
+            _solved_state(l, meshes[l % 5], scheme.b[l], scheme.c[l], f)
+            for l in range(scheme.N)
+        ]
+
+    expected_eta, expected = global_union_estimate(scheme, solved_on([m0, a, a, b, b]), u, f)
+    calls = []
+    real = meshmod.ancestor_cell_map
+
+    def spy(fine, coarse):
+        calls.append(coarse.cell_key.tobytes())
+        return real(fine, coarse)
+
+    monkeypatch.setattr(meshmod, "ancestor_cell_map", spy)
+    states = solved_on(twins)
+    eta, solution = global_union_estimate(scheme, states, u, f)
+    assert len(calls) == len(set(calls)) == 3
+    assert eta == pytest.approx(expected_eta, rel=1e-14)
+    err = np.max(np.abs(solution.nodal_values - expected.nodal_values))
+    assert err <= 1e-14 * np.max(np.abs(expected.nodal_values))
+    calls.clear()
+    combine_on_union(scheme, states, u)
+    assert len(calls) == len(set(calls)) == 3
 
 
 def test_mirror_images_get_equal_indicators():

@@ -98,6 +98,15 @@ def test_oracle_shares_marking_slack():
     assert _exhaustive_minimum(weighted_sq, 1.0) == 2
 
 
+def test_underflowing_bulk_target_needs_no_mark():
+    # (0.5 * 9.67e-162)^2 is subnormal and 0.0625 times it rounds to zero,
+    # so the empty set already reaches the bulk target
+    inds = [[9.666352358710097e-162]]
+    marks = doerfler_mark(_states(inds), _FakeScheme([0.5]), 0.0625)
+    assert marks == [set()]
+    assert _exhaustive_minimum([[(0.5 * inds[0][0]) ** 2]], 0.0625) == 0
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_minimal_cardinality_against_exhaustive_oracle(data):

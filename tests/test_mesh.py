@@ -1,4 +1,5 @@
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -84,7 +85,7 @@ def test_initial_mesh_matches_loop_reference(kind, cells, n):
     domain = DomainSpec(kind)
     m = make_initial_mesh(domain, cells)
     verts, ref_cells = forest_reference.initial_grid(domain, n)
-    ref = _root_mesh(_ForestBase(verts, ref_cells, domain))
+    ref = _root_mesh(_ForestBase(verts, ref_cells))
     assert m.vertices.dtype == ref.vertices.dtype and m.cells.dtype == ref.cells.dtype
     for name in ("vertices", "cells", "edges", "cell_edge", "edge_cells", "boundary_vertex"):
         assert np.array_equal(getattr(m, name), getattr(ref, name)), name
@@ -270,6 +271,17 @@ def test_ancestor_cell_map_not_refinement():
     m1 = refine(m0, {0})
     with pytest.raises(MeshStructureError):
         ancestor_cell_map(m0, m1)
+
+
+def test_ancestor_cell_map_holds_no_mesh_alive():
+    coarse = make_initial_mesh(SQUARE, 32)
+    fine = refine(coarse, {0, 1, 2})
+    ancestor_cell_map(fine, coarse)
+    ref = weakref.ref(coarse)
+    del coarse
+    gc.collect()
+    assert ref() is None
+    assert fine.num_cells > 32
 
 
 def test_locate_barycentric_consistency():

@@ -1,0 +1,134 @@
+"""Fingerprint one benchmark run, or compare two fingerprints.
+
+A fingerprint records what a run decided and computed, so that two commits
+can be compared cell by cell: every ``IterationRecord`` field but the wall
+time, the problems solved and refined per iteration, the stop reason, a
+sha256 of every ``doerfler_mark`` result, of every checkpoint's union mesh
+and of every final mesh, and the recombined solution at every checkpoint.
+
+    python tools/fingerprint.py case1-multimesh out.json [--checkout DIR]
+    python tools/fingerprint.py --compare parent.json change.json
+
+The first form runs the named config of ``benchmarks/workloads.py`` with the
+package in ``DIR/src`` (default: this checkout), so one copy of this script
+fingerprints any commit.  The second prints every integer and hash mismatch
+and the largest relative difference of each float field, and exits 1 on any
+mismatch; float differences are reported, not judged.
+"""
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import math
+import os
+import sys
+
+import numpy as np
+
+
+def _sha(array):
+    return hashlib.sha256(np.ascontiguousarray(array, dtype=np.int64).tobytes()).hexdigest()
+
+
+def fingerprint(name, checkout):
+    sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "benchmarks")]
+    import fracadapt.driver as driver
+    from workloads import make_inputs
+
+    config, reference = make_inputs(name)
+    marks, unions, solutions = [], [], []
+    real_mark = driver.doerfler_mark
+
+    def traced_mark(states, scheme, theta):
+        out = real_mark(states, scheme, theta)
+        cells = [(st.index, k) for st, mk in zip(states, out) for k in sorted(mk)]
+        marks.append(_sha(cells))
+        return out
+
+    def on_checkpoint(m, states, union, solution):
+        unions.append(_sha(union.cell_key))
+        solutions.append(solution.nodal_values.tolist())
+
+    driver.doerfler_mark = traced_mark  # the driver looks the name up per call
+    try:
+        res = driver.run(config, reference=reference, on_checkpoint=on_checkpoint)
+    finally:
+        driver.doerfler_mark = real_mark
+    # the wall time is a timing, not a result
+    records = [
+        {k: v for k, v in dataclasses.asdict(r).items() if k != "wall_time"} for r in res.records
+    ]
+    return dict(
+        workload=name,
+        records=records,
+        solved_per_iter=res.solved_per_iter,
+        marked_per_iter=res.marked_per_iter,
+        stopped=res.stopped,
+        marks=marks,
+        unions=unions,
+        final_cell_keys=[_sha(st.mesh.cell_key) for st in res.states],
+        solutions=solutions,
+    )
+
+
+def _rel(x, y):
+    if x == y:
+        return 0.0
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def compare(a, b):
+    """(mismatch messages, {float field: largest relative difference})."""
+    bad, diffs = [], {}
+    for key in ("workload", "solved_per_iter", "marked_per_iter", "stopped", "marks",
+                "unions", "final_cell_keys"):
+        if a[key] != b[key]:
+            bad.append(f"{key} differs")
+    if len(a["records"]) != len(b["records"]):
+        bad.append(f"{len(a['records'])} records against {len(b['records'])}")
+    for ra, rb in zip(a["records"], b["records"]):
+        for field, x in ra.items():
+            y = rb[field]
+            if isinstance(x, float) and isinstance(y, float):
+                diffs[field] = max(diffs.get(field, 0.0), _rel(x, y))
+            elif x != y:
+                bad.append(f"record m = {ra['m']}: {field} {x} against {y}")
+    for sa, sb in zip(a["solutions"], b["solutions"]):
+        if len(sa) != len(sb):
+            bad.append("a checkpoint solution has another length")
+            continue
+        sa, sb = np.array(sa), np.array(sb)
+        scale = max(np.max(np.abs(sa)), np.max(np.abs(sb)), math.ulp(0.0))
+        diffs["solution"] = max(diffs.get("solution", 0.0), float(np.max(np.abs(sa - sb)) / scale))
+    return bad, diffs
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--compare", nargs=2, metavar=("A", "B"))
+    ap.add_argument("workload", nargs="?")
+    ap.add_argument("out", nargs="?")
+    here = os.path.dirname(os.path.abspath(__file__))
+    ap.add_argument("--checkout", default=os.path.dirname(here))
+    args = ap.parse_args(argv)
+    if args.compare:
+        loaded = []
+        for path in args.compare:
+            with open(path) as fh:
+                loaded.append(json.load(fh))
+        bad, diffs = compare(*loaded)
+        for line in bad:
+            print("MISMATCH", line)
+        for field, d in sorted(diffs.items()):
+            print(f"{field}: largest relative difference {d:.3g}")
+        return 1 if bad else 0
+    if not (args.workload and args.out):
+        ap.error("give a workload and an output file, or --compare A B")
+    with open(args.out, "w") as fh:
+        json.dump(fingerprint(args.workload, args.checkout), fh)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
