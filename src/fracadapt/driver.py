@@ -149,6 +149,29 @@ def decay_rate(records, window=15, estimate="eta_union"):
     return -float(slope)
 
 
+def _problem(scheme, l):
+    return f"problem l = {l} (b_l = {scheme.b[l]:.6g}, c_l = {scheme.c[l]:.6g})"
+
+
+def _estimate(states, scheme, f):
+    """Set the indicators of the solved ``states``: one stacked
+    ``local_indicators`` call per block of up to ``_BLOCK`` states per mesh.
+    A function, not a loop in ``run``: a mesh left in a local of ``run``
+    stays alive, so an equal later refinement becomes its twin and reuses
+    its cached SuperLU order, which changes that solve's last bits."""
+    for mesh, group in fem._mesh_groups(states):
+        for start in range(0, len(group), estimators._BLOCK):
+            block = group[start : start + estimators._BLOCK]
+            l = [st.index for st in block]
+            w = fem.FeFunction(mesh, np.stack([st.solution.nodal_values for st in block], axis=1))
+            eta = estimators.local_indicators(mesh, w, scheme.b[l], scheme.c[l], f)
+            for st, col in zip(block, eta.T):
+                if not np.all(np.isfinite(col)):
+                    raise ValueError(f"non-finite error indicator for {_problem(scheme, st.index)}")
+                st.indicators = col
+                st.dirty = False
+
+
 def run(config, reference=None, on_checkpoint=None):
     """Execute the adaptive loop and return a RunResult.
 
@@ -181,18 +204,15 @@ def run(config, reference=None, on_checkpoint=None):
         dirty = [st for st in states if st.dirty]
         for st in dirty:
             b, c = scheme.b[st.index], scheme.c[st.index]
-            problem = f"problem l = {st.index} (b_l = {b:.6g}, c_l = {c:.6g})"
+            problem = _problem(scheme, st.index)
             try:
                 st.solution = fem.assemble_and_solve(st.mesh, b, c, cfg.f)
             except fem.SolveError as exc:
                 raise fem.SolveError(f"{problem}: {exc}", exc.residual) from exc
             except ValueError as exc:
                 raise ValueError(f"{problem}: {exc}") from exc
-            st.indicators = estimators.local_indicators(st.mesh, st.solution, b, c, cfg.f)
-            if not np.all(np.isfinite(st.indicators)):
-                raise ValueError(f"non-finite error indicator for {problem}")
-            st.dirty = False
             solve_counts[st.index] += 1
+        _estimate(dirty, scheme, cfg.f)
         solved_per_iter.append(sorted(st.index for st in dirty))
 
         totcost = sum(st.mesh.num_interior_vertices for st in dirty)

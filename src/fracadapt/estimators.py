@@ -20,12 +20,17 @@ solve into a division, y = V^T r_K / (b lam + c |K|), and ||e_K||^2 =
 |K| |y|^2.  The eigenvalues are positive, so the denominator is positive and
 grows only like b; a 3x3 determinant grows like b^3 and overflows near
 b = 1e103, while the pole sums reach b = 1.2e165.
+
+Both estimates stack up to ``_BLOCK`` problems of one distinct mesh
+(``fem._mesh_groups``) per kernel call.  Kernel arrays keep the cell index
+innermost, (L, 3, m), so broadcasts run over cells, not over the L problems;
+each cell sums its terms in a fixed order, so stacking changes no bit.
 """
 
 import numpy as np
 
 from . import mesh as meshmod
-from .fem import TRI_QP, TRI_QW, FeFunction, _areas, _matvec, _nested_barycentric
+from .fem import TRI_QP, TRI_QW, FeFunction, _areas, _grads, _mesh_groups, _nested_barycentric
 from .fem import transfer_p1  # noqa: F401  (the benchmark tracer wraps this name)
 
 __all__ = [
@@ -49,8 +54,8 @@ _WPHI = np.einsum("q,itk,qk->tqi", TRI_QW, _VFULL[:, _SUBTRI], TRI_QP).reshape(2
 # the modal tables use the basis (phi_0, phi_1 + phi_2, phi_1 - phi_2)
 _PT = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, -1.0]])
 
-# states stacked per block in the union estimate; larger blocks raise the
-# peak memory of a run for no measurable speed
+# problems stacked per kernel call; larger blocks raise the peak memory of a
+# run for no measurable speed
 _BLOCK = 8
 
 
@@ -115,12 +120,12 @@ def _geometry(mesh):
 
 
 def _f_moments(mesh, f):
-    """(f, phi_i)_K / (|K| / 4) per cell, shape (m, 3), cached per field."""
+    """(f, phi_i)_K / (|K| / 4) per cell, shape (3, m), cached per field."""
     key = ("enr_f", f)
     F = mesh._cache.get(key)
     if F is None:
         qpts = _CB @ mesh.vertices[mesh.cells]  # (m, 24, 2)
-        F = f(qpts[..., 0], qpts[..., 1]) @ _WPHI
+        F = np.ascontiguousarray((f(qpts[..., 0], qpts[..., 1]) @ _WPHI).T)
         mesh._cache[key] = F
     return F
 
@@ -137,48 +142,69 @@ def _jump_sides(mesh, labels=None):
     return sel, c1[sel], c2[sel]
 
 
+def _cell_matvec(A, v):
+    """A (p, 3, m) or (p, 3, 1) times v (L, 3, m) cell by cell, shape
+    (L, p, m), summed term by term in the order of ``fem._matvec``."""
+    out = A[:, 0] * v[:, None, 0] + A[:, 1] * v[:, None, 1]
+    out += A[:, 2] * v[:, None, 2]
+    return out
+
+
+def _corner_values(mesh, nodal):
+    """Corner values (L, 3, m) and cell gradients (L, 2, m) of nodal values
+    (n, L) on ``mesh``."""
+    vals = np.take(nodal.T, mesh.cells.T, axis=1)  # np.take keeps cells innermost
+    return vals, _cell_matvec(np.ascontiguousarray(_grads(mesh).transpose(2, 1, 0)), vals)
+
+
 def _edge_jumps(mesh, grads, sides=None):
     """Flux-jump scalar (gradient jump dotted with the fixed normal) per edge,
-    for gradients (k, 2) or stacked (k, 2, L) per side of ``sides`` (default:
+    shape (L, e), for gradients (L, 2, k) per side of ``sides`` (default:
     ``_jump_sides(mesh)``); edges left out get an exact zero."""
     sel, s1, s2 = _jump_sides(mesh) if sides is None else sides
-    normal = _geometry(mesh)["normal"][sel].reshape((-1, 2) + (1,) * (grads.ndim - 2))
-    dg = grads[s1] - grads[s2]
-    j = np.zeros((len(mesh.edges),) + grads.shape[2:])
-    j[sel] = dg[:, 0] * normal[:, 0] + dg[:, 1] * normal[:, 1]
+    normal = _geometry(mesh)["normal"][sel].T
+    dg = np.take(grads, s1, axis=2) - np.take(grads, s2, axis=2)
+    j = np.zeros((len(grads), len(mesh.edges)))
+    j[:, sel] = dg[:, 0] * normal[0] + dg[:, 1] * normal[1]
     return j
 
 
 def _rhs(mesh, corner_vals, jump, b, c, f):
-    """Local right-hand sides (m, 3, L): (r, phi_i)_K - b |F_i| J_i / 4 for
-    corner values (m, 3, L), jumps (e, L) and one b, c per column."""
+    """Local right-hand sides (L, 3, m): (r, phi_i)_K - b |F_i| J_i / 4 for
+    corner values (L, 3, m), jumps (L, e) and b, c scalars or (L, 1, 1)."""
     geo = _geometry(mesh)
-    jl = (jump * geo["length"][:, None])[mesh.cell_edge]
-    resid = _f_moments(mesh, f)[..., None] - c * _matvec(_G, corner_vals)
-    return geo["area"][:, None, None] / 4.0 * resid - 0.25 * b * jl
+    jl = np.take(jump * geo["length"], mesh.cell_edge.T, axis=1)
+    resid = _f_moments(mesh, f) - c * _cell_matvec(_G[..., None], corner_vals)
+    return geo["area"] / 4.0 * resid - 0.25 * b * jl
+
+
+def _modal_basis(geo):
+    """Modal basis W (3, 3, m) and eigenvalues (3, m) of each cell's class."""
+    cls = geo["cls"]
+    return np.take(geo["W"].transpose(1, 2, 0), cls, axis=2), np.take(geo["lam"].T, cls, axis=1)
 
 
 def _modal_coeffs(target, basis, corner_vals, jump, b, c, f):
-    """Modal coefficients y (m, 3, L) of the local problems on ``target`` for
-    corner values (m, 3, L) and flux jumps (e, L) of L stacked P1 functions
-    on ``target``; b and c give one value per column, and ``basis`` holds
-    the modal basis W (m, 3, 3) and eigenvalues (m, 3) of each cell's class."""
+    """Modal coefficients y (L, 3, m) of the local problems on ``target`` for
+    corner values (L, 3, m) and flux jumps (L, e) of L stacked P1 functions
+    on ``target``; b and c give one value per column, and ``basis`` is
+    ``_modal_basis`` of ``target``."""
     W, lam = basis
+    b, c = np.reshape(b, (-1, 1, 1)), np.reshape(c, (-1, 1, 1))
     r = _rhs(target, corner_vals, jump, b, c, f)
     r = np.stack([r[:, 0], r[:, 1] + r[:, 2], r[:, 1] - r[:, 2]], axis=1)  # _PT @ r
-    den = lam[..., None] * b + _geometry(target)["area"][:, None, None] * c
-    return _matvec(W, r) / den
+    return _cell_matvec(W, r) / (lam * b + _geometry(target)["area"] * c)
 
 
 def local_indicators(mesh, w, b, c, f):
-    """Per-cell indicator ||e_K||_{L2(K)} for one parametric problem whose
-    solution ``w`` lives on ``mesh``."""
+    """Per-cell indicators ||e_K||_{L2(K)} of the problems whose solutions
+    ``w`` live on ``mesh``: shape (m,) for one solution, (m, L) for L stacked
+    ones with one b and one c per column."""
     geo = _geometry(mesh)
-    w = FeFunction(mesh, w.nodal_values[:, None])
-    jump = _edge_jumps(mesh, w.cell_gradients())
-    basis = geo["W"][geo["cls"]], geo["lam"][geo["cls"]]
-    y = _modal_coeffs(mesh, basis, w.nodal_values[mesh.cells], jump, b, c, f)
-    return np.sqrt(geo["area"] * np.sum(y[..., 0] ** 2, axis=1))
+    vals, grads = _corner_values(mesh, w.nodal_values.reshape(mesh.num_vertices, -1))
+    y = _modal_coeffs(mesh, _modal_basis(geo), vals, _edge_jumps(mesh, grads), b, c, f)
+    eta = np.sqrt(geo["area"] * np.sum(y**2, axis=1)).T
+    return eta if w.nodal_values.ndim > 1 else eta[:, 0]
 
 
 def global_triangle_estimate(scheme, states):
@@ -207,11 +233,10 @@ def combined_equal_mesh_estimate(scheme, states, f):
     M = _geometry(mesh)["area"][:, None, None] * _MREF
     combined = np.zeros((mesh.num_cells, 3))
     for st in states:
-        w = st.solution
         b, c = scheme.b[st.index], scheme.c[st.index]
-        jump = _edge_jumps(mesh, w.cell_gradients()[..., None])
-        rhs = _rhs(mesh, w.nodal_values[mesh.cells][..., None], jump, b, c, f)
-        combined += scheme.a[st.index] * np.linalg.solve(b * S + c * M, rhs)[..., 0]
+        vals, grads = _corner_values(mesh, st.solution.nodal_values[:, None])
+        rhs = _rhs(mesh, vals, _edge_jumps(mesh, grads), b, c, f)[0].T
+        combined += scheme.a[st.index] * np.linalg.solve(b * S + c * M, rhs[..., None])[..., 0]
     combined *= scheme.C
     return float(np.sqrt(np.sum(np.einsum("mi,mij,mj->m", combined, M, combined))))
 
@@ -229,34 +254,33 @@ def global_union_estimate(scheme, states, union, f):
     taken from source-cell gradients on the union edges between two source
     cells only.
     """
-    groups = {}
-    for st in states:  # twins share one _cache (see ``mesh``)
-        groups.setdefault(id(st.mesh._cache), (st.mesh, []))[1].append(st)
     geo = _geometry(union)
-    basis = geo["W"][geo["cls"]], geo["lam"][geo["cls"]]  # hoisted out of the blocks
-    combined = np.zeros((union.num_cells, 3))
-    corner_sum = np.zeros((union.num_cells, 3))
-    for src, group in groups.values():
+    basis = _modal_basis(geo)  # hoisted out of the blocks
+    combined = np.zeros((3, union.num_cells))
+    corner_sum = np.zeros((1, 3, union.num_cells))
+    for src, group in _mesh_groups(states):
         if src.same_mesh(union):
             corners, lam, sides = union.cells, None, _jump_sides(union)
         else:
             parents = meshmod.ancestor_cell_map(union, src)
             corners, lam = _nested_barycentric(src, union, parents)
+            lam = np.ascontiguousarray(lam.transpose(1, 2, 0))  # cells innermost
             sides = _jump_sides(union, parents)
         partial = np.zeros(src.num_vertices)
         for start in range(0, len(group), _BLOCK):
             block = group[start : start + _BLOCK]
             l = np.array([st.index for st in block])
-            w = FeFunction(src, np.stack([st.solution.nodal_values for st in block], axis=1))
-            vals = w.nodal_values[corners]
-            vals = vals if lam is None else _matvec(lam, vals)
-            jump = _edge_jumps(union, w.cell_gradients(), sides)
+            nodal = np.stack([st.solution.nodal_values for st in block], axis=1)
+            vals, grads = _corner_values(src, nodal)
+            if lam is not None:
+                vals = _cell_matvec(lam, np.take(nodal.T, corners.T, axis=1))
+            jump = _edge_jumps(union, grads, sides)
             y = _modal_coeffs(union, basis, vals, jump, scheme.b[l], scheme.c[l], f)
-            combined += y @ scheme.a[l]
-            partial += w.nodal_values @ scheme.a[l]
-        partial = partial[corners]
-        corner_sum += partial if lam is None else _matvec(lam, partial)
+            combined += np.tensordot(scheme.a[l], y, 1)
+            partial += nodal @ scheme.a[l]
+        partial = np.take(partial[None], corners.T, axis=1)
+        corner_sum += partial if lam is None else _cell_matvec(lam, partial)
     solution = np.empty(union.num_vertices)
-    solution[union.cells] = scheme.C * corner_sum
-    eta = scheme.C * float(np.sqrt(np.sum(geo["area"] * np.sum(combined**2, axis=1))))
+    solution[union.cells] = scheme.C * corner_sum[0].T
+    eta = scheme.C * float(np.sqrt(np.sum(geo["area"] * np.sum(combined**2, axis=0))))
     return eta, FeFunction(union, solution)

@@ -361,18 +361,24 @@ def transfer_p1(f, target):
     return FeFunction(target, out)
 
 
+def _mesh_groups(states):
+    """``(mesh, states)`` per distinct mesh, in order of first appearance;
+    twins share one ``_cache`` (see ``mesh``), so they form one group."""
+    groups = {}
+    for st in states:
+        groups.setdefault(id(st.mesh._cache), (st.mesh, []))[1].append(st)
+    return list(groups.values())
+
+
 def combine_on_union(scheme, states, union):
     """Fully discrete combination C * sum_l a_l w_l on the union mesh.
 
     States whose meshes share leaves are summed nodally before the (exact)
     transfer, which matters when many problems still sit on the initial mesh.
     """
-    groups = {}
-    for st in states:  # twins share one _cache (see ``mesh``)
-        group = groups.setdefault(id(st.mesh._cache), [st.mesh, 0.0])
-        group[1] += scheme.a[st.index] * st.solution.nodal_values
     out = np.zeros(union.num_vertices)
-    for m, partial in groups.values():
+    for m, group in _mesh_groups(states):
+        partial = sum(scheme.a[st.index] * st.solution.nodal_values for st in group)
         out += transfer_p1(FeFunction(m, partial), union).nodal_values
     return FeFunction(union, scheme.C * out)
 

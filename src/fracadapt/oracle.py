@@ -69,10 +69,13 @@ class SpectralSolution:
         A[ii, jj] = self.u_coef * 2.0 / math.sqrt(lx * ly)
         out = np.empty(len(points))
         for lo in range(0, len(points), EVAL_BLOCK):
-            blk = points[lo : lo + EVAL_BLOCK]
-            sx = np.sin(np.outer((blk[:, 0] - x0) * (math.pi / lx), iu))
-            sy = np.sin(np.outer((blk[:, 1] - y0) * (math.pi / ly), ju))
-            out[lo : lo + EVAL_BLOCK] = np.einsum("pi,pi->p", sx, sy @ A.T)
+            # sine tables on the block's distinct coordinates: quadrature
+            # points of a bisected mesh share few x and y values
+            ux, ix = np.unique(points[lo : lo + EVAL_BLOCK, 0], return_inverse=True)
+            uy, iy = np.unique(points[lo : lo + EVAL_BLOCK, 1], return_inverse=True)
+            sx = np.sin(np.outer((ux - x0) * (math.pi / lx), iu))
+            sy = np.sin(np.outer((uy - y0) * (math.pi / ly), ju)) @ A.T
+            out[lo : lo + EVAL_BLOCK] = np.einsum("pi,pi->p", sx[ix], sy[iy])
         return out
 
     def tail_bound(self, extra=4):

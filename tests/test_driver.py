@@ -1,3 +1,4 @@
+import math
 import weakref
 from dataclasses import replace
 
@@ -143,14 +144,16 @@ def test_shared_mesh_union_estimate_matches_combined(mode):
 
 
 def test_nonfinite_indicator_fails_loudly(monkeypatch):
+    # the driver estimates stacked blocks; a NaN in the column of problem
+    # l = 2 must be reported with l = 2 and its coefficients
     real = estimators.local_indicators
     calls = []
 
     def broken(mesh, w, b, c, f):
         eta = real(mesh, w, b, c, f)
         calls.append(b)
-        if len(calls) == 3:
-            eta[0] = np.nan
+        if len(calls) == 1:
+            eta[0, 2] = np.nan
         return eta
 
     monkeypatch.setattr(estimators, "local_indicators", broken)
@@ -158,7 +161,29 @@ def test_nonfinite_indicator_fails_loudly(monkeypatch):
         run(small_config(max_iterations=2))
     msg = str(exc.value)
     assert "l = 2" in msg
-    assert f"b_l = {calls[2]:.6g}" in msg and "c_l = 1" in msg
+    assert f"b_l = {calls[0][2]:.6g}" in msg and "c_l = 1" in msg
+
+
+def test_singlemesh_estimates_in_stacked_blocks(monkeypatch):
+    # every iteration solves all N problems on the shared mesh and estimates
+    # them in ceil(N / _BLOCK) stacked calls, not one call per problem
+    real = estimators.local_indicators
+    widths = []
+
+    def spy(mesh, w, b, c, f):
+        widths.append(len(b))
+        return real(mesh, w, b, c, f)
+
+    monkeypatch.setattr(estimators, "local_indicators", spy)
+    seen = []
+    res = run(
+        small_config(mode="singlemesh", max_iterations=3),
+        on_checkpoint=lambda *args: seen.append(len(widths)),
+    )
+    n = res.scheme.N
+    assert n > estimators._BLOCK and len(res.records) == 3
+    assert np.diff([0] + seen).tolist() == [math.ceil(n / estimators._BLOCK)] * 3
+    assert sum(widths) == 3 * n
 
 
 @pytest.mark.parametrize(

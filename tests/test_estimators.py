@@ -85,9 +85,9 @@ def _subtriangle_matrices(X):
 
 def _dense_indicators(mesh, w, b, c, f):
     """Indicators from a dense per-cell solve of (b S_K + c M_K) e = r_K."""
-    jump = estimators._edge_jumps(mesh, w.cell_gradients()[..., None])
-    corner_vals = w.nodal_values[mesh.cells][..., None]
-    rhs = estimators._rhs(mesh, corner_vals, jump, b, c, f)[..., 0]
+    jump = estimators._edge_jumps(mesh, w.cell_gradients().T[None])
+    corner_vals = w.nodal_values[mesh.cells].T[None]
+    rhs = estimators._rhs(mesh, corner_vals, jump, b, c, f)[0].T
     eta = np.empty(mesh.num_cells)
     for k, cell in enumerate(mesh.cells):
         S, M = _subtriangle_matrices(mesh.vertices[cell])
@@ -137,6 +137,33 @@ def test_modal_solve_matches_dense_solve(b, tmp_path):
     f = RhsField.test2()
     eta = local_indicators(m, w, b, 0.7, f)
     assert np.allclose(eta, _dense_indicators(m, w, b, 0.7, f), rtol=1e-12, atol=0)
+
+
+def _graded_mesh(levels=6):
+    """The unit square bisected again and again towards the corner (0, 0)."""
+    m = make_initial_mesh(UNIT, 32)
+    for _ in range(levels):
+        centroid = m.vertices[m.cells].mean(axis=1)
+        m = refine(m, np.flatnonzero(np.hypot(*centroid.T) < 0.3))
+    return m
+
+
+@pytest.mark.parametrize("kind", ["graded", "read_mesh"])
+@pytest.mark.parametrize("L", [1, 3, estimators._BLOCK])
+def test_stacked_indicators_equal_per_problem_calls(kind, L, tmp_path):
+    # one stacked call gives every problem the indicators of its own call,
+    # bit for bit, for b across the whole range of the pole sums
+    m = _graded_mesh() if kind == "graded" else _perturbed_mesh(tmp_path)
+    rng = np.random.default_rng(L)
+    b = rng.permutation(np.geomspace(1e-3, 1.2e165, max(L, 2)))[:L]
+    c = rng.uniform(0.5, 2.0, L)
+    w = rng.normal(size=(m.num_vertices, L))
+    f = RhsField.test2()
+    stacked = local_indicators(m, FeFunction(m, w), b, c, f)
+    assert stacked.shape == (m.num_cells, L)
+    for k in range(L):
+        one = local_indicators(m, FeFunction(m, w[:, k]), b[k], c[k], f)
+        assert np.array_equal(stacked[:, k], one)
 
 
 def test_union_estimate_matches_dense_reference_on_perturbed_mesh(tmp_path):
@@ -316,7 +343,7 @@ def test_jump_orientation_invariance():
     m = refine(make_initial_mesh(UNIT, 32), {2, 7})
     # a globally linear function has no gradient jumps at all
     w = FeFunction(m, 0.25 * m.vertices[:, 0] + 0.5 * m.vertices[:, 1])
-    jumps = estimators._edge_jumps(m, w.cell_gradients())
+    jumps = estimators._edge_jumps(m, w.cell_gradients().T[None])
     assert np.allclose(jumps, 0.0, atol=1e-13)
 
 
@@ -412,7 +439,8 @@ def test_union_estimate_skips_interior_source_edges():
     f = RhsField.one()
     w = assemble_and_solve(src, 1.0, 1.0, f)
     parents = ancestor_cell_map(u, src)
-    jumps = estimators._edge_jumps(u, w.cell_gradients(), estimators._jump_sides(u, parents))
+    sides = estimators._jump_sides(u, parents)
+    jumps = estimators._edge_jumps(u, w.cell_gradients().T[None], sides)[0]
     interior = u.edge_cells[:, 1] >= 0
     same_parent = interior & (
         parents[u.edge_cells[:, 0]] == parents[np.maximum(u.edge_cells[:, 1], 0)]

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from fracadapt import oracle
-from fracadapt.fem import FeFunction, RhsField
-from fracadapt.mesh import DomainSpec, make_initial_mesh, uniform_refine
+from fracadapt.fem import FeFunction, RhsField, _quad_points
+from fracadapt.mesh import DomainSpec, make_initial_mesh, refine, uniform_refine
 from fracadapt.oracle import (
     SpectralSolution,
     effectivity,
@@ -113,6 +113,30 @@ def test_eval_blocks_do_not_change_values(monkeypatch):
     monkeypatch.setattr(oracle, "EVAL_BLOCK", 7)
     small = ref.eval(pts)
     assert np.max(np.abs(small - default)) <= 1e-14 * np.max(np.abs(default))
+
+
+def test_eval_matches_direct_series_on_quadrature_points():
+    # eval shares sine tables between points with equal x or y; on the
+    # quadrature points of a refined mesh (many shared coordinates, more than
+    # one block) it must agree with the series summed point by point
+    ref = spectral_reference(SQUARE, RhsField.one(), 0.5, modes=2000)
+    m = make_initial_mesh(SQUARE, 512)
+    m = refine(m, set(range(0, m.num_cells, 3)))
+    pts = _quad_points(m).reshape(-1, 2)
+    assert len(pts) > oracle.EVAL_BLOCK
+    assert len(np.unique(pts[:, 0])) < len(pts) // 4
+    x0, x1, y0, y1 = ref.rect
+    lx, ly = x1 - x0, y1 - y0
+    terms = (
+        ref.u_coef
+        * 2.0
+        / math.sqrt(lx * ly)
+        * np.sin(np.outer((pts[:, 0] - x0) * math.pi / lx, ref.modes_i))
+        * np.sin(np.outer((pts[:, 1] - y0) * math.pi / ly, ref.modes_j))
+    )
+    direct = terms.sum(axis=1)
+    scale = np.abs(terms).sum(axis=1)
+    assert np.all(np.abs(ref.eval(pts) - direct) <= 1e-13 * scale)
 
 
 def test_l2_error_exact_for_representable_function():

@@ -3,8 +3,9 @@
 A fingerprint records what a run decided and computed, so that two commits
 can be compared cell by cell: every ``IterationRecord`` field but the wall
 time, the problems solved and refined per iteration, the stop reason, a
-sha256 of every ``doerfler_mark`` result, of every checkpoint's union mesh
-and of every final mesh, and the recombined solution at every checkpoint.
+sha256 of every ``doerfler_mark`` result, of every state's indicators at
+every checkpoint, of every checkpoint's union mesh and of every final mesh,
+and the recombined solution at every checkpoint.
 
     python tools/fingerprint.py case1-multimesh out.json [--checkout DIR]
     python tools/fingerprint.py --compare parent.json change.json
@@ -27,8 +28,8 @@ import sys
 import numpy as np
 
 
-def _sha(array):
-    return hashlib.sha256(np.ascontiguousarray(array, dtype=np.int64).tobytes()).hexdigest()
+def _sha(array, dtype=np.int64):
+    return hashlib.sha256(np.ascontiguousarray(array, dtype=dtype).tobytes()).hexdigest()
 
 
 def fingerprint(name, checkout):
@@ -37,7 +38,7 @@ def fingerprint(name, checkout):
     from workloads import make_inputs
 
     config, reference = make_inputs(name)
-    marks, unions, solutions = [], [], []
+    marks, unions, indicators, solutions = [], [], [], []
     real_mark = driver.doerfler_mark
 
     def traced_mark(states, scheme, theta):
@@ -48,6 +49,7 @@ def fingerprint(name, checkout):
 
     def on_checkpoint(m, states, union, solution):
         unions.append(_sha(union.cell_key))
+        indicators.append([_sha(st.indicators, np.float64) for st in states])
         solutions.append(solution.nodal_values.tolist())
 
     driver.doerfler_mark = traced_mark  # the driver looks the name up per call
@@ -67,6 +69,7 @@ def fingerprint(name, checkout):
         stopped=res.stopped,
         marks=marks,
         unions=unions,
+        indicators=indicators,
         final_cell_keys=[_sha(st.mesh.cell_key) for st in res.states],
         solutions=solutions,
     )
@@ -85,6 +88,13 @@ def compare(a, b):
                 "unions", "final_cell_keys"):
         if a[key] != b[key]:
             bad.append(f"{key} differs")
+    for i, (ha, hb) in enumerate(zip(a["indicators"], b["indicators"])):
+        differ = [l for l, (x, y) in enumerate(zip(ha, hb)) if x != y]
+        if differ or len(ha) != len(hb):
+            bad.append(f"checkpoint {i}: indicators of {len(differ)} problems differ, "
+                       f"first l = {differ[:5]}")
+    if len(a["indicators"]) != len(b["indicators"]):
+        bad.append("the fingerprints hold different numbers of checkpoints")
     if len(a["records"]) != len(b["records"]):
         bad.append(f"{len(a['records'])} records against {len(b['records'])}")
     for ra, rb in zip(a["records"], b["records"]):
