@@ -98,35 +98,29 @@ class RunResult:
 def doerfler_mark(states, scheme, theta):
     """Joint weighted bulk marking of minimal cumulative cardinality.
 
-    All (a_l * eta_{l,K})^2 are pooled, sorted in decreasing order (ties
-    broken by ascending (l, cell id)) and the shortest prefix reaching the
-    theta fraction of the total is marked.  Returns one cell-id set per state.
+    All (a_l * eta_{l,K})^2 are pooled in ascending (l, cell id) order and
+    stably sorted in decreasing order, so ties go to the smaller (l, cell id);
+    the shortest prefix reaching the theta fraction of the total is marked.
+    Returns one cell-id set per state, in the order of ``states``.
     """
-    ls = []
-    ks = []
-    vals = []
     for st in states:
         if st.dirty:
             raise ValueError(f"state {st.index} has stale indicators")
-        n = len(st.indicators)
-        ls.append(np.full(n, st.index))
-        ks.append(np.arange(n))
-        vals.append((scheme.a[st.index] * st.indicators) ** 2)
-    ls = np.concatenate(ls)
-    ks = np.concatenate(ks)
-    vals = np.concatenate(vals)
+    by_index = sorted(range(len(states)), key=lambda i: states[i].index)
+    pooled = [states[i] for i in by_index]
+    vals = np.concatenate([(scheme.a[st.index] * st.indicators) ** 2 for st in pooled])
     total = vals.sum()
     target = theta * total - MARKING_SLACK * total
     marks = [set() for _ in states]
     if target <= 0.0:  # the empty prefix reaches it, also when it underflows
         return marks
-    order = np.lexsort((ks, ls, -vals))
-    cum = np.cumsum(vals[order])
-    take = int(np.searchsorted(cum, target) + 1)
-    take = min(take, len(order))
-    pos = {st.index: i for i, st in enumerate(states)}
-    for idx in order[:take]:
-        marks[pos[int(ls[idx])]].add(int(ks[idx]))
+    order = np.argsort(-vals, kind="stable")
+    take = int(np.searchsorted(np.cumsum(vals[order]), target)) + 1
+    picked = np.sort(order[:take])
+    offsets = np.cumsum([0] + [len(st.indicators) for st in pooled])
+    cuts = np.searchsorted(picked, offsets)
+    for i, lo, hi, offset in zip(by_index, cuts[:-1], cuts[1:], offsets):
+        marks[i] = set((picked[lo:hi] - offset).tolist())
     return marks
 
 
@@ -241,23 +235,19 @@ def run(config, reference=None, on_checkpoint=None):
                 rec.effectivity = oracle.effectivity(rec.eta_union, rec.error_ref)
             if on_checkpoint is not None:
                 on_checkpoint(m, states, union, solution)
-        rec.wall_time = time.perf_counter() - t0
         records.append(rec)
         if checkpoint and rec.eta_union < cfg.tol:
             stopped = "tol"
-            marked_per_iter.append([])
             break
-
         if m == cfg.max_iterations - 1:
-            marked_per_iter.append([])
             break
 
-        if cfg.mode == "multimesh":
+        if cfg.mode != "uniform":
             marks = doerfler_mark(states, scheme, cfg.theta)
             if not any(marks):
                 stopped = "converged"
-                marked_per_iter.append([])
                 break
+        if cfg.mode == "multimesh":
             marked = []
             for st, mk in zip(states, marks):
                 if mk:
@@ -267,25 +257,23 @@ def run(config, reference=None, on_checkpoint=None):
                     st.indicators = None
                     refine_counts[st.index] += 1
                     marked.append(st.index)
-            marked_per_iter.append(marked)
-            continue
-
-        # singlemesh and uniform: every problem moves to one new shared mesh
-        if cfg.mode == "uniform":
-            new_mesh = uniform_refine(states[0].mesh)
         else:
-            joint = set().union(*doerfler_mark(states, scheme, cfg.theta))
-            if not joint:
-                stopped = "converged"
-                marked_per_iter.append([])
-                break
-            new_mesh = refine(states[0].mesh, joint)
-        for st in states:
-            st.mesh = new_mesh
-            st.dirty = True
-        refine_counts += 1
-        marked_per_iter.append([st.index for st in states])
+            # singlemesh and uniform: every problem moves to one new shared mesh
+            if cfg.mode == "uniform":
+                new_mesh = uniform_refine(states[0].mesh)
+            else:
+                new_mesh = refine(states[0].mesh, set().union(*marks))
+            for st in states:
+                st.mesh = new_mesh
+                st.dirty = True
+            refine_counts += 1
+            marked = [st.index for st in states]
+        marked_per_iter.append(marked)
+        rec.wall_time = time.perf_counter() - t0
 
+    # every run ends in a break, which skips the two lines above
+    rec.wall_time = time.perf_counter() - t0
+    marked_per_iter.append([])
     return RunResult(
         records=records,
         solution=solution,

@@ -1,11 +1,12 @@
 import math
+import time
 import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fracadapt import estimators, fem, mesh
+from fracadapt import driver, estimators, fem, mesh
 from fracadapt.driver import RunConfig, decay_rate, run
 from fracadapt.driver import IterationRecord
 from fracadapt.estimators import combined_equal_mesh_estimate
@@ -86,6 +87,34 @@ def test_tol_stop_exit():
     res = run(small_config(tol=1e3))
     assert res.stopped == "tol"
     assert len(res.records) == 1
+
+
+@pytest.mark.parametrize("mode", ["multimesh", "singlemesh"])
+@pytest.mark.parametrize("reason", ["tol", "max-iter", "converged"])
+def test_stop_paths_close_the_mark_record(monkeypatch, reason, mode):
+    # every stop leaves one marked_per_iter entry per record, the last empty
+    if reason == "converged":
+        monkeypatch.setattr(driver, "doerfler_mark", lambda states, *args: [set() for _ in states])
+    cfg = {"tol": dict(tol=1e3), "max-iter": dict(max_iterations=3), "converged": {}}[reason]
+    res = run(small_config(mode=mode, **cfg))
+    assert res.stopped == reason
+    assert len(res.marked_per_iter) == len(res.records)
+    assert res.marked_per_iter[-1] == []
+
+
+def test_wall_time_covers_mark_and_refine(monkeypatch):
+    # a refinement that sleeps must show in the time of its iteration
+    real = driver.refine
+    calls = []
+
+    def slow(coarse, marked):
+        calls.append(len(marked))
+        time.sleep(0.05)
+        return real(coarse, marked)
+
+    monkeypatch.setattr(driver, "refine", slow)
+    res = run(small_config(max_iterations=2))
+    assert calls and res.records[0].wall_time >= 0.05 * len(calls)
 
 
 def test_estimate_decreases():

@@ -1,0 +1,48 @@
+import copy
+import importlib.util
+import os
+
+_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "fingerprint.py")
+_spec = importlib.util.spec_from_file_location("fingerprint", _PATH)
+fingerprint = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(fingerprint)
+
+
+def _synthetic(n_problems=8):
+    # two marking calls and one checkpoint over n_problems problems
+    return dict(
+        workload="synthetic",
+        records=[dict(m=0, solved_problems=n_problems, eta_union=0.5)],
+        solved_per_iter=[list(range(n_problems))],
+        marked_per_iter=[[]],
+        stopped="tol",
+        marks=[[f"call{i}-l{l}" for l in range(n_problems)] for i in range(2)],
+        unions=["u0"],
+        indicators=[[f"eta-l{l}" for l in range(n_problems)]],
+        final_cell_keys=["k"] * n_problems,
+        solutions=[[0.0, 1.0, 2.0]],
+    )
+
+
+def test_compare_names_marking_call_and_problems():
+    a = _synthetic()
+    assert fingerprint.compare(a, copy.deepcopy(a)) == ([], {"eta_union": 0.0, "solution": 0.0})
+    b = copy.deepcopy(a)
+    for l in (1, 2, 3, 5, 6, 7):
+        b["marks"][1][l] = "other"
+    b["indicators"][0][4] = "other"
+    b["solutions"][0][2] = 2.5
+    bad, diffs = fingerprint.compare(a, b)
+    assert bad == [
+        "marking call 1: marks of 6 problems differ, first l = [1, 2, 3, 5, 6]",
+        "checkpoint 0: indicators of 1 problems differ, first l = [4]",
+    ]
+    assert diffs["solution"] == 0.5 / 2.5
+
+
+def test_compare_reports_missing_marking_calls():
+    a = _synthetic()
+    b = copy.deepcopy(a)
+    b["marks"].pop()
+    bad, _ = fingerprint.compare(a, b)
+    assert bad == ["the fingerprints hold different numbers of marking calls"]

@@ -3,18 +3,20 @@
 A fingerprint records what a run decided and computed, so that two commits
 can be compared cell by cell: every ``IterationRecord`` field but the wall
 time, the problems solved and refined per iteration, the stop reason, a
-sha256 of every ``doerfler_mark`` result, of every state's indicators at
-every checkpoint, of every checkpoint's union mesh and of every final mesh,
-and the recombined solution at every checkpoint.
+sha256 of every problem's marked cells at every ``doerfler_mark`` call, of
+every state's indicators at every checkpoint, of every checkpoint's union
+mesh and of every final mesh, and the recombined solution at every
+checkpoint.
 
     python tools/fingerprint.py case1-multimesh out.json [--checkout DIR]
     python tools/fingerprint.py --compare parent.json change.json
 
 The first form runs the named config of ``benchmarks/workloads.py`` with the
 package in ``DIR/src`` (default: this checkout), so one copy of this script
-fingerprints any commit.  The second prints every integer and hash mismatch
-and the largest relative difference of each float field, and exits 1 on any
-mismatch; float differences are reported, not judged.
+fingerprints any commit.  The second prints every integer and hash mismatch,
+naming for marks and indicators the marking call or checkpoint and up to five
+problems, and the largest relative difference of each float field; it exits 1
+on any mismatch.  Float differences are reported, not judged.
 """
 
 import argparse
@@ -43,8 +45,8 @@ def fingerprint(name, checkout):
 
     def traced_mark(states, scheme, theta):
         out = real_mark(states, scheme, theta)
-        cells = [(st.index, k) for st, mk in zip(states, out) for k in sorted(mk)]
-        marks.append(_sha(cells))
+        # the driver passes the states in index order, so position is l
+        marks.append([_sha(sorted(mk)) for mk in out])
         return out
 
     def on_checkpoint(m, states, union, solution):
@@ -84,17 +86,18 @@ def _rel(x, y):
 def compare(a, b):
     """(mismatch messages, {float field: largest relative difference})."""
     bad, diffs = [], {}
-    for key in ("workload", "solved_per_iter", "marked_per_iter", "stopped", "marks",
-                "unions", "final_cell_keys"):
+    for key in ("workload", "solved_per_iter", "marked_per_iter", "stopped", "unions",
+                "final_cell_keys"):
         if a[key] != b[key]:
             bad.append(f"{key} differs")
-    for i, (ha, hb) in enumerate(zip(a["indicators"], b["indicators"])):
-        differ = [l for l, (x, y) in enumerate(zip(ha, hb)) if x != y]
-        if differ or len(ha) != len(hb):
-            bad.append(f"checkpoint {i}: indicators of {len(differ)} problems differ, "
-                       f"first l = {differ[:5]}")
-    if len(a["indicators"]) != len(b["indicators"]):
-        bad.append("the fingerprints hold different numbers of checkpoints")
+    for key, step in (("marks", "marking call"), ("indicators", "checkpoint")):
+        for i, (ha, hb) in enumerate(zip(a[key], b[key])):
+            differ = [l for l, (x, y) in enumerate(zip(ha, hb)) if x != y]
+            if differ or len(ha) != len(hb):
+                bad.append(f"{step} {i}: {key} of {len(differ)} problems differ, "
+                           f"first l = {differ[:5]}")
+        if len(a[key]) != len(b[key]):
+            bad.append(f"the fingerprints hold different numbers of {step}s")
     if len(a["records"]) != len(b["records"]):
         bad.append(f"{len(a['records'])} records against {len(b['records'])}")
     for ra, rb in zip(a["records"], b["records"]):
