@@ -30,7 +30,7 @@ each cell sums its terms in a fixed order, so stacking changes no bit.
 import numpy as np
 
 from . import mesh as meshmod
-from .fem import TRI_QP, TRI_QW, FeFunction, _areas, _grads, _mesh_groups, _nested_barycentric
+from .fem import TRI_QP, TRI_QW, FeFunction, _grads, _mesh_groups
 from .fem import transfer_p1  # noqa: F401  (the benchmark tracer wraps this name)
 
 __all__ = [
@@ -79,13 +79,22 @@ _T, _MREF, _G = _reference_tables()
 _LINV = np.linalg.inv(np.linalg.cholesky(_PT @ _MREF @ _PT.T))
 
 
-def _shape(mesh):
-    """Scale-free shape (q00, q01, q11) of adj(B^T B) / |det B| per cell."""
-    x = mesh.vertices[mesh.cells]
+def _shape(x):
+    """Scale-free shape (q00, q01, q11) of adj(B^T B) / |det B| of cells with
+    corners x (r, 3, 2)."""
     e1, e2 = x[:, 1] - x[:, 0], x[:, 2] - x[:, 0]
     det = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
     q = np.stack([(e2 * e2).sum(axis=1), -(e1 * e2).sum(axis=1), (e1 * e1).sum(axis=1)])
     return (q / det).T
+
+
+def _sides(x):
+    """Outward unit normal and length (r, 3, 3) of each local edge j, from
+    corner j to corner j + 1 (mod 3), of counterclockwise cells with corners
+    x (r, 3, 2)."""
+    d = np.roll(x, -1, axis=1) - x
+    length = np.hypot(d[..., 0], d[..., 1])
+    return np.stack([d[..., 1] / length, -d[..., 0] / length, length], axis=-1)
 
 
 def _geometry(mesh):
@@ -93,7 +102,7 @@ def _geometry(mesh):
     geo = mesh._cache.get("modal")
     if geo is not None:
         return geo
-    q = _shape(mesh)
+    q = mesh.column("shape", _shape)
     order = np.lexsort(q.T[::-1])
     qs = q[order]
     new = np.ones(len(q), dtype=bool)
@@ -105,16 +114,12 @@ def _geometry(mesh):
     # indicators bit for bit and marking breaks their ties by cell id
     S = _PT @ np.einsum("ka,aij->kij", qs[new], _T) @ _PT.T
     lam, U = np.linalg.eigh(_LINV @ S @ _LINV.T)
-    # fixed edge normals, outward with respect to edge_cells[:, 0]
-    ev = mesh.vertices[mesh.edges]
-    tang = ev[:, 1] - ev[:, 0]
-    length = np.hypot(tang[:, 0], tang[:, 1])
-    normal = np.stack([tang[:, 1], -tang[:, 0]], axis=1) / length[:, None]
-    opp = mesh.cells[mesh.edge_cells[:, 0]].sum(axis=1) - mesh.edges.sum(axis=1)
-    flip = np.einsum("ed,ed->e", normal, mesh.vertices[opp] - ev[:, 0]) > 0
-    normal[flip] *= -1.0
+    # fixed edge normals: outward from edge_cells[:, 0], as its side of the edge
+    c0, e = mesh.edge_cells[:, 0], np.arange(len(mesh.edges))
+    side = (mesh.cell_edge[c0, 1] == e) + 2 * (mesh.cell_edge[c0, 2] == e)
+    normal, length = np.split(mesh.column("sides", _sides)[c0, side], [2], axis=1)
     W = np.swapaxes(U, 1, 2) @ _LINV
-    geo = dict(cls=cls, lam=lam, W=W, area=_areas(mesh), normal=normal, length=length)
+    geo = dict(cls=cls, lam=lam, W=W, area=mesh.cell_areas(), normal=normal, length=length[:, 0])
     mesh._cache["modal"] = geo
     return geo
 
@@ -229,7 +234,7 @@ def combined_equal_mesh_estimate(scheme, states, f):
     for st in states:
         if not st.mesh.same_mesh(mesh):
             raise meshmod.MeshStructureError("states are not on a shared mesh")
-    S = np.einsum("ma,aij->mij", _shape(mesh), _T)
+    S = np.einsum("ma,aij->mij", mesh.column("shape", _shape), _T)
     M = _geometry(mesh)["area"][:, None, None] * _MREF
     combined = np.zeros((mesh.num_cells, 3))
     for st in states:
@@ -263,7 +268,8 @@ def global_union_estimate(scheme, states, union, f):
             corners, lam, sides = union.cells, None, _jump_sides(union)
         else:
             parents = meshmod.ancestor_cell_map(union, src)
-            corners, lam = _nested_barycentric(src, union, parents)
+            corners = src.cells[parents]
+            lam = meshmod.nested_barycentric(union.cell_key, src.cell_key[parents])
             lam = np.ascontiguousarray(lam.transpose(1, 2, 0))  # cells innermost
             sides = _jump_sides(union, parents)
         partial = np.zeros(src.num_vertices)

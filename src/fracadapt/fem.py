@@ -7,9 +7,10 @@ one-shot public recombination for callers that hold only the states.
 
 Every problem ``(b K + c M) w = F`` on a mesh is symmetric positive definite
 and shares the matrices ``K`` and ``M``.  Once per mesh the stiffness and mass
-values are summed from the element matrices straight into one compressed
-sparse column (CSC) pattern of the interior vertices (one value per interior
-vertex and per interior edge).  Each solve fills that pattern with
+values are summed from the element values (per-node columns of the forest,
+see ``mesh``) straight into one compressed sparse column (CSC) pattern of
+the interior vertices (one value per interior vertex and per interior
+edge).  Each solve fills that pattern with
 ``b K + c M``, scaled by ``1/max(b, c)``, and factors it with SuperLU using
 diagonal pivots.  The fill-reducing column order SuperLU picks at the first
 factorization on a mesh is cached with the pattern, so the many problems
@@ -152,40 +153,47 @@ def _matvec(A, x):
     return out.reshape((len(x), A.shape[-2]) + x.shape[2:])
 
 
-def _grads(mesh):
-    """P1 hat-function gradients per cell, shape (m, 3, 2)."""
-    g = mesh._cache.get("grads")
-    if g is None:
-        x = mesh.vertices[mesh.cells]
-        area2 = (x[:, 1, 0] - x[:, 0, 0]) * (x[:, 2, 1] - x[:, 0, 1]) - (
-            x[:, 1, 1] - x[:, 0, 1]
-        ) * (x[:, 2, 0] - x[:, 0, 0])
-        g = np.empty((len(x), 3, 2))
-        for k in range(3):
-            p1 = x[:, (k + 1) % 3]
-            p2 = x[:, (k + 2) % 3]
-            g[:, k, 0] = (p1[:, 1] - p2[:, 1]) / area2
-            g[:, k, 1] = (p2[:, 0] - p1[:, 0]) / area2
-        mesh._cache["grads"] = g
+def _grads_of(x):
+    """P1 hat-function gradients (r, 3, 2) of cells with corners x (r, 3, 2)."""
+    area2 = (x[:, 1, 0] - x[:, 0, 0]) * (x[:, 2, 1] - x[:, 0, 1]) - (
+        x[:, 1, 1] - x[:, 0, 1]
+    ) * (x[:, 2, 0] - x[:, 0, 0])
+    g = np.empty((len(x), 3, 2))
+    for k in range(3):
+        p1 = x[:, (k + 1) % 3]
+        p2 = x[:, (k + 2) % 3]
+        g[:, k, 0] = (p1[:, 1] - p2[:, 1]) / area2
+        g[:, k, 1] = (p2[:, 0] - p1[:, 0]) / area2
     return g
 
 
-def _areas(mesh):
-    a = mesh._cache.get("areas")
-    if a is None:
-        a = mesh.cell_areas()
-        mesh._cache["areas"] = a
-    return a
+def _grads(mesh):
+    """P1 hat-function gradients per cell, shape (m, 3, 2)."""
+    return mesh.column("grads", _grads_of)
+
+
+def _stiffness_of(x):
+    """Element stiffness values (r, 2, 3) of cells with corners x: the
+    diagonal entries, and the entry of local edge j, which joins corners j
+    and j + 1 (mod 3)."""
+    g, area = _grads_of(x), meshmod._cell_areas(x)
+    g_next = np.roll(g, -1, axis=1)
+    k_diag = area[:, None] * (g[..., 0] * g[..., 0] + g[..., 1] * g[..., 1])
+    k_edge = area[:, None] * (g[..., 0] * g_next[..., 0] + g[..., 1] * g_next[..., 1])
+    return np.stack([k_diag, k_edge], axis=1)
+
+
+def _load_of(x, f):
+    """Load contributions (r, 3) of cells with corners x: sum_q w_q |K|
+    f(x_q) lambda_i(x_q), summed over q in order."""
+    qp = _matvec(TRI_QP, x)
+    fq, area = f(qp[..., 0], qp[..., 1]), meshmod._cell_areas(x)
+    return sum(fq[:, q, None] * TRI_QW[q] * TRI_QP[q] * area[:, None] for q in range(6))
 
 
 def _quad_points(mesh):
     """Physical quadrature points per cell, shape (m, 6, 2)."""
     return _matvec(TRI_QP, mesh.vertices[mesh.cells])
-
-
-def _rhs_at_quad(mesh, f):
-    qp = _quad_points(mesh)
-    return f(qp[..., 0], qp[..., 1])
 
 
 class _System(NamedTuple):
@@ -211,15 +219,10 @@ def _build_system(mesh, dofs, ordered):
     element matrices into one value per interior vertex and per interior edge
     and scattered to the CSC slots of the pattern in ``dofs`` order."""
     interior = ~mesh.boundary_vertex
-    on = interior[mesh.edges].all(axis=1)
+    on = interior[mesh.edges[:, 0]] & interior[mesh.edges[:, 1]]
     n, n_edges = mesh.num_vertices, len(mesh.edges)
-    g = _grads(mesh)
-    area = _areas(mesh)
-    # local edge j of a cell joins its corners j and j + 1 (mod 3)
-    g_next = np.roll(g, -1, axis=1)
-    k_diag = area[:, None] * (g[..., 0] * g[..., 0] + g[..., 1] * g[..., 1])
-    k_edge = area[:, None] * (g[..., 0] * g_next[..., 0] + g[..., 1] * g_next[..., 1])
-    area3 = np.repeat(area, 3)
+    k_diag, k_edge = mesh.column("stiffness", _stiffness_of).transpose(1, 0, 2)
+    area3 = np.repeat(mesh.cell_areas(), 3)
     edge_id = mesh.cell_edge.reshape(-1)
     vertex_id = mesh.cells.reshape(-1)
     k = np.concatenate(
@@ -270,10 +273,7 @@ def _load_vector(mesh, f):
     key = ("load", f)
     F = mesh._cache.get(key)
     if F is None:
-        fq = _rhs_at_quad(mesh, f)
-        area = _areas(mesh)
-        # F_i = sum_q w_q area f(x_q) lambda_i(x_q), summed over q in order
-        contrib = sum(fq[:, q, None] * TRI_QW[q] * TRI_QP[q] * area[:, None] for q in range(6))
+        contrib = mesh.column(key, lambda x: _load_of(x, f))
         F = np.bincount(mesh.cells.reshape(-1), contrib.reshape(-1), mesh.num_vertices)
         mesh._cache[key] = F
     return F
@@ -333,21 +333,6 @@ def assemble_and_solve(mesh, b, c, f, rel_tol=1e-10):
     return FeFunction(mesh, w)
 
 
-def _nested_barycentric(src, target, parents):
-    """Corner vertices (mt, 3) of the ``src`` cell ``parents`` holding each
-    ``target`` cell, and the barycentric coordinates (mt, 3, 3) of the
-    target cell's corners in it."""
-    corners = src.cells[parents]
-    A = src.vertices[corners]  # (mt, 3, 2) source triangle corners
-    P = target.vertices[target.cells]  # (mt, 3, 2) target corners
-    e1, e2 = A[:, 1] - A[:, 0], A[:, 2] - A[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    d = P - A[:, 0][:, None, :]
-    l1 = (d[..., 0] * e2[:, None, 1] - d[..., 1] * e2[:, None, 0]) / det[:, None]
-    l2 = (d[..., 1] * e1[:, None, 0] - d[..., 0] * e1[:, None, 1]) / det[:, None]
-    return corners, np.stack([1.0 - l1 - l2, l1, l2], axis=-1)
-
-
 def transfer_p1(f, target):
     """Exact nodal transfer of a P1 function onto a refinement of its mesh;
     stacked (n, L) nodal values are transferred column by column."""
@@ -355,9 +340,9 @@ def transfer_p1(f, target):
     if src.same_mesh(target):
         return FeFunction(target, f.nodal_values.copy())
     parents = meshmod.ancestor_cell_map(target, src)
-    corners, lam = _nested_barycentric(src, target, parents)
+    lam = meshmod.nested_barycentric(target.cell_key, src.cell_key[parents])
     out = np.empty((target.num_vertices,) + f.nodal_values.shape[1:])
-    out[target.cells] = _matvec(lam, f.nodal_values[corners])
+    out[target.cells] = _matvec(lam, f.nodal_values[src.cells[parents]])
     return FeFunction(target, out)
 
 
@@ -391,6 +376,6 @@ def l2_norm(obj, mesh=None):
     else:
         if mesh is None:
             raise ValueError("a mesh is required to integrate a field")
-        vals = _rhs_at_quad(mesh, obj)
-    area = _areas(mesh)
-    return float(np.sqrt(np.einsum("mq,q,m->", vals**2, TRI_QW, area)))
+        qp = _quad_points(mesh)
+        vals = obj(qp[..., 0], qp[..., 1])
+    return float(np.sqrt(np.einsum("mq,q,m->", vals**2, TRI_QW, mesh.cell_areas())))

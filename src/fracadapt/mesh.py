@@ -27,9 +27,18 @@ standard newest-vertex rule.  All initial cells are right isosceles triangles
 with the hypotenuse as refinement edge, so the refinement edge of every
 descendant is its (unique) longest edge.
 
+Each forest keeps a node table (``_ForestBase``): every node built so far,
+append-only, with its corners as forest vertex ids, and per-node columns
+(areas, gradients, element values, load contributions per field) computed
+once per node and gathered by every mesh (``TriMesh.column``).  A mesh build
+adds only the nodes missing from the table, level by level from their
+nearest ancestor there, and gathers its leaves' corners.
+
 Vertex numbering: the initial vertices come first, then one midpoint per
-bisected edge, ordered by the key of the first node (in key order) that
-bisects that edge.  Midpoints are identified by their edge, so the initial
+bisected edge, ordered by the smallest key of a node that bisects that edge.
+This does not depend on what else the forest holds: the one or two nodes
+bisecting an edge whose midpoint is a vertex of a conforming mesh both lie
+in that mesh's tree.  Midpoints are identified by their edge, so the initial
 vertices must be distinct points.
 
 A mesh is identified by its leaves.  While a mesh of a forest is alive,
@@ -42,6 +51,7 @@ groups meshes by leaves, and no cache keeps another mesh alive.
 """
 
 import copy
+import functools
 import weakref
 from dataclasses import dataclass
 
@@ -66,6 +76,7 @@ _LEVEL_MASK = (1 << _LEVEL_BITS) - 1
 _ROOT_SHIFT = MAX_LEVEL + _LEVEL_BITS
 _MAX_ROOTS = 1 << (63 - _ROOT_SHIFT)
 _LOCATE_TOL = 1e-12  # barycentric slack of ``locate`` at cell boundaries
+_PATH_DEPTH = 10  # deepest gap of the path table (2^11 maps, 147 KB)
 
 
 class MeshStructureError(Exception):
@@ -103,9 +114,17 @@ class DomainSpec:
 
 
 class _ForestBase:
-    """Shared, immutable description of an initial mesh (the forest roots)."""
+    """An initial mesh (the forest roots) and the node table of its forest.
 
-    __slots__ = ("vertices", "cells", "leaves")
+    The table is append-only.  Row r holds a node's corners as forest vertex
+    ids, ``corners[r]``; ``node_key`` holds the keys of all rows, sorted, and
+    ``node_row`` their rows.  ``xy`` holds the forest vertices, ``rank``
+    their order in a mesh, ``mids`` the midpoint of each bisected edge
+    (``lo << 32 | hi``), and ``columns`` the columns of ``TriMesh.column``.
+    """
+
+    __slots__ = ("vertices", "cells", "leaves", "node_key", "node_row", "corners", "xy", "rank",
+                 "mids", "columns")
 
     def __init__(self, vertices, cells):
         self.vertices = np.asarray(vertices, dtype=float)
@@ -113,6 +132,11 @@ class _ForestBase:
         self.leaves = weakref.WeakValueDictionary()
         if len(self.cells) >= _MAX_ROOTS:
             raise MeshStructureError(f"a forest has at most {_MAX_ROOTS - 1} roots")
+        self.node_row = np.arange(len(self.cells), dtype=np.int64)
+        self.node_key = self.node_row << _ROOT_SHIFT
+        self.corners, self.xy = self.cells, self.vertices
+        self.rank = np.arange(len(self.vertices), dtype=np.int64) - len(self.vertices)
+        self.mids, self.columns = {}, {}
 
     def equivalent(self, other):
         if self is other:
@@ -123,6 +147,37 @@ class _ForestBase:
             and np.array_equal(self.vertices, other.vertices)
             and np.array_equal(self.cells, other.cells)
         )
+
+    def rows_of(self, keys):
+        """Table rows of the nodes ``keys``.  A missing node is added level by
+        level below its nearest ancestor in the table, the last key before
+        it: the table holds the parent of every node and both children of
+        every bisected node, so no key lies between."""
+        while True:
+            pos = np.searchsorted(self.node_key, keys, side="right") - 1
+            missing = self.node_key[pos] != keys
+            if not missing.any():
+                return self.node_row[pos]
+            self._bisect(np.unique(pos[missing]))
+
+    def _bisect(self, pos):
+        """Append both children of the nodes at sorted positions ``pos``."""
+        keys, tri = self.node_key[pos], self.corners[self.node_row[pos]]
+        lo, hi = np.minimum(tri[:, 0], tri[:, 1]), np.maximum(tri[:, 0], tri[:, 1])
+        edge, inv = np.unique(lo << 32 | hi, return_inverse=True)
+        mid = np.array([self.mids.setdefault(e, len(self.vertices) + len(self.mids))
+                        for e in edge.tolist()])
+        new = edge[mid >= len(self.xy)]
+        self.xy = np.concatenate([self.xy, (self.xy[new >> 32] + self.xy[new & 0xFFFFFFFF]) / 2.0])
+        self.rank = np.append(self.rank, np.full(len(new), np.iinfo(np.int64).max))
+        m = mid[inv]
+        np.minimum.at(self.rank, m, keys)  # the smallest key bisecting the edge
+        children = np.stack([tri[:, 2], tri[:, 0], m, tri[:, 1], tri[:, 2], m], axis=1)
+        child = np.stack([_child_keys(keys, 0), _child_keys(keys, 1)], axis=1).ravel()
+        at = np.searchsorted(self.node_key, child)  # sorted, as ``keys`` are
+        self.node_key = np.insert(self.node_key, at, child)
+        self.node_row = np.insert(self.node_row, at, len(self.corners) + np.arange(len(child)))
+        self.corners = np.concatenate([self.corners, children.reshape(-1, 3)])
 
 
 # -- node keys ---------------------------------------------------------------
@@ -167,6 +222,7 @@ class TriMesh:
     cells : (m, 3) int array, counterclockwise, refinement edge ``(v0, v1)``
     cell_key : (m,) sorted int64 array, forest key of each cell (see module doc)
     cell_root : (m,) int array, index of the initial cell each cell descends from
+    rows : (m,) int array, node-table row of each cell (see ``_ForestBase``)
     edges : (e, 2) int array, sorted vertex pairs in lexicographic order
     cell_edge : (m, 3) int array, edge ids of local edges (v0,v1), (v1,v2), (v2,v0)
     edge_cells : (e, 2) int array, incident cells (second is -1 on the boundary)
@@ -183,61 +239,23 @@ class TriMesh:
     # -- construction -------------------------------------------------------
 
     def _build(self):
-        """Vertices and cells of the leaves ``cell_key``, descending the forest
-        one level at a time."""
+        """Vertices and cells of the leaves ``cell_key``, from the node table."""
         base, keys = self.base, self.cell_key
-        nb = len(base.vertices)
-        stride = nb + len(keys)  # bounds every vertex id made here
-        xy = base.vertices
-        # provisional vertex ids: base ids, then midpoints in creation order;
-        # edge keys (lo * stride + hi) map to midpoints, sentinel-terminated
-        edge_tab = np.array([np.iinfo(np.int64).max])
-        mid_tab = np.array([-1])
-        split_key, split_mid = [], []
-        cells = np.empty((len(keys), 3), dtype=np.int64)
-        found = 0
-        node = np.arange(len(base.cells), dtype=np.int64) << _ROOT_SHIFT
-        tri = base.cells
-        while node.size:
-            pos = np.minimum(np.searchsorted(keys, node), len(keys) - 1)
-            leaf = keys[pos] == node
-            cells[pos[leaf]] = tri[leaf]
-            found += np.count_nonzero(leaf)
-            node, tri = node[~leaf], tri[~leaf]
-            lo = np.minimum(tri[:, 0], tri[:, 1])
-            hi = np.maximum(tri[:, 0], tri[:, 1])
-            edge, inv = np.unique(lo * stride + hi, return_inverse=True)
-            at = np.searchsorted(edge_tab, edge)
-            new = edge_tab[at] != edge
-            mid = mid_tab[at]
-            mid[new] = len(xy) + np.arange(np.count_nonzero(new))
-            edge_tab = np.insert(edge_tab, at[new], edge[new])
-            mid_tab = np.insert(mid_tab, at[new], mid[new])
-            ends = xy[np.stack([edge[new] // stride, edge[new] % stride])]
-            xy = np.concatenate([xy, (ends[0] + ends[1]) / 2.0])
-            m = mid[inv]
-            split_key.append(node)
-            split_mid.append(m)
-            node = np.stack([_child_keys(node, 0), _child_keys(node, 1)], axis=1)
-            node = node.ravel()
-            tri = np.stack(
-                [
-                    np.stack([tri[:, 2], tri[:, 0], m], axis=1),
-                    np.stack([tri[:, 1], tri[:, 2], m], axis=1),
-                ],
-                axis=1,
-            ).reshape(-1, 3)
-        if found != len(keys):
+        # the leaves tile the roots if none holds the next one and, per root,
+        # their areas (2^-level of the root's) add up to the root's
+        share = np.bincount(keys >> _ROOT_SHIFT, 2.0 ** (MAX_LEVEL - (keys & _LEVEL_MASK)))
+        if not (np.array_equal(share, np.full(len(base.cells), 2.0**MAX_LEVEL))
+                and not _is_prefix(keys[:-1], keys[1:]).any()):
             raise MeshStructureError("cell keys do not tile the forest roots")
-        # rank midpoints by the first node (in key order) that bisects their edge
-        split_key = np.concatenate(split_key)
-        seq = np.concatenate(split_mid)[np.argsort(split_key)] - nb
-        _, first = np.unique(seq, return_index=True)
-        remap = np.arange(len(xy))
-        remap[nb + np.argsort(first)] = np.arange(nb, len(xy))
-        self.vertices = np.empty_like(xy)
-        self.vertices[remap] = xy
-        self.cells = remap[cells]
+        self.rows = base.rows_of(keys)
+        corners = base.corners[self.rows]
+        used = np.zeros(len(base.xy), dtype=bool)
+        used[corners] = True
+        ids = np.flatnonzero(used)
+        ids = ids[np.argsort(base.rank[ids])]
+        local = np.empty(len(base.xy), dtype=np.int64)
+        local[ids] = np.arange(len(ids))
+        self.vertices, self.cells = base.xy[ids], local[corners]
         self.cell_root = keys >> _ROOT_SHIFT
         self._compute_edges()
 
@@ -246,7 +264,7 @@ class TriMesh:
         m, n = len(c), len(self.vertices)
         pairs = np.concatenate([c[:, [0, 1]], c[:, [1, 2]], c[:, [2, 0]]], axis=0)
         key = pairs.min(axis=1) * n + pairs.max(axis=1)
-        order = np.argsort(key, kind="stable")
+        order = np.argsort(key)  # the two copies of an edge in either order
         sk = key[order]
         first = np.ones(len(sk), dtype=bool)
         first[1:] = sk[1:] != sk[:-1]
@@ -263,12 +281,13 @@ class TriMesh:
         bmask = np.zeros(n, dtype=bool)
         bmask[self.edges[counts == 1].ravel()] = True
         self.boundary_vertex = bmask
-        # up-to-two incident cells per edge (second is -1 on the boundary)
+        # up to two incident cells per edge, in the order of their local edges
+        # in ``pairs`` (second is -1 on the boundary)
         e2c = np.full((len(edges), 2), -1, dtype=np.int64)
-        cell_of = order % m
-        e2c[:, 0] = cell_of[first_idx]
         shared = counts == 2
-        e2c[shared, 1] = cell_of[first_idx[shared] + 1]
+        a, b = order[first_idx], order[np.minimum(first_idx + 1, len(sk) - 1)]
+        e2c[:, 0] = np.where(shared, np.minimum(a, b), a) % m
+        e2c[shared, 1] = np.maximum(a, b)[shared] % m
         self.edge_cells = e2c
 
     # -- basic queries -------------------------------------------------------
@@ -289,10 +308,23 @@ class TriMesh:
         return int(self.cell_key[k] & _LEVEL_MASK)
 
     def cell_areas(self):
-        x = self.vertices[self.cells]
-        d1 = x[:, 1] - x[:, 0]
-        d2 = x[:, 2] - x[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        return self.column("areas", _cell_areas)
+
+    def column(self, name, compute):
+        """This mesh's cells' values in the forest's per-node column ``name``.
+
+        ``compute`` maps the corner coordinates (r, 3, 2) of r nodes to their
+        values; it runs once per node, on the rows added since the column was
+        last extended.  It must compute each node's values from its own
+        corners alone, elementwise, so that no bit depends on the other rows.
+        """
+        base = self.base
+        col = base.columns.get(name)
+        done = 0 if col is None else len(col)
+        if done < len(base.corners):
+            new = compute(base.xy[base.corners[done:]])
+            base.columns[name] = col = new if col is None else np.concatenate([col, new])
+        return col[self.rows]
 
     def same_mesh(self, other):
         return self is other or (
@@ -322,20 +354,16 @@ class TriMesh:
         if np.any(root < 0):
             raise ValueError(f"point {points[np.argmax(root < 0)]} outside the domain")
         cell = np.empty(len(points), dtype=np.int64)
-        todo = np.arange(len(points))
-        node = root << _ROOT_SHIFT
-        A, B, C = (bv[bc[root, j]] for j in range(3))
-        keys = self.cell_key
+        todo, node, keys = np.arange(len(points)), root << _ROOT_SHIFT, self.cell_key
         while todo.size:
             pos = np.minimum(np.searchsorted(keys, node), len(keys) - 1)
             leaf = keys[pos] == node
             cell[todo[leaf]] = pos[leaf]
-            todo, node, A, B, C = (x[~leaf] for x in (todo, node, A, B, C))
-            M = 0.5 * (A + B)
-            in0 = _barycentric(C, A, M, points[todo]).min(axis=1) >= -_LOCATE_TOL
-            w0 = in0[:, None]
-            A, B, C = np.where(w0, C, B), np.where(w0, A, C), M
-            node = np.where(in0, _child_keys(node, 0), _child_keys(node, 1))
+            todo, node = todo[~leaf], node[~leaf]
+            child = _child_keys(node, 0)  # in the table: ``node`` holds a leaf
+            x = self.base.xy[self.base.corners[self.base.rows_of(child)]]
+            in0 = _barycentric(x[:, 0], x[:, 1], x[:, 2], points[todo]).min(axis=1) >= -_LOCATE_TOL
+            node = np.where(in0, child, _child_keys(node, 1))
         x = self.vertices[self.cells[cell]]
         return cell, _barycentric(x[:, 0], x[:, 1], x[:, 2], points)
 
@@ -347,6 +375,47 @@ def _barycentric(A, B, C, p):
     lam12 = np.linalg.solve(T, (p - A)[..., None])[..., 0]
     l1, l2 = lam12[..., 0], lam12[..., 1]
     return np.stack([1.0 - l1 - l2, l1, l2], axis=-1)
+
+
+def _cell_areas(x):
+    """Signed areas of cells with corners x (r, 3, 2)."""
+    d1 = x[:, 1] - x[:, 0]
+    d2 = x[:, 2] - x[:, 0]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
+@functools.cache
+def _path_table(depth):
+    """Barycentric coordinates (2 << depth, 3, 3) of a node's corners (rows)
+    in the corners of its ancestor d <= depth levels up (columns), at index
+    (1 << d) + the d choices below the ancestor.  Bisection maps the corners
+    (v0, v1, v2) to (v2, v0, m) or (v1, v2, m), so every entry is an exact
+    dyadic."""
+    if depth == 0:
+        return np.stack([np.zeros((3, 3)), np.eye(3)])
+    prev = _path_table(depth - 1)
+    P = prev[1 << (depth - 1) :]  # the maps of depth - 1, by path
+    m = (P[:, 0] + P[:, 1]) / 2.0
+    children = np.stack([P[:, 2], P[:, 0], m, P[:, 1], P[:, 2], m], axis=1)
+    return np.concatenate([prev, children.reshape(-1, 3, 3)])
+
+
+def nested_barycentric(keys, ancestors):
+    """Barycentric coordinates (n, 3, 3) of the corners of the nodes ``keys``
+    (rows) in the corners of their ancestors ``ancestors`` (columns), exactly:
+    looked up by relative path, in chained lookups for gaps deeper than
+    ``_PATH_DEPTH``."""
+    level = keys & _LEVEL_MASK
+    gap = level - (ancestors & _LEVEL_MASK)
+    path = (keys >> (_ROOT_SHIFT - level)) & ((1 << gap) - 1)
+    table = _path_table(min(int(gap.max(initial=0)), _PATH_DEPTH))
+    step = np.minimum(gap, _PATH_DEPTH)
+    lam = table[(1 << step) + (path & ((1 << step) - 1))]
+    while (gap := gap - step).any():
+        path >>= step
+        step = np.minimum(gap, _PATH_DEPTH)
+        lam = lam @ table[(1 << step) + (path & ((1 << step) - 1))]
+    return lam
 
 
 # -- initial meshes ----------------------------------------------------------

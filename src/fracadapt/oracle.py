@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import TRI_QP, TRI_QW, FeFunction, _areas, _quad_points
+from .fem import TRI_QP, TRI_QW, FeFunction, _quad_points
 from .mesh import DomainSpec
 
 __all__ = [
@@ -219,8 +219,7 @@ def l2_error(u_ref, u_h):
     ref_vals = u_ref.eval(qp.reshape(-1, 2)).reshape(qp.shape[:2])
     fem_vals = u_h.cell_values_at(TRI_QP)
     diff2 = (ref_vals - fem_vals) ** 2
-    area = _areas(mesh)
-    return float(np.sqrt(np.einsum("mq,q,m->", diff2, TRI_QW, area)))
+    return float(np.sqrt(np.einsum("mq,q,m->", diff2, TRI_QW, mesh.cell_areas())))
 
 
 def effectivity(eta, error):

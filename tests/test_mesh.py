@@ -10,6 +10,7 @@ from fracadapt.mesh import (
     _MAX_ROOTS,
     MAX_LEVEL,
     _ForestBase,
+    _child_keys,
     _root_mesh,
     DomainSpec,
     MeshStructureError,
@@ -130,6 +131,23 @@ def test_refine_past_depth_limit_raises():
 def test_forest_root_limit():
     with pytest.raises(MeshStructureError):
         _ForestBase(np.zeros((3, 2)), np.zeros((_MAX_ROOTS, 3), dtype=np.int64))
+
+
+def test_keys_with_a_gap_do_not_tile():
+    m = refine(make_initial_mesh(SQUARE, 8), {0, 3})
+    with pytest.raises(MeshStructureError, match="tile"):
+        TriMesh(m.base, np.delete(m.cell_key, 2))
+
+
+def test_keys_with_an_overlap_do_not_tile():
+    m = refine(make_initial_mesh(SQUARE, 8), {0, 3})
+    children = [_child_keys(m.cell_key[2:3], bit) for bit in (0, 1)]
+    with pytest.raises(MeshStructureError, match="tile"):
+        TriMesh(m.base, np.sort(np.append(m.cell_key, children[0])))
+    # an overlap with the area of a gap: leaf 3, the sibling of leaf 2,
+    # replaced by both children of leaf 2
+    with pytest.raises(MeshStructureError, match="tile"):
+        TriMesh(m.base, np.sort(np.concatenate([np.delete(m.cell_key, 3)] + children)))
 
 
 def test_refine_empty_returns_same():

@@ -11,12 +11,13 @@ checkpoint.
     python tools/fingerprint.py case1-multimesh out.json [--checkout DIR]
     python tools/fingerprint.py --compare parent.json change.json
 
-The first form runs the named config of ``benchmarks/workloads.py`` with the
-package in ``DIR/src`` (default: this checkout), so one copy of this script
-fingerprints any commit.  The second prints every integer and hash mismatch,
-naming for marks and indicators the marking call or checkpoint and up to five
-problems, and the largest relative difference of each float field; it exits 1
-on any mismatch.  Float differences are reported, not judged.
+The first form runs the named config of ``benchmarks/workloads.py``, or this
+script's own ``sin-multimesh`` config, with the package in ``DIR/src``
+(default: this checkout), so one copy of this script fingerprints any
+commit.  The second prints every integer and hash mismatch, naming for
+marks and indicators the marking call or checkpoint and up to five problems,
+and the largest relative difference of each float field; it exits 1 on any
+mismatch.  Float differences are reported, not judged.
 """
 
 import argparse
@@ -34,12 +35,35 @@ def _sha(array, dtype=np.int64):
     return hashlib.sha256(np.ascontiguousarray(array, dtype=dtype).tobytes()).hexdigest()
 
 
+def _sin_multimesh(fa, workloads):
+    """The eigenfunction psi_12 on (-1,1)^2, s = 0.5, multimesh, at a loose
+    tolerance (8 iterations): the benchmark's fields need no ``sin``, so this
+    config compares a field whose values come from a transcendental."""
+    domain = fa.DomainSpec("square")
+    config = fa.RunConfig(
+        s=0.5,
+        domain=domain,
+        f=fa.eigenfunction_field(domain, 1, 2),
+        theta=workloads.THETA,
+        tol=1e-3,
+        k=workloads.K,
+        kappa=workloads.KAPPA,
+        max_iterations=workloads.MAX_ITERATIONS,
+        mode="multimesh",
+    )
+    return config, fa.eigenfunction_reference(domain, 1, 2, 0.5)
+
+
 def fingerprint(name, checkout):
     sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "benchmarks")]
+    import fracadapt as fa
     import fracadapt.driver as driver
-    from workloads import make_inputs
+    import workloads
 
-    config, reference = make_inputs(name)
+    if name == "sin-multimesh":
+        config, reference = _sin_multimesh(fa, workloads)
+    else:
+        config, reference = workloads.make_inputs(name)
     marks, unions, indicators, solutions = [], [], [], []
     real_mark = driver.doerfler_mark
 
