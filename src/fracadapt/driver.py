@@ -149,10 +149,7 @@ def _problem(scheme, l):
 
 def _estimate(states, scheme, f):
     """Set the indicators of the solved ``states``: one stacked
-    ``local_indicators`` call per block of up to ``_BLOCK`` states per mesh.
-    A function, not a loop in ``run``: a mesh left in a local of ``run``
-    stays alive, so an equal later refinement becomes its twin and reuses
-    its cached SuperLU order, which changes that solve's last bits."""
+    ``local_indicators`` call per block of up to ``_BLOCK`` states per mesh."""
     for mesh, group in fem._mesh_groups(states):
         for start in range(0, len(group), estimators._BLOCK):
             block = group[start : start + estimators._BLOCK]

@@ -12,10 +12,11 @@ see ``mesh``) straight into one compressed sparse column (CSC) pattern of
 the interior vertices (one value per interior vertex and per interior
 edge).  Each solve fills that pattern with
 ``b K + c M``, scaled by ``1/max(b, c)``, and factors it with SuperLU using
-diagonal pivots.  The fill-reducing column order SuperLU picks at the first
-factorization on a mesh is cached with the pattern, so the many problems
-sharing a mesh pay for the ordering once.  Equal meshes share one cache (see
-``mesh``), so they also share the pattern, load vectors and SuperLU order.
+diagonal pivots, in the pattern's own order.  That order is a nested
+dissection read off the forest (``mesh.dissection_order``), fixed before the
+first factorization, so a solution depends only on the mesh's leaves, b, c
+and f.  Equal meshes share one cache (see ``mesh``), so they also share the
+pattern and load vectors.
 """
 
 from dataclasses import dataclass
@@ -202,8 +203,6 @@ class _System(NamedTuple):
 
     Row and column ``i`` belong to vertex ``dofs[i]``; ``k`` and ``m`` are the
     stiffness and mass values in the slots of ``(indices, indptr)``.
-    ``ordered`` tells whether ``dofs`` already follow the fill-reducing order
-    that SuperLU chose at the first factorization on this mesh.
     """
 
     dofs: np.ndarray
@@ -211,10 +210,9 @@ class _System(NamedTuple):
     indptr: np.ndarray
     k: np.ndarray
     m: np.ndarray
-    ordered: bool
 
 
-def _build_system(mesh, dofs, ordered):
+def _build_system(mesh, dofs):
     """Stiffness and mass of the interior vertices ``dofs``, summed from the
     element matrices into one value per interior vertex and per interior edge
     and scattered to the CSC slots of the pattern in ``dofs`` order."""
@@ -250,21 +248,14 @@ def _build_system(mesh, dofs, ordered):
     value = np.concatenate([diag, edge_value, edge_value])[slot]
     indptr = np.zeros(n_dofs + 1, dtype=np.int32)
     np.cumsum(np.bincount(cols, minlength=n_dofs), out=indptr[1:])
-    return _System(dofs, rows[slot].astype(np.int32), indptr, k[value], m[value], ordered)
+    return _System(dofs, rows[slot].astype(np.int32), indptr, k[value], m[value])
 
 
 def _system(mesh):
-    """The cached interior system of a mesh.  It is built in vertex order;
-    once a factorization has stored SuperLU's column order for the mesh, the
-    next call rebuilds it in that order."""
+    """The cached interior system of a mesh, in nested-dissection order."""
     system = mesh._cache.get("system")
-    order = mesh._cache.get("system_order")
-    if system is None or (order is not None and not system.ordered):
-        dofs = np.flatnonzero(~mesh.boundary_vertex)
-        if order is not None:
-            dofs = dofs[order]
-        system = _build_system(mesh, dofs, ordered=order is not None)
-        mesh._cache["system"] = system
+    if system is None:
+        system = mesh._cache["system"] = _build_system(mesh, meshmod.dissection_order(mesh))
     return system
 
 
@@ -289,9 +280,8 @@ def assemble_and_solve(mesh, b, c, f, rel_tol=1e-10):
     set by the mesh, not by the (possibly extreme) reaction-diffusion
     coefficients.  It is factored by SuperLU (``scipy.sparse.linalg.splu``)
     with diagonal pivots, which is stable for this symmetric positive
-    definite matrix.  The first factorization on a mesh picks a fill-reducing
-    column order (COLAMD); the cached system is then kept in that order and
-    later factorizations on the mesh skip the ordering step.  Raises
+    definite matrix, in the nested-dissection order the cached system is
+    built in, with no ordering step of its own.  Raises
     ValueError unless b and c are finite and positive, and SolveError if the
     matrix is singular or the relative residual of the reduced system exceeds
     ``rel_tol``.
@@ -310,16 +300,11 @@ def assemble_and_solve(mesh, b, c, f, rel_tol=1e-10):
     )
     rhs = _load_vector(mesh, f)[system.dofs] / scale
     try:
-        lu = splu(
-            A,
-            permc_spec="NATURAL" if system.ordered else "COLAMD",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
+        # no relaxed supernodes, one-column panels: faster below ~3,000 dofs, even at 48,641
+        lu = splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1, panel_size=1,
+                  options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolveError(f"b K + c M at b = {b}, c = {c}: {exc}", residual=np.inf) from exc
-    if not system.ordered:
-        mesh._cache["system_order"] = np.argsort(lu.perm_c)
     sol = lu.solve(rhs)
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm > 0.0:

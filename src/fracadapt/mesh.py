@@ -41,12 +41,17 @@ bisecting an edge whose midpoint is a vertex of a conforming mesh both lie
 in that mesh's tree.  Midpoints are identified by their edge, so the initial
 vertices must be distinct points.
 
+A forest is also a separator tree for nested dissection (``dissection_order``):
+the roots form a coordinate-bisection tree, a cell's *full path* is its root's
+path there followed by its key bits, and no edge joins the open interiors of a
+node's two children, because every edge lies inside one cell.
+
 A mesh is identified by its leaves.  While a mesh of a forest is alive,
 ``refine``, ``uniform_refine`` and ``union_mesh`` return a mesh with the same
 leaves as a *twin*: a new object sharing its arrays and ``_cache`` dict (FE
-system, load vectors, SuperLU order, estimator geometry).  Every ``_cache``
-entry is a function of the leaves, and of the ``RhsField`` where keyed by
-one, and holds no mesh; so twins share the dict safely, ``id(mesh._cache)``
+system, load vectors, estimator geometry).  Every ``_cache`` entry is a
+function of the leaves, and of the ``RhsField`` where keyed by one, and
+holds no mesh; so twins share the dict safely, ``id(mesh._cache)``
 groups meshes by leaves, and no cache keeps another mesh alive.
 """
 
@@ -77,6 +82,7 @@ _ROOT_SHIFT = MAX_LEVEL + _LEVEL_BITS
 _MAX_ROOTS = 1 << (63 - _ROOT_SHIFT)
 _LOCATE_TOL = 1e-12  # barycentric slack of ``locate`` at cell boundaries
 _PATH_DEPTH = 10  # deepest gap of the path table (2^11 maps, 147 KB)
+_PATH_BITS = MAX_LEVEL + 63 - _ROOT_SHIFT  # a full path: root path (<= 17 bits), key bits
 
 
 class MeshStructureError(Exception):
@@ -120,11 +126,12 @@ class _ForestBase:
     ids, ``corners[r]``; ``node_key`` holds the keys of all rows, sorted, and
     ``node_row`` their rows.  ``xy`` holds the forest vertices, ``rank``
     their order in a mesh, ``mids`` the midpoint of each bisected edge
-    (``lo << 32 | hi``), and ``columns`` the columns of ``TriMesh.column``.
+    (``lo << 32 | hi``), ``columns`` the columns of ``TriMesh.column``, and
+    ``root_path``/``root_depth`` the roots' tree (``_bisect_roots``).
     """
 
     __slots__ = ("vertices", "cells", "leaves", "node_key", "node_row", "corners", "xy", "rank",
-                 "mids", "columns")
+                 "mids", "columns", "root_path", "root_depth")
 
     def __init__(self, vertices, cells):
         self.vertices = np.asarray(vertices, dtype=float)
@@ -132,6 +139,7 @@ class _ForestBase:
         self.leaves = weakref.WeakValueDictionary()
         if len(self.cells) >= _MAX_ROOTS:
             raise MeshStructureError(f"a forest has at most {_MAX_ROOTS - 1} roots")
+        self.root_path, self.root_depth = _bisect_roots(self.vertices[self.cells].mean(axis=1))
         self.node_row = np.arange(len(self.cells), dtype=np.int64)
         self.node_key = self.node_row << _ROOT_SHIFT
         self.corners, self.xy = self.cells, self.vertices
@@ -180,6 +188,26 @@ class _ForestBase:
         self.corners = np.concatenate([self.corners, children.reshape(-1, 3)])
 
 
+def _bisect_roots(centroids):
+    """Paths (left-aligned in ``_PATH_BITS`` bits) and depths of the roots in
+    the recursive coordinate bisection of their centroids (0: the lower half
+    along the longer side of the bounding box, ties by index)."""
+    path, depth = np.zeros((2, len(centroids)), dtype=np.int64)
+
+    def split(idx, d):
+        depth[idx] = d
+        if len(idx) > 1:
+            c = centroids[idx]
+            idx = idx[np.argsort(c[:, np.argmax(np.ptp(c, axis=0))], kind="stable")]
+            half = len(idx) // 2
+            path[idx[half:]] |= 1 << (_PATH_BITS - 1 - d)
+            split(idx[:half], d + 1)
+            split(idx[half:], d + 1)
+
+    split(np.arange(len(centroids)), 0)
+    return path, depth
+
+
 # -- node keys ---------------------------------------------------------------
 
 
@@ -199,6 +227,36 @@ def _is_prefix(p, q):
     """
     shift = _ROOT_SHIFT - (p & _LEVEL_MASK)
     return (p >> shift) == (q >> shift)
+
+
+def separator_nodes(mesh):
+    """Separator node of each interior vertex: the deepest node with the
+    vertex in its open interior, as its path left-aligned in ``_PATH_BITS``
+    bits and a mask of the bits below it.  It is the longest common prefix of
+    the full paths of the vertex's cells, so of their min and max: leaves are
+    prefix-free, so their left-aligned paths sort as the paths do, and the
+    first bit where two differ is on both."""
+    depth = mesh.base.root_depth[mesh.cell_root]
+    bits = (mesh.cell_key >> _LEVEL_BITS) & ((1 << MAX_LEVEL) - 1)
+    path = mesh.base.root_path[mesh.cell_root] | bits << (_PATH_BITS - MAX_LEVEL - depth)
+    vertex, path = mesh.cells.reshape(-1), np.repeat(path, 3)
+    path = path[np.lexsort((path, vertex))]
+    last = np.cumsum(np.bincount(vertex, minlength=mesh.num_vertices)) - 1
+    lo, mask = path[np.append(0, last[:-1] + 1)], path[last]
+    mask ^= lo
+    for shift in (1, 2, 4, 8, 16, 32):  # ones from the first differing bit down
+        mask |= mask >> shift
+    return lo & ~mask, mask
+
+
+def dissection_order(mesh):
+    """The interior vertices in a post-order of their separator nodes
+    (descendants first), ties by vertex id.  Padded with ones, a node's path
+    is its subtree's largest, shared only along its all-ones branch, where
+    deeper nodes (smaller masks) go first."""
+    prefix, mask = separator_nodes(mesh)
+    dofs = np.flatnonzero(~mesh.boundary_vertex)
+    return dofs[np.lexsort((mask[dofs], prefix[dofs] | mask[dofs]))]
 
 
 def _ancestor_index(fine, coarse):

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from fracadapt import fem
+from fracadapt import mesh as meshmod
 from fracadapt.fem import (
     TRI_QP,
     FeFunction,
@@ -18,6 +19,7 @@ from fracadapt.fem import (
 )
 from fracadapt.mesh import (
     DomainSpec,
+    TriMesh,
     make_initial_mesh,
     read_mesh,
     refine,
@@ -121,8 +123,8 @@ def test_caches_not_served_across_fields():
 
 
 def test_twin_solve_matches_fresh_mesh():
-    # a twin reuses the system, load vector and SuperLU order of the mesh it
-    # shares a cache with; its solve must match one on an unshared mesh
+    # a twin reuses the system and load vector of the mesh it shares a cache
+    # with; its solve must match one on an unshared mesh
     f = RhsField.test2()
     marks = {0, 5, 17}
     m0 = make_initial_mesh(UNIT, 32)
@@ -136,6 +138,30 @@ def test_twin_solve_matches_fresh_mesh():
         w, ref = assemble_and_solve(twin, b, c, f), assemble_and_solve(fresh, b, c, f)
         err = np.max(np.abs(w.nodal_values - ref.nodal_values))
         assert err <= 1e-13 * np.max(np.abs(ref.nodal_values))
+
+
+def _random_mesh(m, rng):
+    for _ in range(6):
+        m = refine(m, rng.choice(m.num_cells, m.num_cells // 6, replace=False))
+    return m
+
+
+@pytest.mark.parametrize("kind, cells", [("square", 32), ("unit-square", 32), ("lshape", 96)])
+def test_solution_depends_only_on_the_leaves(kind, cells):
+    # no first-solve path: repeated solves on one mesh, a twin of a mesh kept
+    # alive and a fresh build in another forest all give the same bits
+    f = RhsField.test2()
+    m0 = make_initial_mesh(DomainSpec(kind), cells)
+    for seed in range(6):
+        mesh = _random_mesh(m0, np.random.default_rng(seed))
+        first = assemble_and_solve(mesh, 1e-3, 1.0, f).nodal_values
+        assert np.array_equal(assemble_and_solve(mesh, 1e-3, 1.0, f).nodal_values, first)
+        twin = _random_mesh(m0, np.random.default_rng(seed))
+        fresh = TriMesh(make_initial_mesh(DomainSpec(kind), cells).base, mesh.cell_key.copy())
+        assert twin._cache is mesh._cache and fresh._cache is not mesh._cache
+        for b, c in ((1e-3, 1.0), (2.5, 0.5)):
+            w = assemble_and_solve(twin, b, c, f).nodal_values
+            assert np.array_equal(assemble_and_solve(fresh, b, c, f).nodal_values, w)
 
 
 def _dense_matrices(m):
@@ -173,37 +199,46 @@ def test_reaction_limit_mass_identity():
 
 
 def test_stiffness_matrix_against_dense_assembly():
-    # the cached system holds the interior block of both matrices, before
-    # and after it is rebuilt in the solver's column order
+    # the cached system holds the interior block of both matrices
     for cells, marked in ((8, {0}), (32, {0, 5})):
         m = refine(make_initial_mesh(UNIT, cells), marked)
         Kd, Md = _dense_matrices(m)
-        for ordered in (False, True):
-            system = fem._system(m)
-            assert system.ordered == ordered
-            block = np.ix_(system.dofs, system.dofs)
-            assert np.array_equal(np.sort(system.dofs), np.flatnonzero(~m.boundary_vertex))
-            assert np.allclose(_system_to_dense(system, system.k), Kd[block], atol=1e-12)
-            assert np.allclose(_system_to_dense(system, system.m), Md[block], atol=1e-12)
-            assemble_and_solve(m, 1.0, 1.0, RhsField.one())
+        system = fem._system(m)
+        block = np.ix_(system.dofs, system.dofs)
+        assert np.allclose(_system_to_dense(system, system.k), Kd[block], atol=1e-12)
+        assert np.allclose(_system_to_dense(system, system.m), Md[block], atol=1e-12)
 
 
-def test_cached_order_keeps_fill():
-    # later solves factor the system in the order SuperLU chose at the first
-    # solve; in natural order that must give the same fill as the first one
-    m = refine(uniform_refine(uniform_refine(make_initial_mesh(UNIT, 32))), {0, 7, 40})
-    natural = fem._system(m)
-    assemble_and_solve(m, 1.0, 1.0, RhsField.one())
-    ordered = fem._system(m)
-    assert not natural.ordered and ordered.ordered
+def test_forest_order_is_nested_dissection():
+    # the system's order is a permutation of the interior vertices in which
+    # every interior edge joins a separator node to one of its descendants,
+    # and factoring in that order fills less than COLAMD on the vertex order
+    meshes = [refine(uniform_refine(uniform_refine(make_initial_mesh(UNIT, 32))), {0, 7, 40})]
+    meshes += [
+        _random_mesh(make_initial_mesh(DomainSpec(kind), cells), np.random.default_rng(3))
+        for kind, cells in (("square", 32), ("lshape", 24))
+    ]
+    for m in meshes:
+        interior = np.flatnonzero(~m.boundary_vertex)
+        assert np.array_equal(np.sort(fem._system(m).dofs), interior)
+        prefix, mask = meshmod.separator_nodes(m)
+        u, v = m.edges[~m.boundary_vertex[m.edges].any(axis=1)].T
+        above = np.maximum(mask[u], mask[v])  # the shallower node's mask
+        assert np.array_equal(prefix[u] | above, prefix[v] | above)
 
     def fill(system, permc_spec):
         n = len(system.dofs)
         A = sp.csc_matrix((system.k + system.m, system.indices, system.indptr), shape=(n, n))
         lu = splu(A, permc_spec=permc_spec, diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-        return lu.L.nnz + lu.U.nnz
+        return lu.L.nnz
 
-    assert fill(ordered, "NATURAL") == fill(natural, "COLAMD") < fill(natural, "NATURAL")
+    m = make_initial_mesh(DomainSpec("lshape"), 384)
+    for _ in range(3):
+        m = uniform_refine(m)
+    system = fem._system(m)
+    assert len(system.dofs) == 12_033
+    by_vertex = fem._build_system(m, np.flatnonzero(~m.boundary_vertex))
+    assert fill(system, "NATURAL") < fill(by_vertex, "COLAMD")
 
 
 def _written_and_read(tmp_path):

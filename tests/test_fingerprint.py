@@ -46,3 +46,22 @@ def test_compare_reports_missing_marking_calls():
     b["marks"].pop()
     bad, _ = fingerprint.compare(a, b)
     assert bad == ["the fingerprints hold different numbers of marking calls"]
+
+
+def test_summary_counts_flips_and_integer_records():
+    a = _synthetic()
+    assert fingerprint.summary(a, copy.deepcopy(a)) == (
+        "summary: integer records identical, 0 mark pairs flipped, "
+        "0 indicator hashes differ, 0 final meshes differ"
+    )
+    b = copy.deepcopy(a)
+    b["marks"][0][2] = b["marks"][1][2] = b["marks"][1][5] = "other"
+    b["indicators"][0][4] = "other"
+    b["final_cell_keys"][3] = "other"
+    b["records"][0]["eta_union"] = 0.25  # a float field is not an integer record
+    assert fingerprint.summary(a, b) == (
+        "summary: integer records identical, 3 mark pairs flipped, "
+        "1 indicator hashes differ, 1 final meshes differ"
+    )
+    b["records"][0]["solved_problems"] = 7
+    assert fingerprint.summary(a, b).startswith("summary: integer records DIFFER,")

@@ -93,7 +93,7 @@ def assert_setup_matches_reference(mesh):
     for f in FIELDS:
         assert_bits(fem._load_vector(mesh, f), setup_reference.load_vector(mesh, f), f.kind)
     dofs = np.flatnonzero(~mesh.boundary_vertex)
-    system = fem._build_system(mesh, dofs, ordered=False)
+    system = fem._build_system(mesh, dofs)
     n = len(dofs)
     for values, ref_values in zip((system.k, system.m), setup_reference.system_values(mesh, dofs)):
         got = sp.csc_matrix((values, system.indices, system.indptr), shape=(n, n)).toarray()
@@ -121,6 +121,7 @@ def test_builds_do_not_depend_on_the_forest_history():
             assert_bits(getattr(mesh, name), getattr(first, name), name)
         normal = estimators._geometry(mesh)["normal"]
         assert_bits(normal, estimators._geometry(first)["normal"], "normal")
+        assert_bits(fem._system(mesh).dofs, fem._system(first).dofs, "order")
 
 
 def test_table_grows_only_by_new_nodes():

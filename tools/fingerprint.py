@@ -17,7 +17,9 @@ script's own ``sin-multimesh`` config, with the package in ``DIR/src``
 commit.  The second prints every integer and hash mismatch, naming for
 marks and indicators the marking call or checkpoint and up to five problems,
 and the largest relative difference of each float field; it exits 1 on any
-mismatch.  Float differences are reported, not judged.
+mismatch.  Float differences are reported, not judged.  Its last line sums
+up: whether the integer records are identical, and how many (marking call,
+problem) mark sets, indicator hashes and final meshes differ.
 """
 
 import argparse
@@ -141,6 +143,25 @@ def compare(a, b):
     return bad, diffs
 
 
+def summary(a, b):
+    """The closing line of ``--compare``: integer records (every non-float
+    record field, the per-iteration lists and the stop reason) identical or
+    not, and the number of differing (marking call, problem) mark sets,
+    (checkpoint, problem) indicator hashes and final meshes."""
+
+    def integers(fp):
+        records = [{k: v for k, v in r.items() if not isinstance(v, float)} for r in fp["records"]]
+        return records, fp["solved_per_iter"], fp["marked_per_iter"], fp["stopped"]
+
+    def count(key):
+        return sum(x != y for ha, hb in zip(a[key], b[key]) for x, y in zip(ha, hb))
+
+    same = "identical" if integers(a) == integers(b) else "DIFFER"
+    meshes = sum(x != y for x, y in zip(a["final_cell_keys"], b["final_cell_keys"]))
+    return (f"summary: integer records {same}, {count('marks')} mark pairs flipped, "
+            f"{count('indicators')} indicator hashes differ, {meshes} final meshes differ")
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"))
@@ -159,6 +180,7 @@ def main(argv=None):
             print("MISMATCH", line)
         for field, d in sorted(diffs.items()):
             print(f"{field}: largest relative difference {d:.3g}")
+        print(summary(*loaded))
         return 1 if bad else 0
     if not (args.workload and args.out):
         ap.error("give a workload and an output file, or --compare A B")
