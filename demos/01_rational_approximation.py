@@ -1,6 +1,6 @@
 """Pole-sum approximation of lambda**(-s).
 
-The fractional solver rests on replacing lambda**(-s) by C * sum a_l / (1 +
+The fractional solver rests on replacing lambda**(-s) by C * sum a_l / (c_l +
 b_l lambda).  This script shows how the number of poles N and the uniform
 error bound depend on the fineness parameter kappa, and verifies the bound
 numerically on a log grid.
@@ -28,10 +28,11 @@ for kappa in (0.50, 0.35, 0.26, 0.20):
         f"   measured max error = {measured:.2e}"
     )
 
-# the diffusion coefficients span an enormous range; this is why each
-# parametric problem wants its own mesh
+# the diffusion-to-reaction ratios b_l / c_l = exp(2 kappa j) span an enormous
+# range; this is why each parametric problem wants its own mesh
 scheme = bp_coefficients(0.5, 0.26, lambda0)
+exponent = np.log(scheme.b / scheme.c)
 print(
-    f"\nb_l range at kappa = 0.26, s = 0.5: "
-    f"[{scheme.b.min():.2e}, {scheme.b.max():.2e}]"
+    f"\nb_l / c_l = exp(2 kappa j) at kappa = 0.26, s = 0.5: "
+    f"exponents 2 kappa j from {exponent.min():.2f} to {exponent.max():.2f}"
 )

@@ -13,13 +13,10 @@ and edge flux jumps J_F, is a 3x3 SPD system; the indicator is ||e||_{L2(K)}.
 With B = [v1 - v0, v2 - v0], the enrichment mass matrix is M_K = |K| M_ref,
 and the stiffness matrix S_K = q00 T00 + q01 (T01 + T10) + q11 T11 depends
 only on the shape q = adj(B^T B) / |det B| (the T are reference-cell tensors).
-Cells with exactly equal q form a shape class: one for every mesh bisected
-from a uniform grid, up to one per cell for a mesh read from a file.  Per
-class, the eigenbasis S V = M_ref V diag(lam), V^T M_ref V = I, turns the
+The eigenbasis S V = M_ref V diag(lam), V^T M_ref V = I, is computed once per
+forest node (a per-node column, see ``mesh.TriMesh.column``) and turns the
 solve into a division, y = V^T r_K / (b lam + c |K|), and ||e_K||^2 =
-|K| |y|^2.  The eigenvalues are positive, so the denominator is positive and
-grows only like b; a 3x3 determinant grows like b^3 and overflows near
-b = 1e103, while the pole sums reach b = 1.2e165.
+|K| |y|^2.  The eigenvalues are positive, so the denominator is positive.
 
 Both estimates stack up to ``_BLOCK`` problems of one distinct mesh
 (``fem._mesh_groups``) per kernel call.  Kernel arrays keep the cell index
@@ -97,30 +94,28 @@ def _sides(x):
     return np.stack([d[..., 1] / length, -d[..., 0] / length, length], axis=-1)
 
 
-def _geometry(mesh):
-    """Shape classes with their modal tables, areas and edge normals, cached."""
-    geo = mesh._cache.get("modal")
-    if geo is not None:
-        return geo
-    q = mesh.column("shape", _shape)
-    order = np.lexsort(q.T[::-1])
-    qs = q[order]
-    new = np.ones(len(q), dtype=bool)
-    new[1:] = np.any(qs[1:] != qs[:-1], axis=1)
-    cls = np.empty(len(q), dtype=np.intp)
-    cls[order] = np.cumsum(new) - 1
-    # eigenbasis in the _PT basis: a class symmetric under the mirror swapping
+def _modal_of(x):
+    """Modal basis W (r, 3, 3) and eigenvalues lam (r, 3) of cells with
+    corners x (r, 3, 2), side by side as (r, 3, 4)."""
+    # eigenbasis in the _PT basis: a shape symmetric under the mirror swapping
     # phi_1 and phi_2 keeps exact zeros there, so mirror-image cells get equal
     # indicators bit for bit and marking breaks their ties by cell id
-    S = _PT @ np.einsum("ka,aij->kij", qs[new], _T) @ _PT.T
+    S = _PT @ np.einsum("ka,aij->kij", _shape(x), _T) @ _PT.T
     lam, U = np.linalg.eigh(_LINV @ S @ _LINV.T)
+    return np.concatenate([np.swapaxes(U, 1, 2) @ _LINV, lam[..., None]], axis=2)
+
+
+def _geometry(mesh):
+    """Areas, fixed edge normals and edge lengths, cached."""
+    geo = mesh._cache.get("geometry")
+    if geo is not None:
+        return geo
     # fixed edge normals: outward from edge_cells[:, 0], as its side of the edge
     c0, e = mesh.edge_cells[:, 0], np.arange(len(mesh.edges))
     side = (mesh.cell_edge[c0, 1] == e) + 2 * (mesh.cell_edge[c0, 2] == e)
     normal, length = np.split(mesh.column("sides", _sides)[c0, side], [2], axis=1)
-    W = np.swapaxes(U, 1, 2) @ _LINV
-    geo = dict(cls=cls, lam=lam, W=W, area=mesh.cell_areas(), normal=normal, length=length[:, 0])
-    mesh._cache["modal"] = geo
+    geo = dict(area=mesh.cell_areas(), normal=normal, length=length[:, 0])
+    mesh._cache["geometry"] = geo
     return geo
 
 
@@ -183,10 +178,10 @@ def _rhs(mesh, corner_vals, jump, b, c, f):
     return geo["area"] / 4.0 * resid - 0.25 * b * jl
 
 
-def _modal_basis(geo):
-    """Modal basis W (3, 3, m) and eigenvalues (3, m) of each cell's class."""
-    cls = geo["cls"]
-    return np.take(geo["W"].transpose(1, 2, 0), cls, axis=2), np.take(geo["lam"].T, cls, axis=1)
+def _modal_basis(mesh):
+    """Modal basis W (3, 3, m) and eigenvalues (3, m) of each cell."""
+    modal = np.ascontiguousarray(mesh.column("modal", _modal_of).transpose(1, 2, 0))
+    return modal[:, :3], modal[:, 3]
 
 
 def _modal_coeffs(target, basis, corner_vals, jump, b, c, f):
@@ -207,7 +202,7 @@ def local_indicators(mesh, w, b, c, f):
     ones with one b and one c per column."""
     geo = _geometry(mesh)
     vals, grads = _corner_values(mesh, w.nodal_values.reshape(mesh.num_vertices, -1))
-    y = _modal_coeffs(mesh, _modal_basis(geo), vals, _edge_jumps(mesh, grads), b, c, f)
+    y = _modal_coeffs(mesh, _modal_basis(mesh), vals, _edge_jumps(mesh, grads), b, c, f)
     eta = np.sqrt(geo["area"] * np.sum(y**2, axis=1)).T
     return eta if w.nodal_values.ndim > 1 else eta[:, 0]
 
@@ -260,7 +255,7 @@ def global_union_estimate(scheme, states, union, f):
     cells only.
     """
     geo = _geometry(union)
-    basis = _modal_basis(geo)  # hoisted out of the blocks
+    basis = _modal_basis(union)  # hoisted out of the blocks
     combined = np.zeros((3, union.num_cells))
     corner_sum = np.zeros((1, 3, union.num_cells))
     for src, group in _mesh_groups(states):

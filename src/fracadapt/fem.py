@@ -10,13 +10,12 @@ and shares the matrices ``K`` and ``M``.  Once per mesh the stiffness and mass
 values are summed from the element values (per-node columns of the forest,
 see ``mesh``) straight into one compressed sparse column (CSC) pattern of
 the interior vertices (one value per interior vertex and per interior
-edge).  Each solve fills that pattern with
-``b K + c M``, scaled by ``1/max(b, c)``, and factors it with SuperLU using
-diagonal pivots, in the pattern's own order.  That order is a nested
-dissection read off the forest (``mesh.dissection_order``), fixed before the
-first factorization, so a solution depends only on the mesh's leaves, b, c
-and f.  Equal meshes share one cache (see ``mesh``), so they also share the
-pattern and load vectors.
+edge).  Each solve fills that pattern with ``b K + c M`` and factors it
+with SuperLU using diagonal pivots, in the pattern's own order.  That order
+is a nested dissection read off the forest (``mesh.dissection_order``),
+fixed before the first factorization, so a solution depends only on the
+mesh's leaves, b, c and f.  Equal meshes share one cache (see ``mesh``),
+so they also share the pattern and load vectors.
 """
 
 from dataclasses import dataclass
@@ -276,29 +275,26 @@ def _load_vector(mesh, f):
 def assemble_and_solve(mesh, b, c, f, rel_tol=1e-10):
     """Solve (b K + c M) w = F on the interior vertices, zero on the boundary.
 
-    The system is scaled by 1/max(b, c) before solving so the conditioning is
-    set by the mesh, not by the (possibly extreme) reaction-diffusion
-    coefficients.  It is factored by SuperLU (``scipy.sparse.linalg.splu``)
-    with diagonal pivots, which is stable for this symmetric positive
-    definite matrix, in the nested-dissection order the cached system is
-    built in, with no ordering step of its own.  Raises
-    ValueError unless b and c are finite and positive, and SolveError if the
-    matrix is singular or the relative residual of the reduced system exceeds
-    ``rel_tol``.
+    The pole sum stores max(b, c) = 1 (see ``rational.bp_coefficients``), so
+    the conditioning is set by the mesh, not by the coefficients.  The system
+    is factored by SuperLU (``scipy.sparse.linalg.splu``) with diagonal
+    pivots, which is stable for this symmetric positive definite matrix, in
+    the nested-dissection order the cached system is built in, with no
+    ordering step of its own.  Raises ValueError unless b and c are finite
+    and nonnegative with one of them positive (either alone gives an SPD
+    system), and SolveError if the matrix is singular or the relative
+    residual of the reduced system exceeds ``rel_tol``.
     """
-    if not (np.isfinite(b) and np.isfinite(c) and b > 0.0 and c > 0.0):
-        raise ValueError(f"coefficients must be finite and positive, got b = {b}, c = {c}")
+    if not (np.isfinite(b) and np.isfinite(c) and min(b, c) >= 0.0 and max(b, c) > 0.0):
+        raise ValueError(f"coefficients must be finite, nonnegative and not both zero, "
+                         f"got b = {b}, c = {c}")
     system = _system(mesh)
     n = len(system.dofs)
     w = np.zeros(mesh.num_vertices)
     if n == 0:
         return FeFunction(mesh, w)
-    scale = max(b, c)
-    A = sp.csc_matrix(
-        ((b / scale) * system.k + (c / scale) * system.m, system.indices, system.indptr),
-        shape=(n, n),
-    )
-    rhs = _load_vector(mesh, f)[system.dofs] / scale
+    A = sp.csc_matrix((b * system.k + c * system.m, system.indices, system.indptr), shape=(n, n))
+    rhs = _load_vector(mesh, f)[system.dofs]
     try:
         # no relaxed supernodes, one-column panels: faster below ~3,000 dofs, even at 48,641
         lu = splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1, panel_size=1,

@@ -36,8 +36,8 @@ class RationalScheme:
     """Pole-sum approximation of lambda**(-s), valid for lambda >= lambda0.
 
     ``a``, ``b``, ``c`` have length N; ``epsilon`` is the uniform error bound
-    for the stored ``lambda0``.  The diffusion coefficients ``b`` span many
-    orders of magnitude, so ``log_b`` (the exact exponents) is kept alongside.
+    for the stored ``lambda0``.  Each term is stored divided by max(1, b_l),
+    so every coefficient lies in [0, 1] and max(b_l, c_l) = 1.
     """
 
     s: float
@@ -47,7 +47,6 @@ class RationalScheme:
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    log_b: np.ndarray
     epsilon: float
     lambda0: float
 
@@ -77,9 +76,16 @@ def bp_coefficients(s, kappa, lambda0):
     """Build the full scheme: quadrature limits, coefficients, error bound.
 
     M- = ceil(pi^2 / (4 s kappa^2)), M+ = ceil(pi^2 / (4 (1-s) kappa^2)),
-    N = M+ + M- + 1, C = 2 kappa sin(pi s) / pi, and for l = 1..N
+    N = M+ + M- + 1, C = 2 kappa sin(pi s) / pi, and for l = 1..N, with
+    t_l = 2 (l - M- - 1) kappa and the term l divided by exp(max(0, t_l)),
 
-        b_l = exp(2 (l - M- - 1) kappa),   a_l = b_l**s,   c_l = 1.
+        b_l = exp(t_l - max(0, t_l)),   a_l = exp(s t_l - max(0, t_l)),
+        c_l = exp(-max(0, t_l)).
+
+    The quotient a_l / (c_l + b_l lam) is that of the unscaled coefficients
+    exp(s t_l), exp(t_l) and 1, but no coefficient overflows: the larger of
+    b_l and c_l is exactly 1, and the smaller underflows to 0 only where the
+    other term dominates beyond double range.
     """
     _check_domain(s, kappa)
     if lambda0 <= 0.0:
@@ -88,11 +94,10 @@ def bp_coefficients(s, kappa, lambda0):
     m_plus = math.ceil(math.pi**2 / (4.0 * (1.0 - s) * kappa**2))
     n = m_plus + m_minus + 1
     j = np.arange(1, n + 1) - (m_minus + 1)  # quadrature index, -M- .. M+
-    log_b = 2.0 * kappa * j
-    b = np.exp(log_b)
-    a = np.exp(s * log_b)
-    c = np.ones(n)
-    for arr in (log_b, b, a, c):
+    t = 2.0 * kappa * j
+    shift = np.maximum(0.0, t)
+    a, b, c = np.exp(s * t - shift), np.exp(t - shift), np.exp(-shift)
+    for arr in (a, b, c):
         arr.setflags(write=False)
     return RationalScheme(
         s=float(s),
@@ -102,7 +107,6 @@ def bp_coefficients(s, kappa, lambda0):
         a=a,
         b=b,
         c=c,
-        log_b=log_b,
         epsilon=epsilon_bound(s, kappa, lambda0),
         lambda0=float(lambda0),
     )
@@ -112,7 +116,9 @@ def eval_Q(scheme, lam, warn=True):
     """Evaluate the pole sum at ``lam`` (scalar or array).
 
     Below ``lambda0`` the uniform bound does not apply; a warning is emitted
-    but the value is still returned.
+    but the value is still returned.  At lam = 0 each term is a_l / c_l =
+    exp(s t_l), except where c_l = exp(-t_l) has underflowed to 0 (only for
+    (1 - s) kappa below about 0.0066); such a term counts as inf.
     """
     lam = np.asarray(lam, dtype=float)
     if warn and np.any(lam < scheme.lambda0):
@@ -124,11 +130,8 @@ def eval_Q(scheme, lam, warn=True):
             RuntimeWarning,
             stacklevel=2,
         )
-    # work in the log domain: a_l / (1 + b_l lam) = exp(s t_l - logaddexp(0, t_l + log lam))
-    t = scheme.log_b[:, None]
-    with np.errstate(divide="ignore"):
-        loglam = np.log(lam.reshape(-1))[None, :]
-    terms = np.exp(scheme.s * t - np.logaddexp(0.0, t + loglam))
+    denom = scheme.c[:, None] + scheme.b[:, None] * lam.reshape(-1)
+    terms = np.divide(scheme.a[:, None], denom, out=np.full(denom.shape, np.inf), where=denom > 0)
     out = scheme.C * terms.sum(axis=0)
     return float(out[0]) if lam.ndim == 0 else out.reshape(lam.shape)
 

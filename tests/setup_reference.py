@@ -3,8 +3,10 @@
 These are the per-mesh formulas that the forest's per-node columns replaced
 (``TriMesh.column``), kept unchanged as the reference the tests compare
 against, bit for bit: each computes its values from ``mesh.vertices`` and
-``mesh.cells`` of one mesh, with no forest table.  ``nested_barycentric`` is
-the geometric transfer that the exact path table replaced.
+``mesh.cells`` of one mesh, with no forest table.  ``modal_basis`` is the
+per-mesh grouping into shape classes that the per-node modal column
+replaced, and ``nested_barycentric`` the geometric transfer that the exact
+path table replaced.
 """
 
 import numpy as np
@@ -80,8 +82,9 @@ def shape(mesh):
     return (q / det).T
 
 
-def geometry(mesh):
-    """The dict of ``estimators._geometry``."""
+def modal_basis(mesh):
+    """``estimators._modal_basis``, one eigensolve per shape class (cells
+    with bitwise equal shapes) gathered to the cells."""
     q = shape(mesh)
     order = np.lexsort(q.T[::-1])
     qs = q[order]
@@ -91,6 +94,12 @@ def geometry(mesh):
     cls[order] = np.cumsum(new) - 1
     S = _PT @ np.einsum("ka,aij->kij", qs[new], _T) @ _PT.T
     lam, U = np.linalg.eigh(_LINV @ S @ _LINV.T)
+    W = np.swapaxes(U, 1, 2) @ _LINV
+    return np.take(W.transpose(1, 2, 0), cls, axis=2), np.take(lam.T, cls, axis=1)
+
+
+def geometry(mesh):
+    """The dict of ``estimators._geometry``."""
     ev = mesh.vertices[mesh.edges]
     tang = ev[:, 1] - ev[:, 0]
     length = np.hypot(tang[:, 0], tang[:, 1])
@@ -98,8 +107,7 @@ def geometry(mesh):
     opp = mesh.cells[mesh.edge_cells[:, 0]].sum(axis=1) - mesh.edges.sum(axis=1)
     flip = np.einsum("ed,ed->e", normal, mesh.vertices[opp] - ev[:, 0]) > 0
     normal[flip] *= -1.0
-    W = np.swapaxes(U, 1, 2) @ _LINV
-    return dict(cls=cls, lam=lam, W=W, area=areas(mesh), normal=normal, length=length)
+    return dict(area=areas(mesh), normal=normal, length=length)
 
 
 def nested_barycentric(src, target, parents):

@@ -298,6 +298,15 @@ def test_multimesh_cheaper_than_singlemesh():
     assert multi.records[-1].cumcost < single.records[-1].cumcost
 
 
+@pytest.mark.parametrize("s", [0.05, 0.95])
+def test_extreme_s_at_the_finest_kappa(s):
+    # choose_kappa picks kappa = 0.12 or finer here, where the unscaled b_l
+    # leaves double range at one end of the pole sum
+    res = run(small_config(s=s, kappa=None, tol=1e-13, initial_cells=8, max_iterations=3))
+    assert len(res.records) == 3
+    assert all(np.isfinite(r.eta_union) for r in res.records)
+
+
 def test_on_checkpoint_callback():
     seen = []
 

@@ -93,8 +93,8 @@ def test_solution_zero_on_boundary():
 
 
 def test_extreme_coefficients_scaled_solve():
-    # b spans ~32 orders of magnitude in the pole sum; the scaled solve must
-    # stay accurate at both ends
+    # b/c spans ~32 orders of magnitude; the solve must stay accurate at
+    # both ends
     m = make_initial_mesh(UNIT, 128)
     f = RhsField.one()
     # diffusion-dominated: w ~ 0 in the interior scale 1/b
@@ -250,7 +250,11 @@ def _written_and_read(tmp_path):
 _EXTREME = bp_coefficients(0.95, 0.26, 2.0 * math.pi**2)
 
 
-@pytest.mark.parametrize("b", [_EXTREME.b.min(), _EXTREME.b.max()], ids=["b_min", "b_max"])
+# the ends of the pole sum: (b, c) = (1.6e-9, 1) and (1, 8.2e-166)
+@pytest.mark.parametrize(
+    "b, c", [(_EXTREME.b[0], _EXTREME.c[0]), (_EXTREME.b[-1], _EXTREME.c[-1])],
+    ids=["b_min", "b_max"],
+)
 @pytest.mark.parametrize(
     "make_mesh",
     [
@@ -262,7 +266,7 @@ _EXTREME = bp_coefficients(0.95, 0.26, 2.0 * math.pi**2)
     ],
     ids=["square", "lshape", "read_mesh", "one_interior", "no_interior"],
 )
-def test_solve_matches_dense_solve(make_mesh, b, tmp_path):
+def test_solve_matches_dense_solve(make_mesh, b, c, tmp_path):
     m = make_mesh(tmp_path)
     f = RhsField.test2()
     Kd, Md = _dense_matrices(m)
@@ -271,10 +275,10 @@ def test_solve_matches_dense_solve(make_mesh, b, tmp_path):
     ref = np.zeros(m.num_vertices)
     if interior.any():
         block = np.ix_(interior, interior)
-        ref[interior] = np.linalg.solve(b * Kd[block] + Md[block], F[interior])
+        ref[interior] = np.linalg.solve(b * Kd[block] + c * Md[block], F[interior])
     # the first solve orders the mesh's system, the second reuses that order
     for _ in range(2):
-        w = assemble_and_solve(m, b, 1.0, f).nodal_values
+        w = assemble_and_solve(m, b, c, f).nodal_values
         assert np.all(w[~interior] == 0.0)
         assert np.max(np.abs(w - ref)) <= 1e-9 * np.max(np.abs(ref))
 
@@ -299,9 +303,24 @@ def test_singular_matrix_raises_solve_error():
 
 def test_invalid_coefficients():
     m = make_initial_mesh(UNIT, 8)
-    for b, c in [(0.0, 1.0), (1.0, -2.0), (math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf)]:
+    for b, c in [(0.0, 0.0), (-1.0, 1.0), (1.0, -2.0), (math.inf, 1.0), (math.nan, 1.0),
+                 (1.0, math.inf)]:
         with pytest.raises(ValueError, match=r"b = .*, c = "):
             assemble_and_solve(m, b, c, RhsField.one())
+
+
+@pytest.mark.parametrize("b, c", [(0.0, 1.0), (1.0, 0.0)], ids=["mass", "stiffness"])
+def test_one_zero_coefficient_solves(b, c):
+    # the pole sum stores b_l = 0 or c_l = 0 where the other term dominates
+    # beyond double range; either alone is an SPD system
+    m = make_initial_mesh(UNIT, 32)
+    f = RhsField.test2()
+    Kd, Md = _dense_matrices(m)
+    interior = ~m.boundary_vertex
+    block = np.ix_(interior, interior)
+    ref = np.linalg.solve(b * Kd[block] + c * Md[block], fem._load_vector(m, f)[interior])
+    w = assemble_and_solve(m, b, c, f).nodal_values
+    assert np.max(np.abs(w[interior] - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 def test_transfer_p1_exact_at_random_points():

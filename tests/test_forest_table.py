@@ -90,6 +90,9 @@ def assert_setup_matches_reference(mesh):
             # maps -0.0 to 0.0 and leaves every other value as it is
             got, want = got + 0.0, want + 0.0
         assert_bits(got, want, name)
+    modal, modal_ref = estimators._modal_basis(mesh), setup_reference.modal_basis(mesh)
+    for got, want, name in zip(modal, modal_ref, ("W", "lam")):
+        assert_bits(got, want, name)
     for f in FIELDS:
         assert_bits(fem._load_vector(mesh, f), setup_reference.load_vector(mesh, f), f.kind)
     dofs = np.flatnonzero(~mesh.boundary_vertex)
@@ -171,6 +174,7 @@ def test_node_table_holds_no_mesh():
     for mesh in meshes:
         fem._load_vector(mesh, FIELDS[1])
         estimators._geometry(mesh)
+        estimators._modal_basis(mesh)
     refs = [weakref.ref(mesh) for mesh in meshes]
     del m0, meshes, mesh
     gc.collect()

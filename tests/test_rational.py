@@ -32,15 +32,15 @@ def test_pole_count_formula():
 
 def test_coefficient_structure():
     scheme = bp_coefficients(0.5, 0.3, 1.0)
-    # b is a geometric sequence with ratio exp(2 kappa); a = b**s; c = 1
-    ratios = scheme.b[1:] / scheme.b[:-1]
-    assert np.allclose(ratios, math.exp(0.6), rtol=1e-12)
-    assert np.allclose(scheme.a, scheme.b**0.5, rtol=1e-12)
-    assert np.all(scheme.c == 1.0)
+    # every term is divided by max(1, b_l): b/c is a geometric sequence with
+    # ratio exp(2 kappa), a/c = (b/c)**s, and max(b, c) = 1
+    ratio = scheme.b / scheme.c
+    assert np.allclose(ratio[1:] / ratio[:-1], math.exp(0.6), rtol=1e-12)
+    assert np.allclose(scheme.a / scheme.c, ratio**0.5, rtol=1e-12)
+    assert np.all(np.maximum(scheme.b, scheme.c) == 1.0)
+    for coeff in (scheme.a, scheme.b, scheme.c):
+        assert np.all((coeff >= 0.0) & (coeff <= 1.0))
     assert scheme.C == pytest.approx(2 * 0.3 * math.sin(math.pi / 2) / math.pi)
-    # b spans both tiny and huge values, bracketing b=1
-    assert scheme.b[0] < 1e-10 and scheme.b[-1] > 1e10
-    assert np.any(scheme.b == 1.0)
 
 
 def test_uniform_bound_on_log_grid():
@@ -69,8 +69,8 @@ def test_eval_q_scalar_and_warning():
 
 
 def test_eval_q_no_overflow_for_extreme_s():
-    # s near the endpoints produces b_l over ~10^300; the log-domain
-    # evaluation must stay finite
+    # s near the endpoints makes the unscaled b_l exceed ~10^300; the stored
+    # terms must keep the sum finite
     for s in (0.05, 0.95):
         scheme = bp_coefficients(s, 0.2, 1.0)
         out = eval_Q(scheme, np.array([1.0, 1e8]), warn=False)
@@ -85,12 +85,32 @@ def test_eval_q_no_overflow_for_extreme_s():
 )
 def test_eval_q_matches_direct_sum(s, kappa, lam):
     scheme = bp_coefficients(s, kappa, 1.0)
-    # direct sum in the linear domain, ignoring over/underflow of extreme b_l
-    with np.errstate(over="ignore"):
-        direct = scheme.C * np.sum(
-            np.where(np.isinf(scheme.b), 0.0, scheme.a / (scheme.c + scheme.b * lam))
-        )
+    # the unscaled sum of exp(s t) / (1 + exp(t) lam): for kappa >= 0.15 every
+    # |t| stays below 660, so nothing over- or underflows
+    t = _nodes(s, kappa)
+    assert len(t) == scheme.N
+    direct = scheme.C * np.sum(np.exp(s * t) / (1.0 + np.exp(t) * lam))
     assert eval_Q(scheme, lam, warn=False) == pytest.approx(direct, rel=1e-10)
+
+
+def _nodes(s, kappa):
+    """Quadrature nodes t = 2 kappa j, j = -M- .. M+."""
+    m_minus = math.ceil(math.pi**2 / (4.0 * s * kappa**2))
+    m_plus = math.ceil(math.pi**2 / (4.0 * (1.0 - s) * kappa**2))
+    return 2.0 * kappa * np.arange(-m_minus, m_plus + 1)
+
+
+def test_eval_q_at_zero():
+    # at lam = 0 every term is exp(s t), up to rounding
+    scheme = bp_coefficients(0.5, 0.3, 1.0)
+    direct = scheme.C * np.sum(np.exp(0.5 * _nodes(0.5, 0.3)))
+    assert eval_Q(scheme, 0.0, warn=False) == pytest.approx(direct, rel=1e-12)
+    # (1 - s) kappa = 3e-4: both a_l and c_l underflow to 0 at the top end,
+    # where the terms exp(0.95 t), t up to 16,449, leave double range
+    scheme = bp_coefficients(0.95, 0.006, 1.0)
+    assert scheme.a[-1] == 0.0 and scheme.c[-1] == 0.0
+    with np.errstate(over="ignore"):  # the sum of the finite terms overflows too
+        assert eval_Q(scheme, 0.0, warn=False) == math.inf
 
 
 def test_choose_kappa_meets_tolerance():
