@@ -101,7 +101,10 @@ def doerfler_mark(states, scheme, theta):
     All (a_l * eta_{l,K})^2 are pooled in ascending (l, cell id) order and
     stably sorted in decreasing order, so ties go to the smaller (l, cell id);
     the shortest prefix reaching the theta fraction of the total is marked.
-    Returns one cell-id set per state, in the order of ``states``.
+    Only the values at or above the k-th largest are sorted, with k doubled
+    until their partial sums reach the target: they are the sort's first
+    entries, in its order, so prefix and partial sums are those of the full
+    sort.  Returns one cell-id set per state, in the order of ``states``.
     """
     for st in states:
         if st.dirty:
@@ -114,8 +117,15 @@ def doerfler_mark(states, scheme, theta):
     marks = [set() for _ in states]
     if target <= 0.0:  # the empty prefix reaches it, also when it underflows
         return marks
-    order = np.argsort(-vals, kind="stable")
-    take = int(np.searchsorted(np.cumsum(vals[order]), target)) + 1
+    n, k = len(vals), max(1, len(vals) >> 5)
+    while True:
+        top = np.flatnonzero(vals >= np.partition(vals, n - k)[n - k])
+        order = top[np.argsort(-vals[top], kind="stable")]
+        cumsum = np.cumsum(vals[order])
+        if cumsum[-1] >= target or len(top) == n:
+            break
+        k = min(2 * len(top), n)
+    take = int(np.searchsorted(cumsum, target)) + 1
     picked = np.sort(order[:take])
     offsets = np.cumsum([0] + [len(st.indicators) for st in pooled])
     cuts = np.searchsorted(picked, offsets)
@@ -148,19 +158,20 @@ def _problem(scheme, l):
 
 
 def _estimate(states, scheme, f):
-    """Set the indicators of the solved ``states``: one stacked
-    ``local_indicators`` call per block of up to ``_BLOCK`` states per mesh."""
-    for mesh, group in fem._mesh_groups(states):
+    """Set the indicators of the solved ``states`` that are still dirty, in
+    one stacked ``local_indicators`` call per block of up to ``_BLOCK``
+    states per mesh, and check that every state's indicators are finite."""
+    for mesh, group in fem._mesh_groups([st for st in states if st.dirty]):
         for start in range(0, len(group), estimators._BLOCK):
             block = group[start : start + estimators._BLOCK]
             l = [st.index for st in block]
             w = fem.FeFunction(mesh, np.stack([st.solution.nodal_values for st in block], axis=1))
             eta = estimators.local_indicators(mesh, w, scheme.b[l], scheme.c[l], f)
             for st, col in zip(block, eta.T):
-                if not np.all(np.isfinite(col)):
-                    raise ValueError(f"non-finite error indicator for {_problem(scheme, st.index)}")
-                st.indicators = col
-                st.dirty = False
+                st.indicators, st.dirty = col, False
+    for st in states:
+        if not np.all(np.isfinite(st.indicators)):
+            raise ValueError(f"non-finite error indicator for {_problem(scheme, st.index)}")
 
 
 def run(config, reference=None, on_checkpoint=None):
@@ -203,7 +214,6 @@ def run(config, reference=None, on_checkpoint=None):
             except ValueError as exc:
                 raise ValueError(f"{problem}: {exc}") from exc
             solve_counts[st.index] += 1
-        _estimate(dirty, scheme, cfg.f)
         solved_per_iter.append(sorted(st.index for st in dirty))
 
         totcost = sum(st.mesh.num_interior_vertices for st in dirty)
@@ -220,11 +230,14 @@ def run(config, reference=None, on_checkpoint=None):
         # iteration 0 is a checkpoint, so union and solution are always set
         checkpoint = m % cfg.k == 0
         if checkpoint:
-            # when every state shares one mesh, the union is that mesh
+            # when every state shares one mesh, the union is that mesh; the
+            # union pass estimates the dirty states that live on the union
             union = union_mesh([st.mesh for st in states])
             rec.eta_union, solution = estimators.global_union_estimate(
                 scheme, states, union, cfg.f
             )
+        _estimate(dirty, scheme, cfg.f)
+        if checkpoint:
             rec.eta_triangle = estimators.global_triangle_estimate(scheme, states)
             rec.union_dofs = union.num_interior_vertices
             if reference is not None:

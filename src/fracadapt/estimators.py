@@ -5,29 +5,29 @@ edge midpoints on the 4-subtriangle partition of K made by two newest-vertex
 bisections.  The local problem on K,
 
     b (grad e, grad v)_K + c (e, v)_K
-        = (r, v)_K - 1/2 sum_F (J_F, v)_F      for all v in the enrichment,
+        = (r, v)_K - b/2 sum_F (J_F, v)_F      for all v in the enrichment,
 
-with residual r = f - c w (the Laplacian of a P1 function vanishes cellwise)
-and edge flux jumps J_F, is a 3x3 SPD system; the indicator is ||e||_{L2(K)}.
+with residual r = f - c w and edge flux jumps J_F, is a 3x3 SPD system with
+mass matrix |K| M_ref and a stiffness matrix S that depends only on the
+cell's shape; the indicator is ||e||_{L2(K)}.  With S V = M_ref V diag(lam),
+V^T M_ref V = I, what depends on the cell alone is composed once per forest
+node, in per-node columns (``mesh.TriMesh.column``): W' = V^T, lam,
+B = (|K| / 4) W' G with (phi_i, hat_j)_K = (|K| / 4) G[i, j], and per field
+alpha = (|K| / 4) W' F with f-moments F summed over 24 points one by one.
+For corner values v and jumps times lengths j per local edge, one kernel
+serves every estimate, and lam > 0 keeps its denominator positive:
 
-With B = [v1 - v0, v2 - v0], the enrichment mass matrix is M_K = |K| M_ref,
-and the stiffness matrix S_K = q00 T00 + q01 (T01 + T10) + q11 T11 depends
-only on the shape q = adj(B^T B) / |det B| (the T are reference-cell tensors).
-The eigenbasis S V = M_ref V diag(lam), V^T M_ref V = I, is computed once per
-forest node (a per-node column, see ``mesh.TriMesh.column``) and turns the
-solve into a division, y = V^T r_K / (b lam + c |K|), and ||e_K||^2 =
-|K| |y|^2.  The eigenvalues are positive, so the denominator is positive.
+    y = (alpha - c B v - (b / 4) W' j) / (lam b + |K| c),   ||e_K||^2 = |K| |y|^2.
 
-Both estimates stack up to ``_BLOCK`` problems of one distinct mesh
-(``fem._mesh_groups``) per kernel call.  Kernel arrays keep the cell index
-innermost, (L, 3, m), so broadcasts run over cells, not over the L problems;
-each cell sums its terms in a fixed order, so stacking changes no bit.
+Both estimates stack up to ``_BLOCK`` problems of one mesh per kernel call,
+cells innermost, (L, 3, m); each cell sums its terms in a fixed order, so
+stacking changes no bit.
 """
 
 import numpy as np
 
 from . import mesh as meshmod
-from .fem import TRI_QP, TRI_QW, FeFunction, _grads, _mesh_groups
+from .fem import TRI_QP, TRI_QW, FeFunction, _grads, _matvec, _mesh_groups
 from .fem import transfer_p1  # noqa: F401  (the benchmark tracer wraps this name)
 
 __all__ = [
@@ -48,7 +48,7 @@ _VFULL = np.eye(6)[3:]
 _CB = np.einsum("qk,tkj->tqj", TRI_QP, _NODE_BARY[_SUBTRI]).reshape(24, 3)
 # quadrature weight times midpoint-hat value, per (subtriangle, point)
 _WPHI = np.einsum("q,itk,qk->tqi", TRI_QW, _VFULL[:, _SUBTRI], TRI_QP).reshape(24, 3)
-# the modal tables use the basis (phi_0, phi_1 + phi_2, phi_1 - phi_2)
+# the eigensolve runs in the basis (phi_0, phi_1 + phi_2, phi_1 - phi_2)
 _PT = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, -1.0]])
 
 # problems stacked per kernel call; larger blocks raise the peak memory of a
@@ -58,9 +58,9 @@ _BLOCK = 8
 
 def _reference_tables():
     """On the reference cell (0,0), (1,0), (0,1): the stiffness tensors
-    (T00, T01 + T10, T11), the mass matrix M_ref per unit area, and G with
-    (phi_i, P1 hat j)_K = |K| / 4 * G[i, j].  All sums are exact before the
-    last division, so entries equal in exact arithmetic are equal bitwise."""
+    (T00, T01 + T10, T11), the mass matrix M_ref per unit area, and G.  All
+    sums are exact before the last division, so entries equal in exact
+    arithmetic are equal bitwise."""
     V = _VFULL[:, _SUBTRI].transpose(1, 0, 2)  # (subtriangle, basis, corner)
     corners = _NODE_BARY[_SUBTRI]  # barycentric; (x, y) = (lam1, lam2) here
     P = np.concatenate([np.ones((4, 3, 1)), corners[..., 1:]], axis=2)
@@ -94,15 +94,36 @@ def _sides(x):
     return np.stack([d[..., 1] / length, -d[..., 0] / length, length], axis=-1)
 
 
-def _modal_of(x):
-    """Modal basis W (r, 3, 3) and eigenvalues lam (r, 3) of cells with
-    corners x (r, 3, 2), side by side as (r, 3, 4)."""
-    # eigenbasis in the _PT basis: a shape symmetric under the mirror swapping
-    # phi_1 and phi_2 keeps exact zeros there, so mirror-image cells get equal
-    # indicators bit for bit and marking breaks their ties by cell id
+def _ops_of(x):
+    """W' (r, 3, 3), B (r, 3, 3) and lam (r, 3) of cells with corners
+    x (r, 3, 2), side by side as (r, 3, 7)."""
+    # a shape symmetric under the mirror swapping phi_1 and phi_2 has exact zeros in the
+    # _PT basis: columns 1 and 2 of W' = W _PT are equal or opposite, and added first
     S = _PT @ np.einsum("ka,aij->kij", _shape(x), _T) @ _PT.T
     lam, U = np.linalg.eigh(_LINV @ S @ _LINV.T)
-    return np.concatenate([np.swapaxes(U, 1, 2) @ _LINV, lam[..., None]], axis=2)
+    W = np.swapaxes(U, 1, 2) @ _LINV
+    Wp = np.stack([W[..., 0], W[..., 1] + W[..., 2], W[..., 1] - W[..., 2]], axis=2)
+    WG = Wp[..., 0, None] * _G[0] + (Wp[..., 1, None] * _G[1] + Wp[..., 2, None] * _G[2])
+    B = meshmod._cell_areas(x)[:, None, None] / 4.0 * WG
+    return np.concatenate([Wp, B, lam[..., None]], axis=2)
+
+
+def _columns(mesh, f):
+    """W' (3, 3, m), B (3, 3, m), lam (3, m) and alpha (3, m) of each cell
+    for the field ``f``, cells innermost, gathered from per-node columns."""
+    ops = mesh.column("ops", _ops_of)
+    table = mesh.base.columns["ops"]  # alpha_of gets the table's last rows
+
+    def alpha_of(x):  # F_i = sum_q f(x_q) _WPHI[q, i], one point at a time
+        fq = f(*np.moveaxis(_matvec(_CB, x), -1, 0))
+        F = sum(fq[:, q, None] * _WPHI[q] for q in range(24))
+        Wp = table[len(table) - len(x) :, :, :3]
+        WF = Wp[..., 0] * F[:, None, 0] + (Wp[..., 1] * F[:, None, 1] + Wp[..., 2] * F[:, None, 2])
+        return meshmod._cell_areas(x)[:, None] / 4.0 * WF
+
+    alpha = mesh.column(("alpha", f), alpha_of)
+    ops = np.ascontiguousarray(ops.transpose(1, 2, 0))
+    return ops[:, :3], ops[:, 3:6], ops[:, 6], np.ascontiguousarray(alpha.T)
 
 
 def _geometry(mesh):
@@ -119,17 +140,6 @@ def _geometry(mesh):
     return geo
 
 
-def _f_moments(mesh, f):
-    """(f, phi_i)_K / (|K| / 4) per cell, shape (3, m), cached per field."""
-    key = ("enr_f", f)
-    F = mesh._cache.get(key)
-    if F is None:
-        qpts = _CB @ mesh.vertices[mesh.cells]  # (m, 24, 2)
-        F = np.ascontiguousarray((f(qpts[..., 0], qpts[..., 1]) @ _WPHI).T)
-        mesh._cache[key] = F
-    return F
-
-
 def _jump_sides(mesh, labels=None):
     """(mask, side-1 cells, side-2 cells) of the interior edges; with per-cell
     ``labels`` the sides are labels, and edges inside one label are left out
@@ -143,8 +153,8 @@ def _jump_sides(mesh, labels=None):
 
 
 def _cell_matvec(A, v):
-    """A (p, 3, m) or (p, 3, 1) times v (L, 3, m) cell by cell, shape
-    (L, p, m), summed term by term in the order of ``fem._matvec``."""
+    """A (p, 3, m) times v (L, 3, m) cell by cell, shape (L, p, m), summed
+    term by term in the order of ``fem._matvec``."""
     out = A[:, 0] * v[:, None, 0] + A[:, 1] * v[:, None, 1]
     out += A[:, 2] * v[:, None, 2]
     return out
@@ -169,41 +179,26 @@ def _edge_jumps(mesh, grads, sides=None):
     return j
 
 
-def _rhs(mesh, corner_vals, jump, b, c, f):
-    """Local right-hand sides (L, 3, m): (r, phi_i)_K - b |F_i| J_i / 4 for
-    corner values (L, 3, m), jumps (L, e) and b, c scalars or (L, 1, 1)."""
-    geo = _geometry(mesh)
-    jl = np.take(jump * geo["length"], mesh.cell_edge.T, axis=1)
-    resid = _f_moments(mesh, f) - c * _cell_matvec(_G[..., None], corner_vals)
-    return geo["area"] / 4.0 * resid - 0.25 * b * jl
-
-
-def _modal_basis(mesh):
-    """Modal basis W (3, 3, m) and eigenvalues (3, m) of each cell."""
-    modal = np.ascontiguousarray(mesh.column("modal", _modal_of).transpose(1, 2, 0))
-    return modal[:, :3], modal[:, 3]
-
-
-def _modal_coeffs(target, basis, corner_vals, jump, b, c, f):
-    """Modal coefficients y (L, 3, m) of the local problems on ``target`` for
-    corner values (L, 3, m) and flux jumps (L, e) of L stacked P1 functions
-    on ``target``; b and c give one value per column, and ``basis`` is
-    ``_modal_basis`` of ``target``."""
-    W, lam = basis
+def _modal_coeffs(target, columns, corner_vals, jump, b, c):
+    """Modal coefficients y (L, 3, m) on ``target`` of L stacked P1 functions
+    with corner values (L, 3, m) and flux jumps (L, e), one b and c each."""
+    Wp, B, lam, alpha = columns
     b, c = np.reshape(b, (-1, 1, 1)), np.reshape(c, (-1, 1, 1))
-    r = _rhs(target, corner_vals, jump, b, c, f)
-    r = np.stack([r[:, 0], r[:, 1] + r[:, 2], r[:, 1] - r[:, 2]], axis=1)  # _PT @ r
-    return _cell_matvec(W, r) / (lam * b + _geometry(target)["area"] * c)
+    geo = _geometry(target)
+    j = np.take(jump * geo["length"], target.cell_edge.T, axis=1)
+    # the mirror pairs edges 1 and 2, and corners 0 and 1: each pair is added first
+    wj = Wp[:, 1] * j[:, None, 1] + Wp[:, 2] * j[:, None, 2]
+    wj += Wp[:, 0] * j[:, None, 0]
+    return (alpha - c * _cell_matvec(B, corner_vals) - b / 4.0 * wj) / (lam * b + geo["area"] * c)
 
 
 def local_indicators(mesh, w, b, c, f):
     """Per-cell indicators ||e_K||_{L2(K)} of the problems whose solutions
     ``w`` live on ``mesh``: shape (m,) for one solution, (m, L) for L stacked
     ones with one b and one c per column."""
-    geo = _geometry(mesh)
     vals, grads = _corner_values(mesh, w.nodal_values.reshape(mesh.num_vertices, -1))
-    y = _modal_coeffs(mesh, _modal_basis(mesh), vals, _edge_jumps(mesh, grads), b, c, f)
-    eta = np.sqrt(geo["area"] * np.sum(y**2, axis=1)).T
+    y = _modal_coeffs(mesh, _columns(mesh, f), vals, _edge_jumps(mesh, grads), b, c)
+    eta = np.sqrt(_geometry(mesh)["area"] * np.sum(y**2, axis=1)).T  # as in the union pass
     return eta if w.nodal_values.ndim > 1 else eta[:, 0]
 
 
@@ -220,22 +215,24 @@ def global_triangle_estimate(scheme, states):
 def combined_equal_mesh_estimate(scheme, states, f):
     """Single-mesh estimate: combine per-cell local solutions before the norm.
 
-    All states must live on the same mesh.  Returns
-    sqrt(sum_K ||C sum_l a_l e_{l,K}||^2).  Every local system
-    (b S_K + c M_K) e = r_K is solved densely, without the modal basis, so
-    this is an independent reference for the union estimate.
+    All states must live on the same mesh.  Returns sqrt(sum_K ||C sum_l a_l
+    e_{l,K}||^2), with every (b S_K + c M_K) e = r_K formed and solved densely
+    without the per-node columns: an independent reference for the union pass.
     """
     mesh = states[0].mesh
     for st in states:
         if not st.mesh.same_mesh(mesh):
             raise meshmod.MeshStructureError("states are not on a shared mesh")
     S = np.einsum("ma,aij->mij", mesh.column("shape", _shape), _T)
-    M = _geometry(mesh)["area"][:, None, None] * _MREF
+    geo = _geometry(mesh)
+    M = geo["area"][:, None, None] * _MREF
+    F = f(*np.moveaxis(_CB @ mesh.vertices[mesh.cells], -1, 0)) @ _WPHI
     combined = np.zeros((mesh.num_cells, 3))
     for st in states:
         b, c = scheme.b[st.index], scheme.c[st.index]
         vals, grads = _corner_values(mesh, st.solution.nodal_values[:, None])
-        rhs = _rhs(mesh, vals, _edge_jumps(mesh, grads), b, c, f)[0].T
+        jl = (_edge_jumps(mesh, grads)[0] * geo["length"])[mesh.cell_edge]
+        rhs = geo["area"][:, None] / 4.0 * (F - c * vals[0].T @ _G.T) - b / 4.0 * jl
         combined += scheme.a[st.index] * np.linalg.solve(b * S + c * M, rhs[..., None])[..., 0]
     combined *= scheme.C
     return float(np.sqrt(np.sum(np.einsum("mi,mij,mj->m", combined, M, combined))))
@@ -247,15 +244,13 @@ def global_union_estimate(scheme, states, union, f):
     Returns ``(eta, solution)``: eta = sqrt(sum_K ||C sum_l a_l e_{l,K}||^2)
     from the local problems on every union cell for every l, and the
     ``FeFunction`` C sum_l a_l w_l on ``union``.  States whose meshes share
-    leaves form one group and are stacked in blocks of ``_BLOCK``.  A source
-    mesh other than the union is a coarsening of it: once per source, a table
-    gives each union cell the corners of its source cell and its own corners'
-    barycentric coordinates there, for exact interpolation, and jumps are
-    taken from source-cell gradients on the union edges between two source
-    cells only.
+    leaves form one group, stacked in blocks of ``_BLOCK``.  Once per source
+    mesh coarser than the union, a table gives each union cell its source
+    cell's corners and its own corners' barycentric coordinates there; jumps
+    are taken on union edges between two source cells only.  Dirty states on
+    the union itself get their indicators (``local_indicators``'s bits) here.
     """
-    geo = _geometry(union)
-    basis = _modal_basis(union)  # hoisted out of the blocks
+    area, columns = _geometry(union)["area"], _columns(union, f)  # hoisted out of the blocks
     combined = np.zeros((3, union.num_cells))
     corner_sum = np.zeros((1, 3, union.num_cells))
     for src, group in _mesh_groups(states):
@@ -276,12 +271,16 @@ def global_union_estimate(scheme, states, union, f):
             if lam is not None:
                 vals = _cell_matvec(lam, np.take(nodal.T, corners.T, axis=1))
             jump = _edge_jumps(union, grads, sides)
-            y = _modal_coeffs(union, basis, vals, jump, scheme.b[l], scheme.c[l], f)
-            combined += np.tensordot(scheme.a[l], y, 1)
+            y = _modal_coeffs(union, columns, vals, jump, scheme.b[l], scheme.c[l])
+            combined += (scheme.a[l] @ y.reshape(len(l), -1)).reshape(combined.shape)  # a gemv
             partial += nodal @ scheme.a[l]
+            if lam is None:  # the union is these states' own mesh
+                for st, col in zip(block, np.sqrt(area * np.sum(y**2, axis=1))):
+                    if st.dirty:
+                        st.indicators, st.dirty = col, False
         partial = np.take(partial[None], corners.T, axis=1)
         corner_sum += partial if lam is None else _cell_matvec(lam, partial)
     solution = np.empty(union.num_vertices)
     solution[union.cells] = scheme.C * corner_sum[0].T
-    eta = scheme.C * float(np.sqrt(np.sum(geo["area"] * np.sum(combined**2, axis=0))))
+    eta = scheme.C * float(np.sqrt(np.sum(area * np.sum(combined**2, axis=0))))
     return eta, FeFunction(union, solution)

@@ -191,20 +191,27 @@ class _ForestBase:
 def _bisect_roots(centroids):
     """Paths (left-aligned in ``_PATH_BITS`` bits) and depths of the roots in
     the recursive coordinate bisection of their centroids (0: the lower half
-    along the longer side of the bounding box, ties by index)."""
+    along the longer side of the bounding box, ties by index).  Each level
+    splits all its groups at once: ``idx`` lists the roots group by group, and
+    one stable sort by group, then coordinate, orders every group."""
     path, depth = np.zeros((2, len(centroids)), dtype=np.int64)
-
-    def split(idx, d):
+    idx = np.arange(len(centroids))
+    start = np.zeros(int(len(idx) > 1), dtype=np.int64)  # groups of more than one root
+    d = 0
+    while len(start):
+        size = np.diff(np.append(start, len(idx)))
+        group = np.repeat(np.arange(len(start)), size)
+        c = centroids[idx]
+        axis = np.argmax(np.maximum.reduceat(c, start) - np.minimum.reduceat(c, start), axis=1)
+        idx = idx[np.lexsort((c[np.arange(len(idx)), axis[group]], group))]
+        half = size // 2
+        path[idx[np.arange(len(idx)) >= (start + half)[group]]] |= 1 << (_PATH_BITS - 1 - d)
+        d += 1
         depth[idx] = d
-        if len(idx) > 1:
-            c = centroids[idx]
-            idx = idx[np.argsort(c[:, np.argmax(np.ptp(c, axis=0))], kind="stable")]
-            half = len(idx) // 2
-            path[idx[half:]] |= 1 << (_PATH_BITS - 1 - d)
-            split(idx[:half], d + 1)
-            split(idx[half:], d + 1)
-
-    split(np.arange(len(centroids)), 0)
+        size = np.stack([half, size - half], axis=1).ravel()
+        idx = idx[np.repeat(size > 1, size)]
+        size = size[size > 1]
+        start = np.cumsum(size) - size
     return path, depth
 
 
@@ -240,9 +247,10 @@ def separator_nodes(mesh):
     bits = (mesh.cell_key >> _LEVEL_BITS) & ((1 << MAX_LEVEL) - 1)
     path = mesh.base.root_path[mesh.cell_root] | bits << (_PATH_BITS - MAX_LEVEL - depth)
     vertex, path = mesh.cells.reshape(-1), np.repeat(path, 3)
-    path = path[np.lexsort((path, vertex))]
-    last = np.cumsum(np.bincount(vertex, minlength=mesh.num_vertices)) - 1
-    lo, mask = path[np.append(0, last[:-1] + 1)], path[last]
+    lo = np.full(mesh.num_vertices, np.iinfo(np.int64).max)
+    mask = np.zeros(mesh.num_vertices, dtype=np.int64)
+    np.minimum.at(lo, vertex, path)
+    np.maximum.at(mask, vertex, path)
     mask ^= lo
     for shift in (1, 2, 4, 8, 16, 32):  # ones from the first differing bit down
         mask |= mask >> shift

@@ -2,7 +2,11 @@
 
 This is the tuple-path implementation the array-native forest replaced, kept
 as the reference the tests compare against, together with the loop that
-built the initial grid before ``make_initial_mesh`` was vectorised.  Each root cell carries a
+built the initial grid before ``make_initial_mesh`` was vectorised, and the
+recursion that built the roots' bisection tree (``bisect_roots``) before
+``mesh._bisect_roots`` split a whole level at once, and the sort that found
+each vertex's smallest and largest full path (``separator_nodes``) before
+``mesh.separator_nodes`` took them with ``np.minimum.at``/``np.maximum.at``.  Each root cell carries a
 frozenset of leaf paths (tuples of 0/1 bisection choices); building,
 refinement (recursive newest-vertex closure), overlay and the ancestor map
 walk those paths in Python.  Meshes here share ``_ForestBase`` with the real
@@ -13,7 +17,47 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fracadapt.mesh import _LEVEL_BITS, _LEVEL_MASK, _ROOT_SHIFT, MAX_LEVEL, MeshStructureError
+from fracadapt.mesh import (
+    _LEVEL_BITS,
+    _LEVEL_MASK,
+    _PATH_BITS,
+    _ROOT_SHIFT,
+    MAX_LEVEL,
+    MeshStructureError,
+)
+
+
+def bisect_roots(centroids):
+    """Root paths and depths of ``mesh._bisect_roots``, one call per tree node."""
+    path, depth = np.zeros((2, len(centroids)), dtype=np.int64)
+
+    def split(idx, d):
+        depth[idx] = d
+        if len(idx) > 1:
+            c = centroids[idx]
+            idx = idx[np.argsort(c[:, np.argmax(np.ptp(c, axis=0))], kind="stable")]
+            half = len(idx) // 2
+            path[idx[half:]] |= 1 << (_PATH_BITS - 1 - d)
+            split(idx[:half], d + 1)
+            split(idx[half:], d + 1)
+
+    split(np.arange(len(centroids)), 0)
+    return path, depth
+
+
+def separator_nodes(mesh):
+    """``mesh.separator_nodes``, with each vertex's paths in one ``lexsort``."""
+    depth = mesh.base.root_depth[mesh.cell_root]
+    bits = (mesh.cell_key >> _LEVEL_BITS) & ((1 << MAX_LEVEL) - 1)
+    path = mesh.base.root_path[mesh.cell_root] | bits << (_PATH_BITS - MAX_LEVEL - depth)
+    vertex, path = mesh.cells.reshape(-1), np.repeat(path, 3)
+    path = path[np.lexsort((path, vertex))]
+    last = np.cumsum(np.bincount(vertex, minlength=mesh.num_vertices)) - 1
+    lo, mask = path[np.append(0, last[:-1] + 1)], path[last]
+    mask ^= lo
+    for shift in (1, 2, 4, 8, 16, 32):
+        mask |= mask >> shift
+    return lo & ~mask, mask
 
 
 def from_mesh(mesh):

@@ -5,13 +5,15 @@ These are the per-mesh formulas that the forest's per-node columns replaced
 against, bit for bit: each computes its values from ``mesh.vertices`` and
 ``mesh.cells`` of one mesh, with no forest table.  ``modal_basis`` is the
 per-mesh grouping into shape classes that the per-node modal column
-replaced, and ``nested_barycentric`` the geometric transfer that the exact
-path table replaced.
+replaced; ``operators`` composes the estimator's per-cell operators from
+it, and ``alpha`` its f-term from per-mesh quadrature points.
+``nested_barycentric`` is the geometric transfer that the exact path table
+replaced.
 """
 
 import numpy as np
 
-from fracadapt.estimators import _LINV, _PT, _T
+from fracadapt.estimators import _CB, _G, _LINV, _PT, _T, _WPHI
 from fracadapt.fem import TRI_QP, TRI_QW, _matvec
 
 
@@ -96,6 +98,29 @@ def modal_basis(mesh):
     lam, U = np.linalg.eigh(_LINV @ S @ _LINV.T)
     W = np.swapaxes(U, 1, 2) @ _LINV
     return np.take(W.transpose(1, 2, 0), cls, axis=2), np.take(lam.T, cls, axis=1)
+
+
+def operators(mesh):
+    """W' = W _PT, B = (|K| / 4) W' G and lam per cell, shapes (m, 3, 3),
+    (m, 3, 3) and (m, 3), from ``modal_basis``."""
+    W, lam = modal_basis(mesh)
+    W = W.transpose(2, 0, 1)
+    Wp = np.stack([W[..., 0], W[..., 1] + W[..., 2], W[..., 1] - W[..., 2]], axis=2)
+    WG = Wp[..., 0, None] * _G[0] + (Wp[..., 1, None] * _G[1] + Wp[..., 2, None] * _G[2])
+    return Wp, areas(mesh)[:, None, None] / 4.0 * WG, lam.T
+
+
+def alpha(mesh, f):
+    """(|K| / 4) W' F per cell, shape (m, 3), with F_i = sum_q f(x_q)
+    _WPHI[q, i] accumulated over the 24 points in order."""
+    qp = _matvec(_CB, mesh.vertices[mesh.cells])
+    fq = f(qp[..., 0], qp[..., 1])
+    F = np.zeros((mesh.num_cells, 3))
+    for q in range(len(_WPHI)):
+        F = F + fq[:, q, None] * _WPHI[q]
+    Wp = operators(mesh)[0]
+    WF = Wp[..., 0] * F[:, None, 0] + (Wp[..., 1] * F[:, None, 1] + Wp[..., 2] * F[:, None, 2])
+    return areas(mesh)[:, None] / 4.0 * WF
 
 
 def geometry(mesh):

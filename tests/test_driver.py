@@ -12,6 +12,8 @@ from fracadapt.driver import IterationRecord
 from fracadapt.estimators import combined_equal_mesh_estimate
 from fracadapt.fem import RhsField, SolveError
 from fracadapt.mesh import DomainSpec, is_refinement_of
+from fracadapt.oracle import faber_krahn_lambda0
+from fracadapt.rational import bp_coefficients
 
 SQUARE = DomainSpec("square")
 
@@ -173,37 +175,63 @@ def test_shared_mesh_union_estimate_matches_combined(mode):
 
 
 def test_nonfinite_indicator_fails_loudly(monkeypatch):
-    # the driver estimates stacked blocks; a NaN in the column of problem
-    # l = 2 must be reported with l = 2 and its coefficients
-    real = estimators.local_indicators
+    # a NaN indicator must be reported with its problem and coefficients,
+    # where the union pass sets it (iteration 0: every problem on the
+    # initial mesh, problem l = 2 in column 2 of the first block) and where
+    # local_indicators does (iteration 1, a refined mesh below the union)
+    real_coeffs, real_local = estimators._modal_coeffs, estimators.local_indicators
     calls = []
 
-    def broken(mesh, w, b, c, f):
-        eta = real(mesh, w, b, c, f)
+    def broken_coeffs(target, columns, vals, jump, b, c):
+        y = real_coeffs(target, columns, vals, jump, b, c)
         calls.append(b)
         if len(calls) == 1:
-            eta[0, 2] = np.nan
-        return eta
+            y[2, :, 0] = np.nan
+        return y
 
-    monkeypatch.setattr(estimators, "local_indicators", broken)
+    monkeypatch.setattr(estimators, "_modal_coeffs", broken_coeffs)
     with pytest.raises(ValueError) as exc:
         run(small_config(max_iterations=2))
     msg = str(exc.value)
     assert "l = 2" in msg
     assert f"b_l = {calls[0][2]:.6g}" in msg and "c_l = 1" in msg
 
+    monkeypatch.setattr(estimators, "_modal_coeffs", real_coeffs)
+    calls.clear()
+
+    def broken_local(mesh, w, b, c, f):
+        eta = real_local(mesh, w, b, c, f)
+        calls.append((b, c))
+        if len(calls) == 1:
+            eta[0, -1] = np.nan
+        return eta
+
+    monkeypatch.setattr(estimators, "local_indicators", broken_local)
+    with pytest.raises(ValueError) as exc:
+        run(small_config(max_iterations=2))
+    b, c = calls[0][0][-1], calls[0][1][-1]
+    l = int(np.flatnonzero(bp_coefficients(0.5, 0.6, faber_krahn_lambda0(SQUARE)).b == b)[0])
+    assert str(exc.value) == (
+        f"non-finite error indicator for problem l = {l} (b_l = {b:.6g}, c_l = {c:.6g})"
+    )
+
 
 def test_singlemesh_estimates_in_stacked_blocks(monkeypatch):
-    # every iteration solves all N problems on the shared mesh and estimates
-    # them in ceil(N / _BLOCK) stacked calls, not one call per problem
-    real = estimators.local_indicators
+    # every iteration solves all N problems on the shared mesh, which is the
+    # union, and the union pass estimates them in ceil(N / _BLOCK) stacked
+    # kernel calls; local_indicators is never called
+    real = estimators._modal_coeffs
     widths = []
 
-    def spy(mesh, w, b, c, f):
+    def spy(target, columns, vals, jump, b, c):
         widths.append(len(b))
-        return real(mesh, w, b, c, f)
+        return real(target, columns, vals, jump, b, c)
 
-    monkeypatch.setattr(estimators, "local_indicators", spy)
+    def refuse(*args):
+        raise AssertionError("local_indicators called")
+
+    monkeypatch.setattr(estimators, "_modal_coeffs", spy)
+    monkeypatch.setattr(estimators, "local_indicators", refuse)
     seen = []
     res = run(
         small_config(mode="singlemesh", max_iterations=3),
@@ -213,6 +241,7 @@ def test_singlemesh_estimates_in_stacked_blocks(monkeypatch):
     assert n > estimators._BLOCK and len(res.records) == 3
     assert np.diff([0] + seen).tolist() == [math.ceil(n / estimators._BLOCK)] * 3
     assert sum(widths) == 3 * n
+    assert all(not st.dirty and np.all(np.isfinite(st.indicators)) for st in res.states)
 
 
 @pytest.mark.parametrize(

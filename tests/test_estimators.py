@@ -83,11 +83,40 @@ def _subtriangle_matrices(X):
     return S, M
 
 
+def _dense_rhs(mesh, w, b, c, f):
+    """Local right-hand sides (m, 3), formed cell by cell: (f - c w, phi_i)_K
+    by the 6-point rule on each of the 4 subtriangles (24 points), minus
+    b / 4 times the flux jump times the length of local edge i, which joins
+    corners i and i + 1 and carries the midpoint of phi_i."""
+    x = mesh.vertices[mesh.cells]
+    # the gradient of w on every cell, from its corner values
+    P = np.concatenate([np.ones((mesh.num_cells, 3, 1)), x], axis=2)
+    grad = np.linalg.solve(P, w.nodal_values[mesh.cells][..., None])[:, 1:, 0]
+    rhs = np.zeros((mesh.num_cells, 3))
+    for k, cell in enumerate(mesh.cells):
+        nodes, node_w = _NODES @ x[k], _NODES @ w.nodal_values[cell]
+        for sub in _SUBTRIANGLES:
+            e1, e2 = nodes[sub[1]] - nodes[sub[0]], nodes[sub[2]] - nodes[sub[0]]
+            area = 0.5 * abs(e1[0] * e2[1] - e1[1] * e2[0])
+            pts, w_pts = fem.TRI_QP @ nodes[sub], fem.TRI_QP @ node_w[sub]
+            phi = fem.TRI_QP @ (np.array(sub)[None, :] == np.arange(3, 6)[:, None]).T
+            residual = f(pts[:, 0], pts[:, 1]) - c * w_pts
+            rhs[k] += area * (fem.TRI_QW * residual) @ phi
+        for i in range(3):
+            e = mesh.cell_edge[k, i]
+            if mesh.edge_cells[e, 1] < 0:
+                continue  # no jump on the boundary
+            other = mesh.edge_cells[e, 0] + mesh.edge_cells[e, 1] - k
+            d = x[k, (i + 1) % 3] - x[k, i]
+            length = np.hypot(d[0], d[1])
+            jump = (grad[k] - grad[other]) @ np.array([d[1], -d[0]]) / length
+            rhs[k, i] -= b / 4.0 * jump * length
+    return rhs
+
+
 def _dense_indicators(mesh, w, b, c, f):
     """Indicators from a dense per-cell solve of (b S_K + c M_K) e = r_K."""
-    jump = estimators._edge_jumps(mesh, w.cell_gradients().T[None])
-    corner_vals = w.nodal_values[mesh.cells].T[None]
-    rhs = estimators._rhs(mesh, corner_vals, jump, b, c, f)[0].T
+    rhs = _dense_rhs(mesh, w, b, c, f)
     eta = np.empty(mesh.num_cells)
     for k, cell in enumerate(mesh.cells):
         S, M = _subtriangle_matrices(mesh.vertices[cell])
@@ -218,6 +247,38 @@ def test_union_pass_returns_recombined_solution(tmp_path):
         expected = combine_on_union(scheme, states, u).nodal_values
         err = np.max(np.abs(solution.nodal_values - expected)) / np.max(np.abs(expected))
         assert err <= 1e-14
+
+
+def test_union_pass_sets_the_indicators_of_dirty_states_on_the_union(tmp_path):
+    # states on the union mesh (the union itself and a twin) have their
+    # local problems on their own cells: the union pass sets the indicators
+    # of the dirty ones, equal to local_indicators bit for bit, and leaves
+    # clean states and states on coarser meshes as they are
+    scheme = bp_coefficients(0.5, 0.6, 1.0)
+    m0 = _perturbed_mesh(tmp_path)
+    a, b = refine(m0, {0, 1, 2}), refine(m0, {20, 21})
+    u = union_mesh([a, b])
+    meshes = [a, u, b, union_mesh([b, a])]
+    assert meshes[3] is not u and meshes[3]._cache is u._cache
+    f = RhsField.test2()
+    states = []
+    for l in range(scheme.N):
+        mesh = meshes[l % 4]
+        w = assemble_and_solve(mesh, scheme.b[l], scheme.c[l], f)
+        states.append(ParametricState(index=l, mesh=mesh, solution=w))
+    clean = states[1]
+    clean.indicators, clean.dirty = np.full(u.num_cells, 7.0), False
+    assert scheme.N // 2 > estimators._BLOCK
+    global_union_estimate(scheme, states, u, f)
+    assert np.all(clean.indicators == 7.0)
+    for st in states:
+        if st.mesh.same_mesh(u) and st is not clean:
+            assert not st.dirty
+            b_l, c_l = scheme.b[st.index], scheme.c[st.index]
+            expected = local_indicators(u, st.solution, b_l, c_l, f)
+            assert expected.tobytes() == np.ascontiguousarray(st.indicators).tobytes()
+        elif st is not clean:
+            assert st.dirty and st.indicators is None
 
 
 def test_union_table_interpolates_like_transfer(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+import forest_reference
 from fracadapt import fem
 from fracadapt import mesh as meshmod
 from fracadapt.fem import (
@@ -212,7 +213,8 @@ def test_stiffness_matrix_against_dense_assembly():
 def test_forest_order_is_nested_dissection():
     # the system's order is a permutation of the interior vertices in which
     # every interior edge joins a separator node to one of its descendants,
-    # and factoring in that order fills less than COLAMD on the vertex order
+    # the separator nodes equal the sorting reference's, and factoring in
+    # that order fills less than COLAMD on the vertex order
     meshes = [refine(uniform_refine(uniform_refine(make_initial_mesh(UNIT, 32))), {0, 7, 40})]
     meshes += [
         _random_mesh(make_initial_mesh(DomainSpec(kind), cells), np.random.default_rng(3))
@@ -222,6 +224,8 @@ def test_forest_order_is_nested_dissection():
         interior = np.flatnonzero(~m.boundary_vertex)
         assert np.array_equal(np.sort(fem._system(m).dofs), interior)
         prefix, mask = meshmod.separator_nodes(m)
+        ref_prefix, ref_mask = forest_reference.separator_nodes(m)
+        assert np.array_equal(prefix, ref_prefix) and np.array_equal(mask, ref_mask)
         u, v = m.edges[~m.boundary_vertex[m.edges].any(axis=1)].T
         above = np.maximum(mask[u], mask[v])  # the shallower node's mask
         assert np.array_equal(prefix[u] | above, prefix[v] | above)

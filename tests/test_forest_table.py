@@ -90,10 +90,12 @@ def assert_setup_matches_reference(mesh):
             # maps -0.0 to 0.0 and leaves every other value as it is
             got, want = got + 0.0, want + 0.0
         assert_bits(got, want, name)
-    modal, modal_ref = estimators._modal_basis(mesh), setup_reference.modal_basis(mesh)
-    for got, want, name in zip(modal, modal_ref, ("W", "lam")):
-        assert_bits(got, want, name)
+    ops_ref = setup_reference.operators(mesh)
     for f in FIELDS:
+        *ops, alpha = estimators._columns(mesh, f)
+        for got, want, name in zip(ops, ops_ref, ("W'", "B", "lam")):
+            assert_bits(got, np.moveaxis(want, 0, -1), name)
+        assert_bits(alpha, setup_reference.alpha(mesh, f).T, f"alpha {f.kind}")
         assert_bits(fem._load_vector(mesh, f), setup_reference.load_vector(mesh, f), f.kind)
     dofs = np.flatnonzero(~mesh.boundary_vertex)
     system = fem._build_system(mesh, dofs)
@@ -125,6 +127,37 @@ def test_builds_do_not_depend_on_the_forest_history():
         normal = estimators._geometry(mesh)["normal"]
         assert_bits(normal, estimators._geometry(first)["normal"], "normal")
         assert_bits(fem._system(mesh).dofs, fem._system(first).dofs, "order")
+
+
+def test_columns_extend_with_the_table():
+    # the operator and alpha columns grow by the rows added since their last
+    # use, in a forest whose table grows between uses
+    m0 = make_initial_mesh(SQUARE, 32)
+    estimators._columns(m0, FIELDS[0])
+    meshes = [m0]
+    for marks in (A_MARKS, B_MARKS):
+        meshes.append(_chain(meshes[-1], marks))
+        assert len(m0.base.columns["ops"]) < len(m0.base.corners)
+        assert_setup_matches_reference(meshes[-1])
+    assert_setup_matches_reference(uniform_refine(meshes[1]))
+    for mesh in meshes:
+        assert_setup_matches_reference(mesh)
+
+
+@pytest.mark.parametrize("kind", ["square", "unit-square", "lshape"])
+def test_root_tree_equals_the_recursion(kind, tmp_path):
+    # the level-by-level split gives the recursion's paths and depths, on the
+    # initial meshes and on a read_mesh forest with an odd number of roots
+    m0 = make_initial_mesh(DomainSpec(kind), 384 if kind == "lshape" else 512)
+    second = {6} if kind == "lshape" else {5}  # a bisection with no neighbour to close
+    odd = _chain(make_initial_mesh(DomainSpec(kind), 24 if kind == "lshape" else 32), [{5}, second])
+    assert odd.num_cells % 2 == 1
+    write_mesh(odd, tmp_path / "odd.txt")
+    for base in (m0.base, read_mesh(tmp_path / "odd.txt").base):
+        path, depth = forest_reference.bisect_roots(base.vertices[base.cells].mean(axis=1))
+        assert_bits(base.root_path, path, "root_path")
+        assert_bits(base.root_depth, depth, "root_depth")
+        assert len(np.unique(path)) == len(path)
 
 
 def test_table_grows_only_by_new_nodes():
@@ -174,7 +207,7 @@ def test_node_table_holds_no_mesh():
     for mesh in meshes:
         fem._load_vector(mesh, FIELDS[1])
         estimators._geometry(mesh)
-        estimators._modal_basis(mesh)
+        estimators._columns(mesh, FIELDS[2])
     refs = [weakref.ref(mesh) for mesh in meshes]
     del m0, meshes, mesh
     gc.collect()

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import marking_reference
@@ -42,3 +43,47 @@ def test_marks_equal_lexsort_reference(data):
     assert doerfler_mark(states, scheme, theta) == marking_reference.doerfler_mark(
         states, scheme, theta
     )
+
+
+def _states(inds):
+    return [
+        ParametricState(index=l, mesh=None, solution=None, indicators=ind, dirty=False)
+        for l, ind in enumerate(inds)
+    ]
+
+
+def test_prefix_that_outgrows_the_first_partition(monkeypatch):
+    # the 18th largest of 600 values is a 3 shared by problems 0 and 1; their
+    # 200 threes hold 1800 of 2800, short of the 2240 target, so the selection
+    # grows to the 400th largest, a 2 shared by problems 0 and 2, and marks
+    # 110 of the twos by (l, cell id)
+    inds = [np.r_[np.full(100, 3.0), np.full(100, 2.0)], np.full(100, 3.0),
+            np.r_[np.full(100, 2.0), np.full(200, 1.0)]]
+    states, scheme = _states(inds), _FakeScheme([1, 1, 1])
+    real, calls = np.partition, []
+
+    def spy(a, kth):
+        calls.append(kth)
+        return real(a, kth)
+
+    monkeypatch.setattr(np, "partition", spy)
+    marks = doerfler_mark(states, scheme, 0.8)
+    assert calls == [600 - 18, 600 - 400]
+    assert marks == marking_reference.doerfler_mark(states, scheme, 0.8)
+    assert [len(m) for m in marks] == [200, 100, 10]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_marks_equal_reference_on_large_tied_pools(seed):
+    # hundreds of pairs with few distinct values: the k-th largest is tied
+    # within and across problems, and most thetas need more than one round
+    rng = np.random.default_rng(seed)
+    n_problems = int(rng.integers(2, 6))
+    inds = [rng.integers(0, 7, size=int(rng.integers(50, 300))).astype(float)
+            for _ in range(n_problems)]
+    states = _states(inds)
+    scheme = _FakeScheme(rng.integers(1, 4, size=n_problems))
+    for theta in (0.05, 0.3, 0.5, 0.9, 1.0):
+        assert doerfler_mark(states, scheme, theta) == marking_reference.doerfler_mark(
+            states, scheme, theta
+        )
