@@ -206,13 +206,12 @@ def run(config, reference=None, on_checkpoint=None):
         dirty = [st for st in states if st.dirty]
         for st in dirty:
             b, c = scheme.b[st.index], scheme.c[st.index]
-            problem = _problem(scheme, st.index)
             try:
                 st.solution = fem.assemble_and_solve(st.mesh, b, c, cfg.f)
             except fem.SolveError as exc:
-                raise fem.SolveError(f"{problem}: {exc}", exc.residual) from exc
+                raise fem.SolveError(f"{_problem(scheme, st.index)}: {exc}", exc.residual) from exc
             except ValueError as exc:
-                raise ValueError(f"{problem}: {exc}") from exc
+                raise ValueError(f"{_problem(scheme, st.index)}: {exc}") from exc
             solve_counts[st.index] += 1
         solved_per_iter.append(sorted(st.index for st in dirty))
 

@@ -21,8 +21,15 @@ serves every estimate, and lam > 0 keeps its denominator positive:
 
 Both estimates stack up to ``_BLOCK`` problems of one mesh per kernel call,
 cells innermost, (L, 3, m); each cell sums its terms in a fixed order, so
-stacking changes no bit.
+stacking changes no bit.  The union estimate needs only sum_l a_l y_l, which
+is linear in each w_l with d = lam b_l + |K| c_l as its only (l, K) factor;
+per class of cells with bitwise equal (lam, |K|) and per mode, the weighted
+sums Z^c = sum_l a_l c_l w_l / d and Z^b = sum_l a_l b_l w_l / d give
+
+    sum_l a_l y_l = alpha sum_l a_l / d - B v(Z^c) - (1 / 4) W' j(Z^b).
 """
+
+import math
 
 import numpy as np
 
@@ -238,6 +245,26 @@ def combined_equal_mesh_estimate(scheme, states, f):
     return float(np.sqrt(np.sum(np.einsum("mi,mij,mj->m", combined, M, combined))))
 
 
+def _class_sums(union, columns, classes, corners, bary, sides, scheme, group):
+    """sum_l a_l y_l (3, m) on ``union`` of the ``group``'s problems on a
+    coarser mesh, from their weighted sums (module docstring)."""
+    (Wp, B, lam, alpha), (cls, rep), geo = columns, classes, _geometry(union)
+    a, b, c = (x[[st.index for st in group], None, None] for x in (scheme.a, scheme.b, scheme.c))
+    wa = a / (lam[:, rep].T * b + geo["area"][rep, None] * c)  # the kernel's d, bit for bit
+    nodal = np.stack([st.solution.nodal_values for st in group], axis=1)
+    Z = nodal @ np.concatenate([wa * c, wa * b], axis=1).reshape(len(group), -1)  # one gemm
+    col = 3 * cls + np.arange(3)[:, None]  # per mode, the column of each cell's class
+    v = _cell_matvec(bary, Z[corners.T, col[:, None]])
+    jump = _edge_jumps(union, _corner_values(group[0].mesh, Z[:, 3 * len(rep) :])[1], sides)
+    j = (jump * geo["length"])[col[:, None], union.cell_edge.T]
+    Bv = B[:, 0] * v[:, 0] + B[:, 1] * v[:, 1]  # the mirror pairs are added first
+    wj = Wp[:, 1] * j[:, 1] + Wp[:, 2] * j[:, 2]
+    Bv, wj = Bv + B[:, 2] * v[:, 2], wj + Wp[:, 0] * j[:, 0]
+    # alpha S cancels against B v(Z^c): round S once, its error is not averaged over l
+    S = np.array([math.fsum(x) for x in wa.reshape(len(group), -1).T]).reshape(-1, 3)
+    return alpha * S[cls].T - Bv - wj / 4.0
+
+
 def global_union_estimate(scheme, states, union, f):
     """Union-mesh estimate and recombined solution in one pass.
 
@@ -249,8 +276,16 @@ def global_union_estimate(scheme, states, union, f):
     cell's corners and its own corners' barycentric coordinates there; jumps
     are taken on union edges between two source cells only.  Dirty states on
     the union itself get their indicators (``local_indicators``'s bits) here.
+    A coarser group of L > 3 x classes problems forms the weighted sums (module
+    docstring) at its vertices in one gemm, and each cell takes its class's 3
+    columns, not L; smaller groups stay on the kernel, where L columns cost less.
     """
     area, columns = _geometry(union)["area"], _columns(union, f)  # hoisted out of the blocks
+    keys = np.vstack([columns[2], area]).view(np.int64)  # classes of bitwise equal rows
+    order = np.lexsort(keys)
+    first = np.r_[True, np.any(keys[:, order[1:]] != keys[:, order[:-1]], axis=0)]
+    classes = np.empty(union.num_cells, dtype=np.intp), order[first]
+    classes[0][order] = np.cumsum(first) - 1
     combined = np.zeros((3, union.num_cells))
     corner_sum = np.zeros((1, 3, union.num_cells))
     for src, group in _mesh_groups(states):
@@ -262,22 +297,27 @@ def global_union_estimate(scheme, states, union, f):
             lam = meshmod.nested_barycentric(union.cell_key, src.cell_key[parents])
             lam = np.ascontiguousarray(lam.transpose(1, 2, 0))  # cells innermost
             sides = _jump_sides(union, parents)
+        weighted = lam is not None and 3 * len(classes[1]) < len(group)
         partial = np.zeros(src.num_vertices)
         for start in range(0, len(group), _BLOCK):
             block = group[start : start + _BLOCK]
             l = np.array([st.index for st in block])
             nodal = np.stack([st.solution.nodal_values for st in block], axis=1)
+            partial += nodal @ scheme.a[l]
+            if weighted:
+                continue
             vals, grads = _corner_values(src, nodal)
             if lam is not None:
                 vals = _cell_matvec(lam, np.take(nodal.T, corners.T, axis=1))
             jump = _edge_jumps(union, grads, sides)
             y = _modal_coeffs(union, columns, vals, jump, scheme.b[l], scheme.c[l])
             combined += (scheme.a[l] @ y.reshape(len(l), -1)).reshape(combined.shape)  # a gemv
-            partial += nodal @ scheme.a[l]
             if lam is None:  # the union is these states' own mesh
                 for st, col in zip(block, np.sqrt(area * np.sum(y**2, axis=1))):
                     if st.dirty:
                         st.indicators, st.dirty = col, False
+        if weighted:
+            combined += _class_sums(union, columns, classes, corners, lam, sides, scheme, group)
         partial = np.take(partial[None], corners.T, axis=1)
         corner_sum += partial if lam is None else _cell_matvec(lam, partial)
     solution = np.empty(union.num_vertices)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fracadapt import estimators, fem
+import union_reference
+from fracadapt import estimators, fem, oracle, rational
 from fracadapt import mesh as meshmod
 from fracadapt.estimators import (
     combined_equal_mesh_estimate,
@@ -496,3 +497,113 @@ def test_union_estimate_skips_interior_source_edges():
     )
     assert np.all(jumps[same_parent] == 0.0)
     assert np.any(jumps[interior & ~same_parent] != 0.0)
+
+
+def _num_classes(union, f):
+    """Distinct (lam_0, lam_1, lam_2, |K|) rows of the union's cells."""
+    lam, area = estimators._columns(union, f)[2], estimators._geometry(union)["area"]
+    return len(np.unique(np.vstack([lam, area]).T, axis=0))
+
+
+def _random_refinement(mesh, rng, rounds):
+    for _ in range(rounds):
+        mesh = refine(mesh, set(rng.choice(mesh.num_cells, 3, replace=False).tolist()))
+    return mesh
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("s", [0.05, 0.95])
+@pytest.mark.parametrize("kind", ["square", "unit-square", "lshape"])
+def test_union_pass_equals_per_problem_reference(kind, s, seed, monkeypatch):
+    # random refinements; the coarser groups are a large group on the initial
+    # mesh, groups of 3 x classes + 1 and 3 x classes problems (just above and
+    # at the weighted-sum condition) and a group split over two twins; one
+    # state sits on the union.  The pole sum is the one choose_kappa picks at
+    # tol = 1e-13, as in test_extreme_s_at_the_finest_kappa, so b_l = 0 or
+    # c_l ~ 1e-307 occur; the first and the last term are in the large group
+    rng = np.random.default_rng([seed, len(kind), round(100 * s)])
+    domain = DomainSpec(kind)
+    m0 = make_initial_mesh(domain, 24 if kind == "lshape" else 32)
+    lam0 = oracle.faber_krahn_lambda0(domain)
+    f = RhsField.test2()
+    kappa = rational.choose_kappa(s, 1e-13, lam0, fem.l2_norm(RhsField.one(), m0))
+    scheme = bp_coefficients(s, kappa, lam0)
+    assert scheme.b[0] == 0.0 or scheme.c[-1] < 1e-300
+    a, b = _random_refinement(m0, rng, 2), _random_refinement(m0, rng, 3)
+    marks = rng.choice(m0.num_cells, 4, replace=False)
+    twin = [refine(m0, set(marks.tolist())), refine(m0, set(marks[::-1].tolist()))]
+    assert twin[1] is not twin[0] and twin[1]._cache is twin[0]._cache
+    u = union_mesh([a, b, twin[0]])
+    k3 = 3 * _num_classes(u, f)
+    sizes = [k3 + 5, k3 + 1, k3, k3 // 2 + 1, k3 // 2 + 1, 1]
+    meshes = [m0, a, b, twin[0], twin[1], union_mesh([b, twin[1], a])]
+    pick = rng.choice(np.arange(1, scheme.N - 1), sum(sizes) - 2, replace=False)
+    order = np.concatenate([[0, scheme.N - 1], pick])
+    states = []
+    for mesh, idx in zip(meshes, np.split(order, np.cumsum(sizes)[:-1])):
+        for l in idx:
+            w = assemble_and_solve(mesh, scheme.b[l], scheme.c[l], f)
+            states.append(ParametricState(index=int(l), mesh=mesh, solution=w))
+    weighted = []
+    real = estimators._class_sums
+
+    def spy(*args):
+        weighted.append(len(args[-1]))
+        return real(*args)
+
+    monkeypatch.setattr(estimators, "_class_sums", spy)
+    eta, solution = global_union_estimate(scheme, states, u, f)
+    assert sorted(weighted) == sorted([k3 + 5, k3 + 1, 2 * (k3 // 2 + 1)])
+    ref_eta, ref_solution = union_reference.global_union_estimate(scheme, states, u, f)
+    assert eta == pytest.approx(ref_eta, rel=1e-14, abs=0)
+    assert np.array_equal(solution.nodal_values, ref_solution.nodal_values)
+
+
+def test_weighted_group_makes_no_kernel_call(monkeypatch):
+    # 20 problems on the initial square mesh and one on the union: only the
+    # union's own problem runs the kernel
+    m0 = make_initial_mesh(DomainSpec("square"), 32)
+    u = refine(refine(m0, {0, 7, 19}), {3, 30})
+    f = RhsField.one()
+    scheme = bp_coefficients(0.5, 0.6, 1.0)
+    assert 3 * _num_classes(u, f) < 20 < scheme.N
+    states = [
+        _solved_state(l, m0 if l < 20 else u, scheme.b[l], scheme.c[l], f) for l in range(21)
+    ]
+    calls = []
+    real = estimators._modal_coeffs
+
+    def spy(target, columns, corner_vals, jump, b, c):
+        calls.append(len(corner_vals))
+        return real(target, columns, corner_vals, jump, b, c)
+
+    monkeypatch.setattr(estimators, "_modal_coeffs", spy)
+    eta, solution = global_union_estimate(scheme, states, u, f)
+    assert calls == [1]
+    ref_eta, ref_solution = union_reference.global_union_estimate(scheme, states, u, f)
+    assert eta == pytest.approx(ref_eta, rel=1e-14, abs=0)
+    assert np.array_equal(solution.nodal_values, ref_solution.nodal_values)
+
+
+def test_many_classes_keep_every_group_on_the_kernel(monkeypatch, tmp_path):
+    # on the perturbed read_mesh forest more than half the cells have a shape
+    # of their own, so no group meets the condition: the pass is the
+    # per-problem reference bit for bit
+    scheme = bp_coefficients(0.5, 0.6, 1.0)
+    m0 = _perturbed_mesh(tmp_path)
+    meshes = [m0, refine(m0, {0, 1, 2}), refine(refine(m0, {20, 21}), {5})]
+    f = RhsField.test2()
+    states = [
+        _solved_state(l, meshes[l % 3], scheme.b[l], scheme.c[l], f) for l in range(scheme.N)
+    ]
+    u = union_mesh(meshes)
+    assert 3 * _num_classes(u, f) > scheme.N
+
+    def refuse(*args):
+        raise AssertionError("weighted sums taken")
+
+    monkeypatch.setattr(estimators, "_class_sums", refuse)
+    eta, solution = global_union_estimate(scheme, states, u, f)
+    ref_eta, ref_solution = union_reference.global_union_estimate(scheme, states, u, f)
+    assert eta == ref_eta
+    assert np.array_equal(solution.nodal_values, ref_solution.nodal_values)
