@@ -27,6 +27,11 @@ per class of cells with bitwise equal (lam, |K|) and per mode, the weighted
 sums Z^c = sum_l a_l c_l w_l / d and Z^b = sum_l a_l b_l w_l / d give
 
     sum_l a_l y_l = alpha sum_l a_l / d - B v(Z^c) - (1 / 4) W' j(Z^b).
+
+A solution on a mesh coarser than the union is P1 on the union too, so the
+union pass sums every such problem into Z at the union's vertices and takes
+v and j there once per pass, with no kernel call per problem.  The jumps on
+union edges inside a source cell are then zero only up to rounding.
 """
 
 import math
@@ -245,23 +250,33 @@ def combined_equal_mesh_estimate(scheme, states, f):
     return float(np.sqrt(np.sum(np.einsum("mi,mij,mj->m", combined, M, combined))))
 
 
-def _class_sums(union, columns, classes, corners, bary, sides, scheme, group):
-    """sum_l a_l y_l (3, m) on ``union`` of the ``group``'s problems on a
-    coarser mesh, from their weighted sums (module docstring)."""
+def _at_union_vertices(interp, nodal):
+    """Values (n, ...) at the union's vertices of P1 functions with nodal
+    values ``nodal`` (n_src, ...) on a coarser mesh, from ``interp``: per union
+    vertex, the corners (n, 3) of a source cell that holds it and its
+    barycentric coordinates (n, 3) there (``global_union_estimate``)."""
+    corners, bary = interp
+    w = bary.T.reshape((3, -1) + (1,) * (nodal.ndim - 1))  # one corner at a time bounds the buffers
+    out = w[0] * nodal[corners[:, 0]] + w[1] * nodal[corners[:, 1]]
+    out += w[2] * nodal[corners[:, 2]]
+    return out
+
+
+def _class_sums(union, columns, classes, Z, S):
+    """sum_l a_l y_l (3, m) on ``union`` of every problem summed into the
+    weighted sums Z (n, 6 x classes) at the union's vertices, per class and
+    mode Z^c then Z^b, with S = sum_l a_l / d (classes, 3) (module docstring)."""
     (Wp, B, lam, alpha), (cls, rep), geo = columns, classes, _geometry(union)
-    a, b, c = (x[[st.index for st in group], None, None] for x in (scheme.a, scheme.b, scheme.c))
-    wa = a / (lam[:, rep].T * b + geo["area"][rep, None] * c)  # the kernel's d, bit for bit
-    nodal = np.stack([st.solution.nodal_values for st in group], axis=1)
-    Z = nodal @ np.concatenate([wa * c, wa * b], axis=1).reshape(len(group), -1)  # one gemm
     col = 3 * cls + np.arange(3)[:, None]  # per mode, the column of each cell's class
-    v = _cell_matvec(bary, Z[corners.T, col[:, None]])
-    jump = _edge_jumps(union, _corner_values(group[0].mesh, Z[:, 3 * len(rep) :])[1], sides)
-    j = (jump * geo["length"])[col[:, None], union.cell_edge.T]
+    v = Z[union.cells.T, col[:, None]]
+    j = np.empty_like(v)
+    for k in range(len(rep)):  # one class at a time bounds the buffers
+        at, zb = cls == k, Z[:, 3 * (len(rep) + k) : 3 * (len(rep) + k + 1)]
+        jump = _edge_jumps(union, _corner_values(union, zb)[1]) * geo["length"]
+        j[:, :, at] = jump[:, union.cell_edge[at].T]
     Bv = B[:, 0] * v[:, 0] + B[:, 1] * v[:, 1]  # the mirror pairs are added first
     wj = Wp[:, 1] * j[:, 1] + Wp[:, 2] * j[:, 2]
     Bv, wj = Bv + B[:, 2] * v[:, 2], wj + Wp[:, 0] * j[:, 0]
-    # alpha S cancels against B v(Z^c): round S once, its error is not averaged over l
-    S = np.array([math.fsum(x) for x in wa.reshape(len(group), -1).T]).reshape(-1, 3)
     return alpha * S[cls].T - Bv - wj / 4.0
 
 
@@ -271,14 +286,16 @@ def global_union_estimate(scheme, states, union, f):
     Returns ``(eta, solution)``: eta = sqrt(sum_K ||C sum_l a_l e_{l,K}||^2)
     from the local problems on every union cell for every l, and the
     ``FeFunction`` C sum_l a_l w_l on ``union``.  States whose meshes share
-    leaves form one group, stacked in blocks of ``_BLOCK``.  Once per source
-    mesh coarser than the union, a table gives each union cell its source
-    cell's corners and its own corners' barycentric coordinates there; jumps
-    are taken on union edges between two source cells only.  Dirty states on
-    the union itself get their indicators (``local_indicators``'s bits) here.
-    A coarser group of L > 3 x classes problems forms the weighted sums (module
-    docstring) at its vertices in one gemm, and each cell takes its class's 3
-    columns, not L; smaller groups stay on the kernel, where L columns cost less.
+    leaves form one group; each group's recombined sum is formed in blocks of
+    ``_BLOCK``.  A union vertex takes a coarser group's values from the
+    ancestor of the last union cell that holds it.  When the L coarser
+    problems outnumber 3 x classes, they all go into the weighted sums
+    (module docstring) at the union's vertices, each group by whichever is
+    fewer columns: its L solutions, or its 6 x classes sums formed at its own
+    vertices.  Otherwise every group runs the kernel in blocks, with jumps on
+    union edges between two source cells only.  States on the union always
+    run the kernel, and the dirty ones get their indicators
+    (``local_indicators``'s bits) here.
     """
     area, columns = _geometry(union)["area"], _columns(union, f)  # hoisted out of the blocks
     keys = np.vstack([columns[2], area]).view(np.int64)  # classes of bitwise equal rows
@@ -286,25 +303,44 @@ def global_union_estimate(scheme, states, union, f):
     first = np.r_[True, np.any(keys[:, order[1:]] != keys[:, order[:-1]], axis=0)]
     classes = np.empty(union.num_cells, dtype=np.intp), order[first]
     classes[0][order] = np.cumsum(first) - 1
+    groups = _mesh_groups(states)
+    coarser = [st.index for src, group in groups if not src.same_mesh(union) for st in group]
+    weighted = 3 * len(classes[1]) < len(coarser)
+    if weighted:
+        rep = classes[1]
+        a, b, c = (x[coarser, None, None] for x in (scheme.a, scheme.b, scheme.c))
+        wa = a / (columns[2][:, rep].T * b + area[rep, None] * c)  # the kernel's d, bit for bit
+        weights = np.concatenate([wa * c, wa * b], axis=1).reshape(len(coarser), -1)
+        # alpha S cancels against B v(Z^c): round S once, its error is not averaged over l
+        S = np.array([math.fsum(x) for x in wa.reshape(len(coarser), -1).T]).reshape(-1, 3)
+        Z, moved, moved_w, done = np.zeros((union.num_vertices, weights.shape[1])), [], [], 0
+    # the union cell and local corner of each vertex's last entry in ``union.cells``
+    slot = np.empty(union.num_vertices, dtype=np.intp)
+    slot[union.cells] = np.arange(3 * union.num_cells).reshape(-1, 3)
+    cell, corner = np.divmod(slot, 3)
     combined = np.zeros((3, union.num_cells))
-    corner_sum = np.zeros((1, 3, union.num_cells))
-    for src, group in _mesh_groups(states):
-        if src.same_mesh(union):
+    solution = np.zeros(union.num_vertices)
+    for src, group in groups:
+        own = src.same_mesh(union)
+        kernel = own or not weighted
+        if own:
             corners, lam, sides = union.cells, None, _jump_sides(union)
         else:
             parents = meshmod.ancestor_cell_map(union, src)
-            corners = src.cells[parents]
-            lam = meshmod.nested_barycentric(union.cell_key, src.cell_key[parents])
-            lam = np.ascontiguousarray(lam.transpose(1, 2, 0))  # cells innermost
-            sides = _jump_sides(union, parents)
-        weighted = lam is not None and 3 * len(classes[1]) < len(group)
+            bary = meshmod.nested_barycentric(union.cell_key[cell], src.cell_key[parents[cell]])
+            interp = src.cells[parents[cell]], bary[np.arange(len(cell)), corner]
+            if kernel:
+                corners = src.cells[parents]
+                lam = meshmod.nested_barycentric(union.cell_key, src.cell_key[parents])
+                lam = np.ascontiguousarray(lam.transpose(1, 2, 0))  # cells innermost
+                sides = _jump_sides(union, parents)
         partial = np.zeros(src.num_vertices)
         for start in range(0, len(group), _BLOCK):
             block = group[start : start + _BLOCK]
             l = np.array([st.index for st in block])
             nodal = np.stack([st.solution.nodal_values for st in block], axis=1)
             partial += nodal @ scheme.a[l]
-            if weighted:
+            if not kernel:
                 continue
             vals, grads = _corner_values(src, nodal)
             if lam is not None:
@@ -312,15 +348,22 @@ def global_union_estimate(scheme, states, union, f):
             jump = _edge_jumps(union, grads, sides)
             y = _modal_coeffs(union, columns, vals, jump, scheme.b[l], scheme.c[l])
             combined += (scheme.a[l] @ y.reshape(len(l), -1)).reshape(combined.shape)  # a gemv
-            if lam is None:  # the union is these states' own mesh
+            if own:
                 for st, col in zip(block, np.sqrt(area * np.sum(y**2, axis=1))):
                     if st.dirty:
                         st.indicators, st.dirty = col, False
-        if weighted:
-            combined += _class_sums(union, columns, classes, corners, lam, sides, scheme, group)
-        partial = np.take(partial[None], corners.T, axis=1)
-        corner_sum += partial if lam is None else _cell_matvec(lam, partial)
-    solution = np.empty(union.num_vertices)
-    solution[union.cells] = scheme.C * corner_sum[0].T
+        solution += partial if own else _at_union_vertices(interp, partial)
+        if not kernel:
+            nodal = np.stack([st.solution.nodal_values for st in group], axis=1)
+            w, done = weights[done : done + len(group)], done + len(group)
+            if w.shape[1] < len(group):  # fewer columns to interpolate
+                Z += _at_union_vertices(interp, nodal @ w)
+            else:
+                moved.append(_at_union_vertices(interp, nodal))
+                moved_w.append(w)
+    if weighted:
+        if moved:  # one gemm
+            Z += np.concatenate(moved, axis=1) @ np.concatenate(moved_w)
+        combined += _class_sums(union, columns, classes, Z, S)
     eta = scheme.C * float(np.sqrt(np.sum(area * np.sum(combined**2, axis=0))))
-    return eta, FeFunction(union, solution)
+    return eta, FeFunction(union, scheme.C * solution)

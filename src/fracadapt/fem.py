@@ -14,8 +14,11 @@ edge).  Each solve fills that pattern with ``b K + c M`` and factors it
 with SuperLU using diagonal pivots, in the pattern's own order.  That order
 is a nested dissection read off the forest (``mesh.dissection_order``),
 fixed before the first factorization, so a solution depends only on the
-mesh's leaves, b, c and f.  Equal meshes share one cache (see ``mesh``),
-so they also share the pattern and load vectors.
+mesh's leaves, b, c and f.  Where ``b K + c M`` equals ``M`` bit for bit
+(the poles whose b K lies below the last bits of M), every such problem
+is one system: its solution is cached per mesh and field and copied.
+Equal meshes share one cache (see ``mesh``), so they also share the
+pattern, load vectors and that solution.
 """
 
 from dataclasses import dataclass
@@ -280,7 +283,9 @@ def assemble_and_solve(mesh, b, c, f, rel_tol=1e-10):
     is factored by SuperLU (``scipy.sparse.linalg.splu``) with diagonal
     pivots, which is stable for this symmetric positive definite matrix, in
     the nested-dissection order the cached system is built in, with no
-    ordering step of its own.  Raises ValueError unless b and c are finite
+    ordering step of its own.  A system equal to M bit for bit reuses the
+    mesh's cached solution for ``f`` (module docstring), with the residual
+    it was computed with.  Raises ValueError unless b and c are finite
     and nonnegative with one of them positive (either alone gives an SPD
     system), and SolveError if the matrix is singular or the relative
     residual of the reduced system exceeds ``rel_tol``.
@@ -293,23 +298,25 @@ def assemble_and_solve(mesh, b, c, f, rel_tol=1e-10):
     w = np.zeros(mesh.num_vertices)
     if n == 0:
         return FeFunction(mesh, w)
-    A = sp.csc_matrix((b * system.k + c * system.m, system.indices, system.indptr), shape=(n, n))
-    rhs = _load_vector(mesh, f)[system.dofs]
-    try:
-        # no relaxed supernodes, one-column panels: faster below ~3,000 dofs, even at 48,641
-        lu = splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1, panel_size=1,
-                  options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        raise SolveError(f"b K + c M at b = {b}, c = {c}: {exc}", residual=np.inf) from exc
-    sol = lu.solve(rhs)
-    rhs_norm = np.linalg.norm(rhs)
-    if rhs_norm > 0.0:
-        res = np.linalg.norm(A @ sol - rhs) / rhs_norm
-        if not np.isfinite(res) or res > rel_tol:
-            raise SolveError(
-                f"relative residual {res:.3e} exceeds rel_tol {rel_tol:.1e}",
-                residual=res,
-            )
+    values = b * system.k + c * system.m
+    mass = np.array_equal(values, system.m)
+    sol, res = mesh._cache.get(("mass", f), (None, None)) if mass else (None, None)
+    if sol is None:
+        A = sp.csc_matrix((values, system.indices, system.indptr), shape=(n, n))
+        rhs = _load_vector(mesh, f)[system.dofs]
+        try:
+            # no relaxed supernodes, one-column panels: faster below ~3,000 dofs, even at 48,641
+            lu = splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1, panel_size=1,
+                      options={"SymmetricMode": True})
+        except RuntimeError as exc:
+            raise SolveError(f"b K + c M at b = {b}, c = {c}: {exc}", residual=np.inf) from exc
+        sol = lu.solve(rhs)
+        rhs_norm = np.linalg.norm(rhs)
+        res = np.linalg.norm(A @ sol - rhs) / rhs_norm if rhs_norm > 0.0 else 0.0
+        if mass:
+            mesh._cache[("mass", f)] = sol, res
+    if not np.isfinite(res) or res > rel_tol:
+        raise SolveError(f"relative residual {res:.3e} exceeds rel_tol {rel_tol:.1e}", residual=res)
     w[system.dofs] = sol
     return FeFunction(mesh, w)
 

@@ -8,14 +8,19 @@ On a rectangle (x0,x1) x (y0,y1) the Dirichlet Laplacian eigenpairs are
 so the fractional solution for a right-hand side f is the series
 sum lam^{-s} <f, psi> psi, truncated at a requested number of modes (ordered
 by increasing eigenvalue).
+
+``l2_error`` reads the reference values at a cell's six quadrature points
+from a per-node column of the mesh forest, keyed by the reference object, so
+a run evaluates the series once per forest node, not once per checkpoint.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import TRI_QP, TRI_QW, FeFunction, _quad_points
+from .fem import TRI_QP, TRI_QW, FeFunction, _matvec
 from .mesh import DomainSpec
 
 __all__ = [
@@ -28,6 +33,7 @@ __all__ = [
 ]
 
 EVAL_BLOCK = 4096  # points per block in SpectralSolution.eval, bounding its buffers
+_ROWS = 256  # points per gathered product in SpectralSolution.eval
 
 
 def faber_krahn_lambda0(domain):
@@ -38,9 +44,13 @@ def faber_krahn_lambda0(domain):
     return math.pi * J0_FIRST_ZERO**2 / domain.area
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SpectralSolution:
-    """Truncated eigenfunction expansion of the fractional solution."""
+    """Truncated eigenfunction expansion of the fractional solution.
+
+    Frozen and compared by identity: ``l2_error`` keys a per-node forest
+    column on the object, so its values can never go stale.
+    """
 
     s: float
     rect: tuple  # (x0, x1, y0, y1)
@@ -56,17 +66,25 @@ class SpectralSolution:
     def norm(self):
         return float(np.sqrt(np.sum(self.u_coef**2)))
 
+    @functools.cached_property
+    def _table(self):
+        """Distinct i and j, and the coefficients A[i, j] of the normalized
+        products of sines."""
+        x0, x1, y0, y1 = self.rect
+        iu, ii = np.unique(self.modes_i, return_inverse=True)
+        ju, jj = np.unique(self.modes_j, return_inverse=True)
+        A = np.zeros((len(iu), len(ju)))
+        A[ii, jj] = self.u_coef * 2.0 / math.sqrt((x1 - x0) * (y1 - y0))
+        return iu, ju, A
+
     def eval(self, points):
-        """Evaluate the truncated series at (n, 2) points."""
+        """Evaluate the truncated series at (n, 2) points.  No step uses BLAS,
+        whose products can round a row differently at another row position,
+        so a point's value does not depend on the other points."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         x0, x1, y0, y1 = self.rect
         lx, ly = x1 - x0, y1 - y0
-        iu = np.unique(self.modes_i)
-        ju = np.unique(self.modes_j)
-        A = np.zeros((len(iu), len(ju)))
-        ii = np.searchsorted(iu, self.modes_i)
-        jj = np.searchsorted(ju, self.modes_j)
-        A[ii, jj] = self.u_coef * 2.0 / math.sqrt(lx * ly)
+        iu, ju, A = self._table
         out = np.empty(len(points))
         for lo in range(0, len(points), EVAL_BLOCK):
             # sine tables on the block's distinct coordinates: quadrature
@@ -74,8 +92,11 @@ class SpectralSolution:
             ux, ix = np.unique(points[lo : lo + EVAL_BLOCK, 0], return_inverse=True)
             uy, iy = np.unique(points[lo : lo + EVAL_BLOCK, 1], return_inverse=True)
             sx = np.sin(np.outer((ux - x0) * (math.pi / lx), iu))
-            sy = np.sin(np.outer((uy - y0) * (math.pi / ly), ju)) @ A.T
-            out[lo : lo + EVAL_BLOCK] = np.einsum("pi,pi->p", sx[ix], sy[iy])
+            sy = np.einsum("yj,ij->yi", np.sin(np.outer((uy - y0) * (math.pi / ly), ju)), A)
+            block = out[lo : lo + EVAL_BLOCK]
+            for c in range(0, len(ix), _ROWS):  # gathered rows that stay in cache
+                rows = slice(c, c + _ROWS)
+                block[rows] = np.einsum("pi,pi->p", sx[ix[rows]], sy[iy[rows]])
         return out
 
     def tail_bound(self, extra=4):
@@ -213,10 +234,14 @@ def eigenfunction_field(domain, i, j):
 
 
 def l2_error(u_ref, u_h):
-    """|| u_ref - u_h ||_{L2} by the per-cell 6-point (order 4) rule."""
+    """|| u_ref - u_h ||_{L2} by the per-cell 6-point (order 4) rule.  The
+    values of ``u_ref`` at a cell's points are a per-node forest column
+    (``mesh.TriMesh.column``), keyed by ``u_ref`` itself, so each node is
+    evaluated once per reference."""
     mesh = u_h.mesh
-    qp = _quad_points(mesh)  # (m, 6, 2)
-    ref_vals = u_ref.eval(qp.reshape(-1, 2)).reshape(qp.shape[:2])
+    ref_vals = mesh.column(
+        ("ref", u_ref), lambda x: u_ref.eval(_matvec(TRI_QP, x).reshape(-1, 2)).reshape(-1, 6)
+    )
     fem_vals = u_h.cell_values_at(TRI_QP)
     diff2 = (ref_vals - fem_vals) ** 2
     return float(np.sqrt(np.einsum("mq,q,m->", diff2, TRI_QW, mesh.cell_areas())))

@@ -505,6 +505,37 @@ def _num_classes(union, f):
     return len(np.unique(np.vstack([lam, area]).T, axis=0))
 
 
+def _spy_union_paths(monkeypatch):
+    """Record the union pass's paths: the coarser groups whose recombined sum
+    is interpolated to the union's vertices, the columns each interpolates
+    for the weighted sums, the problems per kernel call, and the number of
+    weighted-sum evaluations."""
+    calls = {"recombined": 0, "interpolated": [], "kernel": [], "class_sums": 0}
+    at_vertices, kernel, class_sums = (
+        estimators._at_union_vertices, estimators._modal_coeffs, estimators._class_sums
+    )
+
+    def spy_at_vertices(interp, nodal):
+        if nodal.ndim == 1:
+            calls["recombined"] += 1
+        else:
+            calls["interpolated"].append(nodal.shape[1])
+        return at_vertices(interp, nodal)
+
+    def spy_kernel(target, columns, corner_vals, jump, b, c):
+        calls["kernel"].append(len(corner_vals))
+        return kernel(target, columns, corner_vals, jump, b, c)
+
+    def spy_class_sums(*args):
+        calls["class_sums"] += 1
+        return class_sums(*args)
+
+    monkeypatch.setattr(estimators, "_at_union_vertices", spy_at_vertices)
+    monkeypatch.setattr(estimators, "_modal_coeffs", spy_kernel)
+    monkeypatch.setattr(estimators, "_class_sums", spy_class_sums)
+    return calls
+
+
 def _random_refinement(mesh, rng, rounds):
     for _ in range(rounds):
         mesh = refine(mesh, set(rng.choice(mesh.num_cells, 3, replace=False).tolist()))
@@ -516,8 +547,8 @@ def _random_refinement(mesh, rng, rounds):
 @pytest.mark.parametrize("kind", ["square", "unit-square", "lshape"])
 def test_union_pass_equals_per_problem_reference(kind, s, seed, monkeypatch):
     # random refinements; the coarser groups are a large group on the initial
-    # mesh, groups of 3 x classes + 1 and 3 x classes problems (just above and
-    # at the weighted-sum condition) and a group split over two twins; one
+    # mesh, groups of 3 x classes + 1 and 3 x classes problems (on either side
+    # of the old per-group condition) and a group split over two twins; one
     # state sits on the union.  The pole sum is the one choose_kappa picks at
     # tol = 1e-13, as in test_extreme_s_at_the_finest_kappa, so b_l = 0 or
     # c_l ~ 1e-307 occur; the first and the last term are in the large group
@@ -544,16 +575,41 @@ def test_union_pass_equals_per_problem_reference(kind, s, seed, monkeypatch):
         for l in idx:
             w = assemble_and_solve(mesh, scheme.b[l], scheme.c[l], f)
             states.append(ParametricState(index=int(l), mesh=mesh, solution=w))
-    weighted = []
-    real = estimators._class_sums
-
-    def spy(*args):
-        weighted.append(len(args[-1]))
-        return real(*args)
-
-    monkeypatch.setattr(estimators, "_class_sums", spy)
+    calls = _spy_union_paths(monkeypatch)
     eta, solution = global_union_estimate(scheme, states, u, f)
-    assert sorted(weighted) == sorted([k3 + 5, k3 + 1, 2 * (k3 // 2 + 1)])
+    # every coarser group interpolates min(L, 6 x classes) columns, the union's
+    # own problem alone runs the kernel, and the weighted sums are taken once
+    groups = [k3 + 5, k3 + 1, k3, 2 * (k3 // 2 + 1)]
+    assert sorted(calls["interpolated"]) == sorted(min(n, 2 * k3) for n in groups)
+    assert calls["recombined"] == 4 and calls["kernel"] == [1] and calls["class_sums"] == 1
+    ref_eta, ref_solution = union_reference.global_union_estimate(scheme, states, u, f)
+    assert eta == pytest.approx(ref_eta, rel=1e-14, abs=0)
+    assert np.array_equal(solution.nodal_values, ref_solution.nodal_values)
+
+
+@pytest.mark.parametrize("kind", ["square", "unit-square", "lshape"])
+def test_single_problem_groups_join_the_union_sum(kind, monkeypatch):
+    # a large never-refined group (more problems than 6 x classes, so it forms
+    # its sums at its own vertices) and one problem on each of four coarser
+    # meshes: every group goes into the union-level sum, and no kernel runs
+    rng = np.random.default_rng(len(kind))
+    m0 = make_initial_mesh(DomainSpec(kind), 24 if kind == "lshape" else 32)
+    f = RhsField.test2()
+    scheme = bp_coefficients(0.5, 0.6, 1.0)
+    singles = [_random_refinement(m0, rng, r) for r in (1, 1, 2, 3)]
+    u = union_mesh(singles)
+    k6 = 6 * _num_classes(u, f)
+    assert k6 + 5 < scheme.N and 3 * _num_classes(u, f) < k6 + 5
+    states = [_solved_state(l, m0, scheme.b[l], scheme.c[l], f) for l in range(k6 + 1)]
+    states += [
+        _solved_state(l, mesh, scheme.b[l], scheme.c[l], f)
+        for l, mesh in zip(range(k6 + 1, k6 + 5), singles)
+    ]
+    calls = _spy_union_paths(monkeypatch)
+    eta, solution = global_union_estimate(scheme, states, u, f)
+    assert calls == {
+        "recombined": 5, "interpolated": [k6, 1, 1, 1, 1], "kernel": [], "class_sums": 1
+    }
     ref_eta, ref_solution = union_reference.global_union_estimate(scheme, states, u, f)
     assert eta == pytest.approx(ref_eta, rel=1e-14, abs=0)
     assert np.array_equal(solution.nodal_values, ref_solution.nodal_values)
@@ -587,8 +643,8 @@ def test_weighted_group_makes_no_kernel_call(monkeypatch):
 
 def test_many_classes_keep_every_group_on_the_kernel(monkeypatch, tmp_path):
     # on the perturbed read_mesh forest more than half the cells have a shape
-    # of their own, so no group meets the condition: the pass is the
-    # per-problem reference bit for bit
+    # of their own, so 3 x classes exceeds the coarser problems: every group
+    # runs the kernel, and the pass is the per-problem reference bit for bit
     scheme = bp_coefficients(0.5, 0.6, 1.0)
     m0 = _perturbed_mesh(tmp_path)
     meshes = [m0, refine(m0, {0, 1, 2}), refine(refine(m0, {20, 21}), {5})]
@@ -598,12 +654,15 @@ def test_many_classes_keep_every_group_on_the_kernel(monkeypatch, tmp_path):
     ]
     u = union_mesh(meshes)
     assert 3 * _num_classes(u, f) > scheme.N
-
-    def refuse(*args):
-        raise AssertionError("weighted sums taken")
-
-    monkeypatch.setattr(estimators, "_class_sums", refuse)
+    calls = _spy_union_paths(monkeypatch)
     eta, solution = global_union_estimate(scheme, states, u, f)
+    sizes, B = [len(range(k, scheme.N, 3)) for k in range(3)], estimators._BLOCK
+    assert calls == {
+        "recombined": 3,
+        "interpolated": [],
+        "kernel": [min(B, n - i) for n in sizes for i in range(0, n, B)],
+        "class_sums": 0,
+    }
     ref_eta, ref_solution = union_reference.global_union_estimate(scheme, states, u, f)
     assert eta == ref_eta
     assert np.array_equal(solution.nodal_values, ref_solution.nodal_values)

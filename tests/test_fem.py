@@ -199,6 +199,28 @@ def test_reaction_limit_mass_identity():
     assert np.allclose(w.nodal_values[system.dofs], dense, rtol=1e-9)
 
 
+def test_mass_system_is_factored_once(monkeypatch):
+    # b K + c M equal to M bit for bit (b = 0, or b K below M's last bits, at
+    # c = 1) is one system per mesh and field: factored once, and every solve
+    # returns the fresh solve's bits in a vector of its own
+    m = refine(make_initial_mesh(UNIT, 32), {0, 9})
+    f, g = RhsField.test2(), RhsField.one()
+    factored = []
+    monkeypatch.setattr(fem, "splu", lambda A, **kw: factored.append(A.nnz) or splu(A, **kw))
+    fresh = assemble_and_solve(m, 0.0, 1.0, f)
+    cached = [assemble_and_solve(m, b, 1.0, f) for b in (0.0, 1e-30, 1e-300)]
+    assert len(factored) == 1
+    for w in cached:
+        assert np.array_equal(w.nodal_values, fresh.nodal_values)
+        assert not np.shares_memory(w.nodal_values, fresh.nodal_values)
+    assemble_and_solve(m, 0.0, 1.0, g)  # another field
+    assemble_and_solve(m, 1e-3, 1.0, f)  # another matrix
+    assert len(factored) == 3
+    del m._cache[("mass", f)]
+    assert np.array_equal(assemble_and_solve(m, 1e-30, 1.0, f).nodal_values, fresh.nodal_values)
+    assert len(factored) == 4
+
+
 def test_stiffness_matrix_against_dense_assembly():
     # the cached system holds the interior block of both matrices
     for cells, marked in ((8, {0}), (32, {0, 5})):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -104,15 +105,13 @@ def test_series_vs_quadrature_agree_for_unit_rhs():
 
 
 def test_eval_blocks_do_not_change_values(monkeypatch):
-    # eval works through the points in blocks to bound its buffers; the
-    # block size may change only the rounding of the matrix product (BLAS
-    # takes other code paths for products with a few rows)
+    # eval works through the points in blocks to bound its buffers; with no
+    # BLAS product in it, the block size changes no bit
     ref = spectral_reference(SQUARE, RhsField.one(), 0.5, modes=2000)
     pts = np.random.default_rng(1).uniform(-0.99, 0.99, size=(oracle.EVAL_BLOCK + 300, 2))
     default = ref.eval(pts)
     monkeypatch.setattr(oracle, "EVAL_BLOCK", 7)
-    small = ref.eval(pts)
-    assert np.max(np.abs(small - default)) <= 1e-14 * np.max(np.abs(default))
+    assert np.array_equal(ref.eval(pts), default)
 
 
 def test_eval_matches_direct_series_on_quadrature_points():
@@ -176,3 +175,58 @@ def test_fractional_power_interpolates_endpoints():
     assert ref0.norm() == pytest.approx(1.0, rel=1e-9)
     ref1 = eigenfunction_reference(UNIT, 2, 1, 1.0)
     assert ref1.norm() == pytest.approx(1.0 / (5.0 * math.pi**2))
+
+
+@pytest.mark.parametrize(
+    "ref",
+    [
+        spectral_reference(SQUARE, RhsField.one(), 0.5, modes=2000),
+        eigenfunction_reference(SQUARE, 1, 2, 0.5),
+    ],
+    ids=["odd-only", "eigenfunction"],
+)
+def test_eval_of_a_point_does_not_depend_on_the_others(ref):
+    # l2_error stores the values per forest node, computed with whichever
+    # nodes are new: a point's value must not depend on its position or company
+    m = make_initial_mesh(SQUARE, 128)
+    m = refine(m, set(range(0, m.num_cells, 3)))
+    pts = _quad_points(m).reshape(-1, 2)
+    full = ref.eval(pts)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        sub = rng.choice(len(pts), rng.integers(1, len(pts)), replace=False)
+        assert np.array_equal(ref.eval(pts[sub]), full[sub])
+
+
+def test_l2_error_matches_direct_evaluation():
+    # the per-node column gives the values of a direct evaluation on the
+    # mesh's quadrature points, on every mesh of a forest it grows with
+    ref = spectral_reference(SQUARE, RhsField.one(), 0.5, modes=2000)
+    m = make_initial_mesh(SQUARE, 32)
+    rng = np.random.default_rng(4)
+    for _ in range(4):
+        m = refine(m, set(rng.choice(m.num_cells, m.num_cells // 3, replace=False).tolist()))
+        u_h = FeFunction(m, np.sin(m.vertices[:, 0]) * np.cos(m.vertices[:, 1]))
+        diff2 = (ref.eval(_quad_points(m).reshape(-1, 2)).reshape(-1, 6)
+                 - u_h.cell_values_at(oracle.TRI_QP)) ** 2
+        direct = math.sqrt(np.einsum("mq,q,m->", diff2, oracle.TRI_QW, m.cell_areas()))
+        assert l2_error(ref, u_h) == pytest.approx(direct, rel=1e-13, abs=0)
+
+
+def test_references_get_separate_columns():
+    m = uniform_refine(make_initial_mesh(UNIT, 32))
+    zero = FeFunction(m, np.zeros(m.num_vertices))
+    a, b = eigenfunction_reference(UNIT, 1, 1, 0.5), eigenfunction_reference(UNIT, 1, 1, 0.5)
+    assert l2_error(a, zero) == l2_error(b, zero)
+    c = eigenfunction_reference(UNIT, 2, 1, 0.5)
+    assert l2_error(c, zero) != l2_error(a, zero)
+    assert {("ref", a), ("ref", b), ("ref", c)} <= set(m.base.columns)
+    assert len({key for key in m.base.columns if key[0] == "ref"}) == 3
+
+
+def test_spectral_solution_is_frozen():
+    ref = eigenfunction_reference(UNIT, 1, 1, 0.5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ref.s = 0.3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ref.f_coef = np.array([2.0])
