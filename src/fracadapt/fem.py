@@ -10,17 +10,28 @@ and shares the matrices ``K`` and ``M``.  Once per mesh the stiffness and mass
 values are summed from the element values (per-node columns of the forest,
 see ``mesh``) straight into one compressed sparse column (CSC) pattern of
 the interior vertices (one value per interior vertex and per interior
-edge).  Each solve fills that pattern with ``b K + c M`` and factors it
-with SuperLU using diagonal pivots, in the pattern's own order.  That order
-is a nested dissection read off the forest (``mesh.dissection_order``),
-fixed before the first factorization, so a solution depends only on the
-mesh's leaves, b, c and f.  Where ``b K + c M`` equals ``M`` bit for bit
-(the poles whose b K lies below the last bits of M), every such problem
-is one system: its solution is cached per mesh and field and copied.
-Equal meshes share one cache (see ``mesh``), so they also share the
-pattern, load vectors and that solution.
+edge).  That pattern's order is a nested dissection read off the forest
+(``mesh.dissection_order``), fixed before the first factorization, and every
+factorization runs SuperLU with diagonal pivots in it, so a solution depends
+only on the mesh's leaves, b, c and f.
+
+Most poles of the pole sum lie close to one of its two limits, ``b K`` or
+``c M``.  With sigma = min(b, c) / max(b, c), the other matrix perturbs the
+limit by at most q = sigma / lam_lo (b >= c) or q = sigma lam_hi (b < c),
+where lam_lo = pi j01^2 / |mesh| (Faber-Krahn) bounds the smallest and
+lam_hi = max over cells of 12 sum_i |grad phi_i|^2 the largest eigenvalue of
+(K, M); both are cached per mesh.  A pole with q <= ``_Q`` is solved by the
+Neumann series w = sum_k (-sigma)^k (P^-1 E)^k P^-1 F / max(b, c), with P the
+limit matrix and E the other one, cut after the j terms with q^j <= 2^-53.
+Its terms V_k = (P^-1 E)^k P^-1 F, k < ``_T``, are computed once per mesh,
+limit and field from one factorization of P and cached; the factor itself is
+freed at once, because a live SuperLU object pins far more memory than the
+``_T`` vectors of the basis.  Every other pole factors its own
+``b K + c M``.  Equal meshes share one cache (see ``mesh``), so they also
+share the pattern, load vectors, bounds and bases.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,6 +40,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from . import mesh as meshmod
+from .rational import J0_FIRST_ZERO
 
 __all__ = [
     "FeFunction",
@@ -57,6 +69,15 @@ TRI_QP = np.array(
     ]
 )
 TRI_QW = np.array([_QW1, _QW1, _QW1, _QW2, _QW2, _QW2])
+
+
+def _terms(q):
+    """Neumann terms j with q^j <= 2^-53, for 0 < q < 1."""
+    return math.ceil(math.log(2.0**-53) / math.log(q))
+
+
+_Q = 1e-3  # largest perturbation bound q of a pole solved from a Neumann basis
+_T = _terms(_Q)  # rows of a basis
 
 
 class SolveError(Exception):
@@ -272,49 +293,94 @@ def _load_vector(mesh, f):
     return F
 
 
+def _eigen_bounds(mesh):
+    """(lam_lo, lam_hi), cached per mesh: lam_lo = pi j01^2 / |mesh| is below
+    the smallest eigenvalue of (K, M) (Faber-Krahn, and a Galerkin eigenvalue
+    is at least the continuous one), lam_hi = max over cells of
+    12 sum_i |grad phi_i|^2 above the largest (on a cell, v^T K v <= |K|
+    sum_i |grad phi_i|^2 |v|^2 and v^T M v >= |K| |v|^2 / 12)."""
+    bounds = mesh._cache.get("bounds")
+    if bounds is None:
+        g = _grads(mesh)
+        lam_lo = math.pi * J0_FIRST_ZERO**2 / float(np.sum(mesh.cell_areas()))
+        bounds = mesh._cache["bounds"] = lam_lo, 12.0 * float(np.max(np.sum(g * g, axis=(1, 2))))
+    return bounds
+
+
+def _csc(system, values):
+    n = len(system.dofs)
+    return sp.csc_matrix((values, system.indices, system.indptr), shape=(n, n))
+
+
+def _factor(A, b, c):
+    """SuperLU factor of A; a failure raises SolveError naming the pole's b and c."""
+    try:
+        # no relaxed supernodes, one-column panels: faster below ~3,000 dofs, even at 48,641
+        return splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1, panel_size=1,
+                    options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SolveError(f"b K + c M at b = {b}, c = {c}: {exc}", residual=np.inf) from exc
+
+
+def _basis(mesh, system, kind, f, b, c):
+    """Rows V_k = (P^-1 E)^k P^-1 F, k < _T, with (P, E) = (K, M) for
+    ``kind`` "k" and (M, K) for "m"; cached per mesh, kind and field.  The
+    factor of P lives only in this call."""
+    key = ("basis", kind, f)
+    V = mesh._cache.get(key)
+    if V is None:
+        P, E = (system.k, system.m) if kind == "k" else (system.m, system.k)
+        lu, E = _factor(_csc(system, P), b, c), _csc(system, E)
+        V = np.empty((_T, len(system.dofs)))
+        V[0] = lu.solve(_load_vector(mesh, f)[system.dofs])
+        for k in range(1, _T):
+            V[k] = lu.solve(E @ V[k - 1])
+        mesh._cache[key] = V
+    return V
+
+
 # -- operations --------------------------------------------------------------
 
 
 def assemble_and_solve(mesh, b, c, f, rel_tol=1e-10):
     """Solve (b K + c M) w = F on the interior vertices, zero on the boundary.
 
-    The pole sum stores max(b, c) = 1 (see ``rational.bp_coefficients``), so
-    the conditioning is set by the mesh, not by the coefficients.  The system
-    is factored by SuperLU (``scipy.sparse.linalg.splu``) with diagonal
-    pivots, which is stable for this symmetric positive definite matrix, in
-    the nested-dissection order the cached system is built in, with no
-    ordering step of its own.  A system equal to M bit for bit reuses the
-    mesh's cached solution for ``f`` (module docstring), with the residual
-    it was computed with.  Raises ValueError unless b and c are finite
-    and nonnegative with one of them positive (either alone gives an SPD
-    system), and SolveError if the matrix is singular or the relative
-    residual of the reduced system exceeds ``rel_tol``.
+    A pole within q <= ``_Q`` of its limit ``b K`` or ``c M`` (module
+    docstring) sums j = ceil(log 2^-53 / log q) rows of the mesh's Neumann
+    basis for that limit and ``f``, by Horner's rule (one row when q = 0);
+    any other pole factors ``b K + c M`` itself.  Every factorization is
+    SuperLU's (``scipy.sparse.linalg.splu``) with diagonal pivots, which is
+    stable for these symmetric positive definite matrices, in the
+    nested-dissection order the cached system is built in, with no ordering
+    step of its own; no factor outlives the call.  Raises ValueError unless b
+    and c are finite and nonnegative with one of them positive (either alone
+    gives an SPD system), and SolveError if a matrix to factor is singular or
+    the relative residual of the reduced system ``b K + c M`` exceeds
+    ``rel_tol``, which every call checks.
     """
     if not (np.isfinite(b) and np.isfinite(c) and min(b, c) >= 0.0 and max(b, c) > 0.0):
         raise ValueError(f"coefficients must be finite, nonnegative and not both zero, "
                          f"got b = {b}, c = {c}")
     system = _system(mesh)
-    n = len(system.dofs)
     w = np.zeros(mesh.num_vertices)
-    if n == 0:
+    if len(system.dofs) == 0:
         return FeFunction(mesh, w)
-    values = b * system.k + c * system.m
-    mass = np.array_equal(values, system.m)
-    sol, res = mesh._cache.get(("mass", f), (None, None)) if mass else (None, None)
-    if sol is None:
-        A = sp.csc_matrix((values, system.indices, system.indptr), shape=(n, n))
-        rhs = _load_vector(mesh, f)[system.dofs]
-        try:
-            # no relaxed supernodes, one-column panels: faster below ~3,000 dofs, even at 48,641
-            lu = splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1, panel_size=1,
-                      options={"SymmetricMode": True})
-        except RuntimeError as exc:
-            raise SolveError(f"b K + c M at b = {b}, c = {c}: {exc}", residual=np.inf) from exc
-        sol = lu.solve(rhs)
-        rhs_norm = np.linalg.norm(rhs)
-        res = np.linalg.norm(A @ sol - rhs) / rhs_norm if rhs_norm > 0.0 else 0.0
-        if mass:
-            mesh._cache[("mass", f)] = sol, res
+    A = _csc(system, b * system.k + c * system.m)
+    rhs = _load_vector(mesh, f)[system.dofs]
+    lam_lo, lam_hi = _eigen_bounds(mesh)
+    scale, sigma = max(b, c), min(b, c) / max(b, c)
+    kind, q = ("k", sigma / lam_lo) if b >= c else ("m", sigma * lam_hi)
+    if q <= _Q:
+        V = _basis(mesh, system, kind, f, b, c)
+        j = _terms(q) if q > 0.0 else 1
+        sol = V[j - 1]
+        for k in range(j - 2, -1, -1):
+            sol = V[k] - sigma * sol
+        sol = sol / scale
+    else:
+        sol = _factor(A, b, c).solve(rhs)
+    rhs_norm = np.linalg.norm(rhs)
+    res = np.linalg.norm(A @ sol - rhs) / rhs_norm if rhs_norm > 0.0 else 0.0
     if not np.isfinite(res) or res > rel_tol:
         raise SolveError(f"relative residual {res:.3e} exceeds rel_tol {rel_tol:.1e}", residual=res)
     w[system.dofs] = sol

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import eigh
 from scipy.sparse.linalg import splu
 
 import forest_reference
-from fracadapt import fem
+from fracadapt import fem, oracle, rational
 from fracadapt import mesh as meshmod
 from fracadapt.fem import (
     TRI_QP,
@@ -160,9 +161,11 @@ def test_solution_depends_only_on_the_leaves(kind, cells):
         twin = _random_mesh(m0, np.random.default_rng(seed))
         fresh = TriMesh(make_initial_mesh(DomainSpec(kind), cells).base, mesh.cell_key.copy())
         assert twin._cache is mesh._cache and fresh._cache is not mesh._cache
-        for b, c in ((1e-3, 1.0), (2.5, 0.5)):
+        # (1.0, 1e-5) is a limit pole, summed from the stiffness basis
+        for b, c in ((1e-3, 1.0), (2.5, 0.5), (1.0, 1e-5)):
             w = assemble_and_solve(twin, b, c, f).nodal_values
             assert np.array_equal(assemble_and_solve(fresh, b, c, f).nodal_values, w)
+        assert ("basis", "k", f) in fresh._cache
 
 
 def _dense_matrices(m):
@@ -216,9 +219,70 @@ def test_mass_system_is_factored_once(monkeypatch):
     assemble_and_solve(m, 0.0, 1.0, g)  # another field
     assemble_and_solve(m, 1e-3, 1.0, f)  # another matrix
     assert len(factored) == 3
-    del m._cache[("mass", f)]
+    del m._cache[("basis", "m", f)]
     assert np.array_equal(assemble_and_solve(m, 1e-30, 1.0, f).nodal_values, fresh.nodal_values)
     assert len(factored) == 4
+
+
+def _graded(tmp):
+    # eight rounds of bisecting every cell at the corner (0, 0)
+    m = make_initial_mesh(UNIT, 32)
+    for _ in range(8):
+        m = refine(m, set(np.flatnonzero((m.vertices[m.cells] == 0.0).all(axis=2).any(axis=1))))
+    return m
+
+
+@pytest.mark.parametrize(
+    "make_mesh",
+    [
+        lambda tmp: _random_mesh(make_initial_mesh(DomainSpec("square"), 32),
+                                 np.random.default_rng(1)),
+        lambda tmp: refine(make_initial_mesh(UNIT, 32), {0, 9}),
+        lambda tmp: make_initial_mesh(DomainSpec("lshape"), 96),
+        lambda tmp: _written_and_read(tmp),
+        _graded,
+    ],
+    ids=["square", "unit-square", "lshape", "read_mesh", "graded"],
+)
+def test_eigen_bounds_enclose_the_spectrum(make_mesh, tmp_path):
+    m = make_mesh(tmp_path)
+    Kd, Md = _dense_matrices(m)
+    block = np.ix_(~m.boundary_vertex, ~m.boundary_vertex)
+    lam = eigh(Kd[block], Md[block], eigvals_only=True)
+    lam_lo, lam_hi = fem._eigen_bounds(m)
+    assert lam_lo <= lam[0] and lam[-1] <= lam_hi
+
+
+@pytest.mark.parametrize("kappa", [0.26, None], ids=["kappa0.26", "finest"])
+@pytest.mark.parametrize("s", [0.05, 0.3, 0.95])
+def test_every_pole_matches_a_direct_solve(s, kappa):
+    # every pole of the sum, at kappa 0.26 and at the kappa choose_kappa picks
+    # at tol = 1e-13, whether summed from a basis or factored, agrees with
+    # SuperLU on b K + c M itself
+    m = refine(make_initial_mesh(UNIT, 32), {0, 9})
+    lam0 = oracle.faber_krahn_lambda0(UNIT)
+    if kappa is None:
+        kappa = rational.choose_kappa(s, 1e-13, lam0, fem.l2_norm(RhsField.one(), m))
+    scheme = bp_coefficients(s, kappa, lam0)
+    system = fem._system(m)
+    fields = [RhsField.one(), RhsField.test2()]
+    F = np.stack([fem._load_vector(m, f)[system.dofs] for f in fields], axis=1)
+    for b, c in zip(scheme.b, scheme.c):
+        ref = splu(fem._csc(system, b * system.k + c * system.m)).solve(F)
+        for f, r in zip(fields, ref.T):
+            w = assemble_and_solve(m, b, c, f).nodal_values[system.dofs]
+            assert np.max(np.abs(w - r)) <= 1e-12 * np.max(np.abs(r))
+    assert all(("basis", kind, f) in m._cache for kind in "km" for f in fields)
+
+
+def test_limit_pole_checks_its_residual():
+    m = make_initial_mesh(UNIT, 32)
+    f = RhsField.one()
+    for b, c, kind in ((1.0, 1e-6, "k"), (1e-9, 1.0, "m")):
+        with pytest.raises(SolveError) as exc_info:
+            assemble_and_solve(m, b, c, f, rel_tol=0.0)
+        assert ("basis", kind, f) in m._cache
+        assert 0.0 < exc_info.value.residual < 1e-12
 
 
 def test_stiffness_matrix_against_dense_assembly():
