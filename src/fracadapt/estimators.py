@@ -28,10 +28,14 @@ sums Z^c = sum_l a_l c_l w_l / d and Z^b = sum_l a_l b_l w_l / d give
 
     sum_l a_l y_l = alpha sum_l a_l / d - B v(Z^c) - (1 / 4) W' j(Z^b).
 
-A solution on a mesh coarser than the union is P1 on the union too, so the
-union pass sums every such problem into Z at the union's vertices and takes
-v and j there once per pass, with no kernel call per problem.  The jumps on
-union edges inside a source cell are then zero only up to rounding.
+A solution on a mesh coarser than the union is P1 on the union too.  The
+union pass moves it to the union's vertices by the one transfer of
+``fem.transfer_p1`` and estimates it there like a solution on the union,
+with corner values and jumps on every interior union edge.  When the coarser
+problems outnumber 3 x classes, it sums them into Z at the union's vertices
+instead and takes v and j there once per pass, with no kernel call per
+problem.  Either way the jumps on union edges inside a source cell are zero
+only up to rounding.
 """
 
 import math
@@ -39,7 +43,8 @@ import math
 import numpy as np
 
 from . import mesh as meshmod
-from .fem import TRI_QP, TRI_QW, FeFunction, _grads, _matvec, _mesh_groups
+from .fem import TRI_QP, TRI_QW, FeFunction, _at_vertices, _grads, _matvec, _mesh_groups
+from .fem import _vertex_transfer
 from .fem import transfer_p1  # noqa: F401  (the benchmark tracer wraps this name)
 
 __all__ = [
@@ -152,18 +157,6 @@ def _geometry(mesh):
     return geo
 
 
-def _jump_sides(mesh, labels=None):
-    """(mask, side-1 cells, side-2 cells) of the interior edges; with per-cell
-    ``labels`` the sides are labels, and edges inside one label are left out
-    (on the union mesh, edges inside a source cell have no jump)."""
-    c1, c2 = mesh.edge_cells.T
-    sel = c2 >= 0
-    if labels is not None:
-        c1, c2 = labels[c1], labels[c2]  # boundary edges stay out through sel
-        sel &= c1 != c2
-    return sel, c1[sel], c2[sel]
-
-
 def _cell_matvec(A, v):
     """A (p, 3, m) times v (L, 3, m) cell by cell, shape (L, p, m), summed
     term by term in the order of ``fem._matvec``."""
@@ -179,13 +172,14 @@ def _corner_values(mesh, nodal):
     return vals, _cell_matvec(np.ascontiguousarray(_grads(mesh).transpose(2, 1, 0)), vals)
 
 
-def _edge_jumps(mesh, grads, sides=None):
+def _edge_jumps(mesh, grads):
     """Flux-jump scalar (gradient jump dotted with the fixed normal) per edge,
-    shape (L, e), for gradients (L, 2, k) per side of ``sides`` (default:
-    ``_jump_sides(mesh)``); edges left out get an exact zero."""
-    sel, s1, s2 = _jump_sides(mesh) if sides is None else sides
+    shape (L, e), for cell gradients (L, 2, m); boundary edges get an exact
+    zero."""
+    c1, c2 = mesh.edge_cells.T
+    sel = c2 >= 0
     normal = _geometry(mesh)["normal"][sel].T
-    dg = np.take(grads, s1, axis=2) - np.take(grads, s2, axis=2)
+    dg = np.take(grads, c1[sel], axis=2) - np.take(grads, c2[sel], axis=2)
     j = np.zeros((len(grads), len(mesh.edges)))
     j[:, sel] = dg[:, 0] * normal[0] + dg[:, 1] * normal[1]
     return j
@@ -250,18 +244,6 @@ def combined_equal_mesh_estimate(scheme, states, f):
     return float(np.sqrt(np.sum(np.einsum("mi,mij,mj->m", combined, M, combined))))
 
 
-def _at_union_vertices(interp, nodal):
-    """Values (n, ...) at the union's vertices of P1 functions with nodal
-    values ``nodal`` (n_src, ...) on a coarser mesh, from ``interp``: per union
-    vertex, the corners (n, 3) of a source cell that holds it and its
-    barycentric coordinates (n, 3) there (``global_union_estimate``)."""
-    corners, bary = interp
-    w = bary.T.reshape((3, -1) + (1,) * (nodal.ndim - 1))  # one corner at a time bounds the buffers
-    out = w[0] * nodal[corners[:, 0]] + w[1] * nodal[corners[:, 1]]
-    out += w[2] * nodal[corners[:, 2]]
-    return out
-
-
 def _class_sums(union, columns, classes, Z, S):
     """sum_l a_l y_l (3, m) on ``union`` of every problem summed into the
     weighted sums Z (n, 6 x classes) at the union's vertices, per class and
@@ -287,14 +269,16 @@ def global_union_estimate(scheme, states, union, f):
     from the local problems on every union cell for every l, and the
     ``FeFunction`` C sum_l a_l w_l on ``union``.  States whose meshes share
     leaves form one group; each group's recombined sum is formed in blocks of
-    ``_BLOCK``.  A union vertex takes a coarser group's values from the
-    ancestor of the last union cell that holds it.  When the L coarser
+    ``_BLOCK``.  Every coarser group reaches the union's vertices by the one
+    transfer of ``fem.transfer_p1``: a vertex takes its values from the
+    ancestor of the last union cell that lists it.  When the L coarser
     problems outnumber 3 x classes, they all go into the weighted sums
     (module docstring) at the union's vertices, each group by whichever is
     fewer columns: its L solutions, or its 6 x classes sums formed at its own
-    vertices.  Otherwise every group runs the kernel in blocks, with jumps on
-    union edges between two source cells only.  States on the union always
-    run the kernel, and the dirty ones get their indicators
+    vertices.  Otherwise every group runs the kernel in blocks on its
+    solutions at the union's vertices, estimated like the union's own group,
+    with jumps on every interior union edge.  States on the union always run
+    the kernel, and the dirty ones get their indicators
     (``local_indicators``'s bits) here.
     """
     area, columns = _geometry(union)["area"], _columns(union, f)  # hoisted out of the blocks
@@ -314,26 +298,12 @@ def global_union_estimate(scheme, states, union, f):
         # alpha S cancels against B v(Z^c): round S once, its error is not averaged over l
         S = np.array([math.fsum(x) for x in wa.reshape(len(coarser), -1).T]).reshape(-1, 3)
         Z, moved, moved_w, done = np.zeros((union.num_vertices, weights.shape[1])), [], [], 0
-    # the union cell and local corner of each vertex's last entry in ``union.cells``
-    slot = np.empty(union.num_vertices, dtype=np.intp)
-    slot[union.cells] = np.arange(3 * union.num_cells).reshape(-1, 3)
-    cell, corner = np.divmod(slot, 3)
     combined = np.zeros((3, union.num_cells))
     solution = np.zeros(union.num_vertices)
     for src, group in groups:
         own = src.same_mesh(union)
         kernel = own or not weighted
-        if own:
-            corners, lam, sides = union.cells, None, _jump_sides(union)
-        else:
-            parents = meshmod.ancestor_cell_map(union, src)
-            bary = meshmod.nested_barycentric(union.cell_key[cell], src.cell_key[parents[cell]])
-            interp = src.cells[parents[cell]], bary[np.arange(len(cell)), corner]
-            if kernel:
-                corners = src.cells[parents]
-                lam = meshmod.nested_barycentric(union.cell_key, src.cell_key[parents])
-                lam = np.ascontiguousarray(lam.transpose(1, 2, 0))  # cells innermost
-                sides = _jump_sides(union, parents)
+        transfer = None if own else _vertex_transfer(src, union)
         partial = np.zeros(src.num_vertices)
         for start in range(0, len(group), _BLOCK):
             block = group[start : start + _BLOCK]
@@ -342,24 +312,22 @@ def global_union_estimate(scheme, states, union, f):
             partial += nodal @ scheme.a[l]
             if not kernel:
                 continue
-            vals, grads = _corner_values(src, nodal)
-            if lam is not None:
-                vals = _cell_matvec(lam, np.take(nodal.T, corners.T, axis=1))
-            jump = _edge_jumps(union, grads, sides)
+            vals, grads = _corner_values(union, nodal if own else _at_vertices(transfer, nodal))
+            jump = _edge_jumps(union, grads)
             y = _modal_coeffs(union, columns, vals, jump, scheme.b[l], scheme.c[l])
             combined += (scheme.a[l] @ y.reshape(len(l), -1)).reshape(combined.shape)  # a gemv
             if own:
                 for st, col in zip(block, np.sqrt(area * np.sum(y**2, axis=1))):
                     if st.dirty:
                         st.indicators, st.dirty = col, False
-        solution += partial if own else _at_union_vertices(interp, partial)
+        solution += partial if own else _at_vertices(transfer, partial)
         if not kernel:
             nodal = np.stack([st.solution.nodal_values for st in group], axis=1)
             w, done = weights[done : done + len(group)], done + len(group)
             if w.shape[1] < len(group):  # fewer columns to interpolate
-                Z += _at_union_vertices(interp, nodal @ w)
+                Z += _at_vertices(transfer, nodal @ w)
             else:
-                moved.append(_at_union_vertices(interp, nodal))
+                moved.append(_at_vertices(transfer, nodal))
                 moved_w.append(w)
     if weighted:
         if moved:  # one gemm

@@ -387,17 +387,40 @@ def assemble_and_solve(mesh, b, c, f, rel_tol=1e-10):
     return FeFunction(mesh, w)
 
 
+def _vertex_transfer(src, target):
+    """Per vertex of ``target``, a refinement of ``src``: the corners (n, 3)
+    of the ``src`` cell that holds the last ``target`` cell listing the
+    vertex, and the vertex's barycentric coordinates (n, 3) there."""
+    last = target._cache.get("last_corner")  # depends only on the leaves
+    if last is None:
+        slot = np.empty(target.num_vertices, dtype=np.intp)
+        slot[target.cells] = np.arange(3 * target.num_cells).reshape(-1, 3)
+        last = target._cache["last_corner"] = np.divmod(slot, 3)
+    cell, corner = last
+    parents = meshmod.ancestor_cell_map(target, src)[cell]
+    bary = meshmod.nested_barycentric(target.cell_key[cell], src.cell_key[parents])
+    return src.cells[parents], bary[np.arange(len(cell)), corner]
+
+
+def _at_vertices(transfer, nodal):
+    """Values (n, ...) at the target's vertices of P1 functions with nodal
+    values ``nodal`` (n_src, ...) on the source mesh of ``transfer``
+    (``_vertex_transfer``), summed term by term in the order of ``_matvec``."""
+    corners, bary = transfer
+    w = bary.T.reshape((3, -1) + (1,) * (nodal.ndim - 1))  # one corner at a time bounds the buffers
+    out = w[0] * nodal[corners[:, 0]] + w[1] * nodal[corners[:, 1]]
+    out += w[2] * nodal[corners[:, 2]]
+    return out
+
+
 def transfer_p1(f, target):
-    """Exact nodal transfer of a P1 function onto a refinement of its mesh;
-    stacked (n, L) nodal values are transferred column by column."""
+    """Exact nodal transfer of a P1 function onto a refinement of its mesh,
+    by the transfer the union pass uses (``_vertex_transfer``); stacked
+    (n, L) nodal values are transferred column by column."""
     src = f.mesh
     if src.same_mesh(target):
         return FeFunction(target, f.nodal_values.copy())
-    parents = meshmod.ancestor_cell_map(target, src)
-    lam = meshmod.nested_barycentric(target.cell_key, src.cell_key[parents])
-    out = np.empty((target.num_vertices,) + f.nodal_values.shape[1:])
-    out[target.cells] = _matvec(lam, f.nodal_values[src.cells[parents]])
-    return FeFunction(target, out)
+    return FeFunction(target, _at_vertices(_vertex_transfer(src, target), f.nodal_values))
 
 
 def _mesh_groups(states):

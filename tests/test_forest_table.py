@@ -242,17 +242,45 @@ def test_path_table_equals_geometric_transfer(kind, cells):
         assert np.array_equal(transfer_p1(w, fine).nodal_values, moved)
 
 
-def test_path_table_on_a_read_mesh_forest(tmp_path):
-    # the geometric coordinates round on moved vertices, the table does not
+def _moved_mesh(tmp_path):
+    """A read_mesh forest of the unit square with moved interior vertices."""
     m = make_initial_mesh(DomainSpec("unit-square"), 32)
     interior = ~m.boundary_vertex
     rng = np.random.default_rng(3)
     m.vertices[interior] += rng.uniform(-0.04, 0.04, size=(np.count_nonzero(interior), 2))
     write_mesh(m, tmp_path / "moved.txt")
-    m0 = read_mesh(tmp_path / "moved.txt")
+    return read_mesh(tmp_path / "moved.txt")
+
+
+def test_path_table_on_a_read_mesh_forest(tmp_path):
+    # the geometric coordinates round on moved vertices, the table does not
+    m0 = _moved_mesh(tmp_path)
     fine = union_mesh([_deep(m0, 14), _chain(m0, [{0, 1, 2}, {5}])])
     parents = ancestor_cell_map(fine, m0)
     lam = nested_barycentric(fine.cell_key, m0.cell_key[parents])
     lam_ref = setup_reference.nested_barycentric(m0, fine, parents)[1]
     assert np.max(np.abs(lam - lam_ref)) <= 1e-14
     assert not np.array_equal(lam, lam_ref)
+
+
+@pytest.mark.parametrize("kind", ["square", "unit-square", "lshape", "read_mesh"])
+def test_vertex_transfer_equals_the_per_cell_table(kind, tmp_path):
+    # a vertex takes its values from the source cell of the last fine cell
+    # that lists it; every other fine cell holding it gives the same bits,
+    # on source edges and past the path table's depth too
+    if kind == "read_mesh":
+        m0 = _moved_mesh(tmp_path)
+    else:
+        m0 = make_initial_mesh(DomainSpec(kind), 24 if kind == "lshape" else 32)
+    src = refine(m0, {0, 3})
+    fine = union_mesh([_deep(src, 26), _chain(src, [{1, 7}, {2}])])
+    rng = np.random.default_rng(6)
+    for coarse in (m0, src):
+        parents = ancestor_cell_map(fine, coarse)
+        gap = (fine.cell_key & _LEVEL_MASK) - (coarse.cell_key[parents] & _LEVEL_MASK)
+        assert gap.max() > 2 * _PATH_DEPTH
+        lam = nested_barycentric(fine.cell_key, coarse.cell_key[parents])
+        W = rng.normal(size=(coarse.num_vertices, 3))
+        table = fem._matvec(lam, W[coarse.cells[parents]])
+        moved = fem._at_vertices(fem._vertex_transfer(coarse, fine), W)
+        assert_bits(moved[fine.cells], table, kind)

@@ -3,9 +3,11 @@
 This is ``global_union_estimate`` as it was before the pass summed a large
 coarser source group's solutions per (lam, |K|) class: every group runs the
 estimator kernel ``_modal_coeffs`` once per block of up to ``_BLOCK``
-problems on every union cell.  The tests compare the pass against it: bit
-for bit where every group takes the kernel, within rounding where a group
-takes the weighted sums.
+problems on every union cell.  A coarser group's corner values come from a
+per-cell barycentric table, its gradients from its own cells, and its jumps
+only on union edges between two source cells, with exact zeros inside one.
+The tests compare the pass against it: bit for bit where every group takes
+the kernel, within rounding where a group takes the weighted sums.
 """
 
 import numpy as np
@@ -16,12 +18,34 @@ from fracadapt.estimators import (
     _cell_matvec,
     _columns,
     _corner_values,
-    _edge_jumps,
     _geometry,
-    _jump_sides,
     _modal_coeffs,
 )
 from fracadapt.fem import FeFunction, _mesh_groups
+
+
+def _jump_sides(mesh, labels=None):
+    """(mask, side-1 cells, side-2 cells) of the interior edges; with per-cell
+    ``labels`` the sides are labels, and edges inside one label are left out
+    (on the union mesh, edges inside a source cell have no jump)."""
+    c1, c2 = mesh.edge_cells.T
+    sel = c2 >= 0
+    if labels is not None:
+        c1, c2 = labels[c1], labels[c2]  # boundary edges stay out through sel
+        sel &= c1 != c2
+    return sel, c1[sel], c2[sel]
+
+
+def _edge_jumps(mesh, grads, sides):
+    """Flux-jump scalar (gradient jump dotted with the fixed normal) per edge,
+    shape (L, e), for gradients (L, 2, k) per side of ``sides``; edges left
+    out get an exact zero."""
+    sel, s1, s2 = sides
+    normal = _geometry(mesh)["normal"][sel].T
+    dg = np.take(grads, s1, axis=2) - np.take(grads, s2, axis=2)
+    j = np.zeros((len(grads), len(mesh.edges)))
+    j[:, sel] = dg[:, 0] * normal[0] + dg[:, 1] * normal[1]
+    return j
 
 
 def global_union_estimate(scheme, states, union, f):
