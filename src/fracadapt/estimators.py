@@ -11,8 +11,8 @@ with residual r = f - c w and edge flux jumps J_F, is a 3x3 SPD system with
 mass matrix |K| M_ref and a stiffness matrix S that depends only on the
 cell's shape; the indicator is ||e||_{L2(K)}.  With S V = M_ref V diag(lam),
 V^T M_ref V = I, what depends on the cell alone is composed once per forest
-node, in per-node columns (``mesh.TriMesh.column``): W' = V^T, lam,
-B = (|K| / 4) W' G with (phi_i, hat_j)_K = (|K| / 4) G[i, j], and per field
+node, in one per-node column per field (``mesh.TriMesh.column``): W' = V^T,
+lam, B = (|K| / 4) W' G with (phi_i, hat_j)_K = (|K| / 4) G[i, j], and
 alpha = (|K| / 4) W' F with f-moments F summed over 24 points one by one.
 For corner values v and jumps times lengths j per local edge, one kernel
 serves every estimate, and lam > 0 keeps its denominator positive:
@@ -102,18 +102,9 @@ def _shape(x):
     return (q / det).T
 
 
-def _sides(x):
-    """Outward unit normal and length (r, 3, 3) of each local edge j, from
-    corner j to corner j + 1 (mod 3), of counterclockwise cells with corners
-    x (r, 3, 2)."""
-    d = np.roll(x, -1, axis=1) - x
-    length = np.hypot(d[..., 0], d[..., 1])
-    return np.stack([d[..., 1] / length, -d[..., 0] / length, length], axis=-1)
-
-
-def _ops_of(x):
-    """W' (r, 3, 3), B (r, 3, 3) and lam (r, 3) of cells with corners
-    x (r, 3, 2), side by side as (r, 3, 7)."""
+def _ops_of(x, f):
+    """W' (r, 3, 3), B (r, 3, 3), lam (r, 3) and alpha (r, 3) for the field
+    ``f`` of cells with corners x (r, 3, 2), side by side as (r, 3, 8)."""
     # a shape symmetric under the mirror swapping phi_1 and phi_2 has exact zeros in the
     # _PT basis: columns 1 and 2 of W' = W _PT are equal or opposite, and added first
     S = _PT @ np.einsum("ka,aij->kij", _shape(x), _T) @ _PT.T
@@ -121,26 +112,19 @@ def _ops_of(x):
     W = np.swapaxes(U, 1, 2) @ _LINV
     Wp = np.stack([W[..., 0], W[..., 1] + W[..., 2], W[..., 1] - W[..., 2]], axis=2)
     WG = Wp[..., 0, None] * _G[0] + (Wp[..., 1, None] * _G[1] + Wp[..., 2, None] * _G[2])
-    B = meshmod._cell_areas(x)[:, None, None] / 4.0 * WG
-    return np.concatenate([Wp, B, lam[..., None]], axis=2)
+    fq = f(*np.moveaxis(_matvec(_CB, x), -1, 0))  # F_i = sum_q f(x_q) _WPHI[q, i], in order
+    F = sum(fq[:, q, None] * _WPHI[q] for q in range(24))
+    WF = Wp[..., 0] * F[:, None, 0] + (Wp[..., 1] * F[:, None, 1] + Wp[..., 2] * F[:, None, 2])
+    area = meshmod._cell_areas(x)
+    B, alpha = area[:, None, None] / 4.0 * WG, area[:, None] / 4.0 * WF
+    return np.concatenate([Wp, B, lam[..., None], alpha[..., None]], axis=2)
 
 
 def _columns(mesh, f):
     """W' (3, 3, m), B (3, 3, m), lam (3, m) and alpha (3, m) of each cell
-    for the field ``f``, cells innermost, gathered from per-node columns."""
-    ops = mesh.column("ops", _ops_of)
-    table = mesh.base.columns["ops"]  # alpha_of gets the table's last rows
-
-    def alpha_of(x):  # F_i = sum_q f(x_q) _WPHI[q, i], one point at a time
-        fq = f(*np.moveaxis(_matvec(_CB, x), -1, 0))
-        F = sum(fq[:, q, None] * _WPHI[q] for q in range(24))
-        Wp = table[len(table) - len(x) :, :, :3]
-        WF = Wp[..., 0] * F[:, None, 0] + (Wp[..., 1] * F[:, None, 1] + Wp[..., 2] * F[:, None, 2])
-        return meshmod._cell_areas(x)[:, None] / 4.0 * WF
-
-    alpha = mesh.column(("alpha", f), alpha_of)
-    ops = np.ascontiguousarray(ops.transpose(1, 2, 0))
-    return ops[:, :3], ops[:, 3:6], ops[:, 6], np.ascontiguousarray(alpha.T)
+    for the field ``f``, cells innermost, gathered from its per-node column."""
+    ops = np.ascontiguousarray(mesh.column(("ops", f), lambda x: _ops_of(x, f)).transpose(1, 2, 0))
+    return ops[:, :3], ops[:, 3:6], ops[:, 6], ops[:, 7]
 
 
 def _geometry(mesh):
@@ -148,12 +132,14 @@ def _geometry(mesh):
     geo = mesh._cache.get("geometry")
     if geo is not None:
         return geo
-    # fixed edge normals: outward from edge_cells[:, 0], as its side of the edge
+    # fixed edge normals: outward from edge_cells[:, 0], as its local edge j
+    # from corner j to corner j + 1 (mod 3) of the counterclockwise cell
     c0, e = mesh.edge_cells[:, 0], np.arange(len(mesh.edges))
     side = (mesh.cell_edge[c0, 1] == e) + 2 * (mesh.cell_edge[c0, 2] == e)
-    normal, length = np.split(mesh.column("sides", _sides)[c0, side], [2], axis=1)
-    geo = dict(area=mesh.cell_areas(), normal=normal, length=length[:, 0])
-    mesh._cache["geometry"] = geo
+    d = mesh.vertices[mesh.cells[c0, (side + 1) % 3]] - mesh.vertices[mesh.cells[c0, side]]
+    length = np.hypot(d[:, 0], d[:, 1])
+    normal = np.stack([d[:, 1] / length, -d[:, 0] / length], axis=1)
+    geo = mesh._cache["geometry"] = dict(area=mesh.cell_areas(), normal=normal, length=length)
     return geo
 
 
@@ -229,7 +215,7 @@ def combined_equal_mesh_estimate(scheme, states, f):
     for st in states:
         if not st.mesh.same_mesh(mesh):
             raise meshmod.MeshStructureError("states are not on a shared mesh")
-    S = np.einsum("ma,aij->mij", mesh.column("shape", _shape), _T)
+    S = np.einsum("ma,aij->mij", _shape(mesh.vertices[mesh.cells]), _T)
     geo = _geometry(mesh)
     M = geo["area"][:, None, None] * _MREF
     F = f(*np.moveaxis(_CB @ mesh.vertices[mesh.cells], -1, 0)) @ _WPHI
@@ -244,16 +230,17 @@ def combined_equal_mesh_estimate(scheme, states, f):
     return float(np.sqrt(np.sum(np.einsum("mi,mij,mj->m", combined, M, combined))))
 
 
-def _class_sums(union, columns, classes, Z, S):
+def _class_sums(union, columns, cls, Z, S):
     """sum_l a_l y_l (3, m) on ``union`` of every problem summed into the
     weighted sums Z (n, 6 x classes) at the union's vertices, per class and
-    mode Z^c then Z^b, with S = sum_l a_l / d (classes, 3) (module docstring)."""
-    (Wp, B, lam, alpha), (cls, rep), geo = columns, classes, _geometry(union)
+    mode Z^c then Z^b, with S = sum_l a_l / d (classes, 3) (module docstring)
+    and ``cls`` the class of each cell."""
+    (Wp, B, lam, alpha), classes, geo = columns, len(S), _geometry(union)
     col = 3 * cls + np.arange(3)[:, None]  # per mode, the column of each cell's class
     v = Z[union.cells.T, col[:, None]]
     j = np.empty_like(v)
-    for k in range(len(rep)):  # one class at a time bounds the buffers
-        at, zb = cls == k, Z[:, 3 * (len(rep) + k) : 3 * (len(rep) + k + 1)]
+    for k in range(classes):  # one class at a time bounds the buffers
+        at, zb = cls == k, Z[:, 3 * (classes + k) : 3 * (classes + k + 1)]
         jump = _edge_jumps(union, _corner_values(union, zb)[1]) * geo["length"]
         j[:, :, at] = jump[:, union.cell_edge[at].T]
     Bv = B[:, 0] * v[:, 0] + B[:, 1] * v[:, 1]  # the mirror pairs are added first
@@ -282,16 +269,14 @@ def global_union_estimate(scheme, states, union, f):
     (``local_indicators``'s bits) here.
     """
     area, columns = _geometry(union)["area"], _columns(union, f)  # hoisted out of the blocks
-    keys = np.vstack([columns[2], area]).view(np.int64)  # classes of bitwise equal rows
-    order = np.lexsort(keys)
-    first = np.r_[True, np.any(keys[:, order[1:]] != keys[:, order[:-1]], axis=0)]
-    classes = np.empty(union.num_cells, dtype=np.intp), order[first]
-    classes[0][order] = np.cumsum(first) - 1
+    # classes of cells with bitwise equal (lam, |K|) rows, and the first cell of each; raw
+    # bytes sort several times faster than np.unique(axis=0)'s structured rows
+    rows = np.ascontiguousarray(np.vstack([columns[2], area]).T).view("V32").ravel()
+    _, rep, cls = np.unique(rows, return_index=True, return_inverse=True)
     groups = _mesh_groups(states)
     coarser = [st.index for src, group in groups if not src.same_mesh(union) for st in group]
-    weighted = 3 * len(classes[1]) < len(coarser)
+    weighted = 3 * len(rep) < len(coarser)
     if weighted:
-        rep = classes[1]
         a, b, c = (x[coarser, None, None] for x in (scheme.a, scheme.b, scheme.c))
         wa = a / (columns[2][:, rep].T * b + area[rep, None] * c)  # the kernel's d, bit for bit
         weights = np.concatenate([wa * c, wa * b], axis=1).reshape(len(coarser), -1)
@@ -332,6 +317,6 @@ def global_union_estimate(scheme, states, union, f):
     if weighted:
         if moved:  # one gemm
             Z += np.concatenate(moved, axis=1) @ np.concatenate(moved_w)
-        combined += _class_sums(union, columns, classes, Z, S)
+        combined += _class_sums(union, columns, cls, Z, S)
     eta = scheme.C * float(np.sqrt(np.sum(area * np.sum(combined**2, axis=0))))
     return eta, FeFunction(union, scheme.C * solution)

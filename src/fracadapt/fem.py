@@ -7,13 +7,13 @@ one-shot public recombination for callers that hold only the states.
 
 Every problem ``(b K + c M) w = F`` on a mesh is symmetric positive definite
 and shares the matrices ``K`` and ``M``.  Once per mesh the stiffness and mass
-values are summed from the element values (per-node columns of the forest,
-see ``mesh``) straight into one compressed sparse column (CSC) pattern of
-the interior vertices (one value per interior vertex and per interior
-edge).  That pattern's order is a nested dissection read off the forest
-(``mesh.dissection_order``), fixed before the first factorization, and every
-factorization runs SuperLU with diagonal pivots in it, so a solution depends
-only on the mesh's leaves, b, c and f.
+values are formed from the areas and gradients (per-node columns of the
+forest, see ``mesh``) and summed straight into one compressed sparse column
+(CSC) pattern of the interior vertices (one value per interior vertex and
+per interior edge).  That pattern's order is a nested dissection read off
+the forest (``mesh.dissection_order``), fixed before the first
+factorization, and every factorization runs SuperLU with diagonal pivots in
+it, so a solution depends only on the mesh's leaves, b, c and f.
 
 Most poles of the pole sum lie close to one of its two limits, ``b K`` or
 ``c M``.  With sigma = min(b, c) / max(b, c), the other matrix perturbs the
@@ -196,17 +196,6 @@ def _grads(mesh):
     return mesh.column("grads", _grads_of)
 
 
-def _stiffness_of(x):
-    """Element stiffness values (r, 2, 3) of cells with corners x: the
-    diagonal entries, and the entry of local edge j, which joins corners j
-    and j + 1 (mod 3)."""
-    g, area = _grads_of(x), meshmod._cell_areas(x)
-    g_next = np.roll(g, -1, axis=1)
-    k_diag = area[:, None] * (g[..., 0] * g[..., 0] + g[..., 1] * g[..., 1])
-    k_edge = area[:, None] * (g[..., 0] * g_next[..., 0] + g[..., 1] * g_next[..., 1])
-    return np.stack([k_diag, k_edge], axis=1)
-
-
 def _load_of(x, f):
     """Load contributions (r, 3) of cells with corners x: sum_q w_q |K|
     f(x_q) lambda_i(x_q), summed over q in order."""
@@ -242,8 +231,11 @@ def _build_system(mesh, dofs):
     interior = ~mesh.boundary_vertex
     on = interior[mesh.edges[:, 0]] & interior[mesh.edges[:, 1]]
     n, n_edges = mesh.num_vertices, len(mesh.edges)
-    k_diag, k_edge = mesh.column("stiffness", _stiffness_of).transpose(1, 0, 2)
-    area3 = np.repeat(mesh.cell_areas(), 3)
+    g, area = _grads(mesh), mesh.cell_areas()
+    g_next = np.roll(g, -1, axis=1)  # local edge j joins corners j and j + 1 (mod 3)
+    k_diag = area[:, None] * (g[..., 0] * g[..., 0] + g[..., 1] * g[..., 1])
+    k_edge = area[:, None] * (g[..., 0] * g_next[..., 0] + g[..., 1] * g_next[..., 1])
+    area3 = np.repeat(area, 3)
     edge_id = mesh.cell_edge.reshape(-1)
     vertex_id = mesh.cells.reshape(-1)
     k = np.concatenate(

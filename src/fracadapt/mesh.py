@@ -29,10 +29,13 @@ descendant is its (unique) longest edge.
 
 Each forest keeps a node table (``_ForestBase``): every node built so far,
 append-only, with its corners as forest vertex ids, and per-node columns
-(areas, gradients, element values, load contributions per field) computed
-once per node and gathered by every mesh (``TriMesh.column``).  A mesh build
-adds only the nodes missing from the table, level by level from their
-nearest ancestor there, and gathers its leaves' corners.
+(areas, gradients, per field the load contributions and the estimator's
+operators, per reference its values) computed once per node and gathered by
+every mesh (``TriMesh.column``).  A mesh build adds only the nodes missing
+from the table, level by level from their nearest ancestor there, and
+gathers its leaves' corners.  Forests compare by identity: meshes of two
+separately built forests are never the same mesh and never combine, even
+over equal roots.
 
 Vertex numbering: the initial vertices come first, then one midpoint per
 bisected edge, ordered by the smallest key of a node that bisects that edge.
@@ -145,16 +148,6 @@ class _ForestBase:
         self.corners, self.xy = self.cells, self.vertices
         self.rank = np.arange(len(self.vertices), dtype=np.int64) - len(self.vertices)
         self.mids, self.columns = {}, {}
-
-    def equivalent(self, other):
-        if self is other:
-            return True
-        return (
-            self.vertices.shape == other.vertices.shape
-            and self.cells.shape == other.cells.shape
-            and np.array_equal(self.vertices, other.vertices)
-            and np.array_equal(self.cells, other.cells)
-        )
 
     def rows_of(self, keys):
         """Table rows of the nodes ``keys``.  A missing node is added level by
@@ -394,8 +387,7 @@ class TriMesh:
 
     def same_mesh(self, other):
         return self is other or (
-            self.base.equivalent(other.base)
-            and np.array_equal(self.cell_key, other.cell_key)
+            self.base is other.base and np.array_equal(self.cell_key, other.cell_key)
         )
 
     def locate(self, points):
@@ -604,7 +596,7 @@ def union_mesh(meshes):
         raise ValueError("need at least one mesh")
     base = meshes[0].base
     for m in meshes[1:]:
-        if not base.equivalent(m.base):
+        if m.base is not base:
             raise MeshStructureError("meshes do not share an initial mesh")
     if all(m.same_mesh(meshes[0]) for m in meshes):
         return meshes[0]
@@ -617,7 +609,7 @@ def union_mesh(meshes):
 
 def is_refinement_of(fine, coarse):
     """True if every cell of ``coarse`` is a union of cells of ``fine``."""
-    if not fine.base.equivalent(coarse.base):
+    if fine.base is not coarse.base:
         return False
     return _ancestor_index(fine, coarse) is not None
 
@@ -628,7 +620,7 @@ def ancestor_cell_map(fine, coarse):
     Raises MeshStructureError if ``coarse`` is not a coarsening of ``fine``.
     Not cached, so ``fine`` holds no reference to ``coarse``.
     """
-    if not fine.base.equivalent(coarse.base):
+    if fine.base is not coarse.base:
         raise MeshStructureError("meshes do not share an initial mesh")
     out = _ancestor_index(fine, coarse)
     if out is None:

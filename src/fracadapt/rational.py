@@ -51,16 +51,12 @@ class RationalScheme:
     lambda0: float
 
 
-def _check_domain(s, kappa):
+def epsilon_bound(s, kappa, lambda0):
+    """Uniform error bound for the rectangle-rule pole sum on [lambda0, inf)."""
     if not (0.0 < s < 1.0):
         raise ValueError(f"fractional power s={s} must lie in (0, 1)")
     if kappa <= 0.0:
         raise ValueError(f"fineness parameter kappa={kappa} must be positive")
-
-
-def epsilon_bound(s, kappa, lambda0):
-    """Uniform error bound for the rectangle-rule pole sum on [lambda0, inf)."""
-    _check_domain(s, kappa)
     if lambda0 <= 0.0:
         raise ValueError("lambda0 must be positive")
     q = math.pi**2 / (4.0 * kappa)
@@ -87,9 +83,7 @@ def bp_coefficients(s, kappa, lambda0):
     b_l and c_l is exactly 1, and the smaller underflows to 0 only where the
     other term dominates beyond double range.
     """
-    _check_domain(s, kappa)
-    if lambda0 <= 0.0:
-        raise ValueError("lambda0 must be positive")
+    epsilon = epsilon_bound(s, kappa, lambda0)  # checks s, kappa and lambda0
     m_minus = math.ceil(math.pi**2 / (4.0 * s * kappa**2))
     m_plus = math.ceil(math.pi**2 / (4.0 * (1.0 - s) * kappa**2))
     n = m_plus + m_minus + 1
@@ -107,7 +101,7 @@ def bp_coefficients(s, kappa, lambda0):
         a=a,
         b=b,
         c=c,
-        epsilon=epsilon_bound(s, kappa, lambda0),
+        epsilon=epsilon,
         lambda0=float(lambda0),
     )
 

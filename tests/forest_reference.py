@@ -200,10 +200,7 @@ class TriMesh:
         return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
     def same_mesh(self, other):
-        return (
-            self is other
-            or (self.base.equivalent(other.base) and self.leaf_sets == other.leaf_sets)
-        )
+        return self is other or (self.base is other.base and self.leaf_sets == other.leaf_sets)
 
     def locate(self, points, tol=1e-12):
         """Containing cell index and barycentric coordinates for each point.
@@ -383,7 +380,7 @@ def union_mesh(meshes):
         raise ValueError("need at least one mesh")
     base = meshes[0].base
     for m in meshes[1:]:
-        if not base.equivalent(m.base):
+        if m.base is not base:
             raise MeshStructureError("meshes do not share an initial mesh")
     if all(m.same_mesh(meshes[0]) for m in meshes):
         return meshes[0]
@@ -402,7 +399,7 @@ def union_mesh(meshes):
 
 def is_refinement_of(fine, coarse):
     """True if every cell of ``coarse`` is a union of cells of ``fine``."""
-    if not fine.base.equivalent(coarse.base):
+    if fine.base is not coarse.base:
         return False
     for lf, lc in zip(fine.leaf_sets, coarse.leaf_sets):
         for p in lf:
@@ -421,7 +418,7 @@ def ancestor_cell_map(fine, coarse):
     cached = fine._cache.get(key)
     if cached is not None and cached[0] is coarse:
         return cached[1]
-    if not fine.base.equivalent(coarse.base):
+    if fine.base is not coarse.base:
         raise MeshStructureError("meshes do not share an initial mesh")
     leaf_index = {
         (int(r), p): k

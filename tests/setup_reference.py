@@ -1,14 +1,19 @@
 """Per-mesh reference for the per-node columns of ``fracadapt``.
 
-These are the per-mesh formulas that the forest's per-node columns replaced
-(``TriMesh.column``), kept unchanged as the reference the tests compare
-against, bit for bit: each computes its values from ``mesh.vertices`` and
-``mesh.cells`` of one mesh, with no forest table.  ``modal_basis`` is the
-per-mesh grouping into shape classes that the per-node modal column
-replaced; ``operators`` composes the estimator's per-cell operators from
-it, and ``alpha`` its f-term from per-mesh quadrature points.
-``nested_barycentric`` is the geometric transfer that the exact path table
-replaced.
+These are per-mesh formulas, kept unchanged as the reference the tests
+compare against, bit for bit: each computes its values from
+``mesh.vertices`` and ``mesh.cells`` of one mesh, with no forest table.
+``areas``, ``grads`` and ``load_vector`` check the forest's per-node columns
+(``TriMesh.column``) of areas, gradients and load contributions.
+``system_values`` and ``geometry`` check what ``fem._build_system`` and
+``estimators._geometry`` form per mesh, with no column of their own: the
+stiffness values from the areas and gradients, and the edge normals and
+lengths from the mesh's vertices.  ``modal_basis`` is the per-mesh grouping
+into shape classes that the per-node operator column replaced;
+``operators`` composes the estimator's per-cell operators from it, and
+``alpha`` its f-term from per-mesh quadrature points, which that column
+holds per field next to the operators.  ``nested_barycentric`` is the
+geometric transfer that the exact path table replaced.
 """
 
 import numpy as np

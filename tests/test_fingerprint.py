@@ -65,3 +65,19 @@ def test_summary_counts_flips_and_integer_records():
     )
     b["records"][0]["solved_problems"] = 7
     assert fingerprint.summary(a, b).startswith("summary: integer records DIFFER,")
+
+
+def test_forest_sizes_are_reported_not_compared():
+    a = _synthetic()
+    b = copy.deepcopy(a)
+    a["forest"] = dict(rows=10, columns={"areas": 80, "ops(one)": 1920})
+    b["forest"] = dict(rows=12, columns={"areas": 96})
+    assert fingerprint.compare(a, b) == ([], {"eta_union": 0.0, "solution": 0.0})
+    assert fingerprint.forest_sizes(a, b) == [
+        "forest rows: 10 against 12",
+        "forest column areas: 80 bytes against 96",
+        "forest column ops(one): 1920 bytes against 0",
+        "forest columns: 2000 bytes against 96",
+    ]
+    del a["forest"]
+    assert fingerprint.forest_sizes(a, b) == ["forest table: not recorded by A"]

@@ -130,14 +130,14 @@ def test_builds_do_not_depend_on_the_forest_history():
 
 
 def test_columns_extend_with_the_table():
-    # the operator and alpha columns grow by the rows added since their last
-    # use, in a forest whose table grows between uses
+    # the operator column grows by the rows added since its last use, in a
+    # forest whose table grows between uses
     m0 = make_initial_mesh(SQUARE, 32)
     estimators._columns(m0, FIELDS[0])
     meshes = [m0]
     for marks in (A_MARKS, B_MARKS):
         meshes.append(_chain(meshes[-1], marks))
-        assert len(m0.base.columns["ops"]) < len(m0.base.corners)
+        assert len(m0.base.columns[("ops", FIELDS[0])]) < len(m0.base.corners)
         assert_setup_matches_reference(meshes[-1])
     assert_setup_matches_reference(uniform_refine(meshes[1]))
     for mesh in meshes:
@@ -212,7 +212,8 @@ def test_node_table_holds_no_mesh():
     del m0, meshes, mesh
     gc.collect()
     assert all(ref() is None for ref in refs)
-    assert len(base.columns) > 3 and len(base.node_key) > 32
+    assert set(base.columns) == {"areas", ("load", FIELDS[1]), ("ops", FIELDS[2])}
+    assert len(base.node_key) > 32
 
 
 def _deep(mesh, depth):

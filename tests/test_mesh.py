@@ -274,6 +274,17 @@ def test_union_incompatible_bases():
         union_mesh([make_initial_mesh(SQUARE, 8), make_initial_mesh(SQUARE, 32)])
 
 
+def test_equal_forests_built_apart_are_distinct():
+    # forests compare by identity: equal roots built twice share no mesh
+    a, b = make_initial_mesh(SQUARE, 32), make_initial_mesh(SQUARE, 32)
+    assert np.array_equal(a.vertices, b.vertices) and np.array_equal(a.cells, b.cells)
+    assert not a.same_mesh(b) and not is_refinement_of(refine(a, {0}), b)
+    with pytest.raises(MeshStructureError):
+        union_mesh([a, b])
+    with pytest.raises(MeshStructureError):
+        ancestor_cell_map(refine(a, {0}), b)
+
+
 def test_ancestor_cell_map():
     m0 = make_initial_mesh(SQUARE, 32)
     m1 = refine(m0, {0, 1, 2})

@@ -6,7 +6,8 @@ time, the problems solved and refined per iteration, the stop reason, a
 sha256 of every problem's marked cells at every ``doerfler_mark`` call, of
 every state's indicators at every checkpoint, of every checkpoint's union
 mesh and of every final mesh, and the recombined solution at every
-checkpoint.
+checkpoint.  It also records the size of the forest's node table at the end
+of the run: its rows and the bytes of each per-node column.
 
     python tools/fingerprint.py case1-multimesh out.json [--checkout DIR]
     python tools/fingerprint.py --compare parent.json change.json
@@ -17,9 +18,10 @@ script's own ``sin-multimesh`` config, with the package in ``DIR/src``
 commit.  The second prints every integer and hash mismatch, naming for
 marks and indicators the marking call or checkpoint and up to five problems,
 and the largest relative difference of each float field; it exits 1 on any
-mismatch.  Float differences are reported, not judged.  Its last line sums
-up: whether the integer records are identical, and how many (marking call,
-problem) mark sets, indicator hashes and final meshes differ.
+mismatch.  Float differences are reported, not judged, and so are the table
+sizes of both sides, which are no mismatch.  Its last line sums up: whether
+the integer records are identical, and how many (marking call, problem)
+mark sets, indicator hashes and final meshes differ.
 """
 
 import argparse
@@ -35,6 +37,15 @@ import numpy as np
 
 def _sha(array, dtype=np.int64):
     return hashlib.sha256(np.ascontiguousarray(array, dtype=dtype).tobytes()).hexdigest()
+
+
+def _column_name(key):
+    """A JSON key for a forest column: its name, and the field's kind or the
+    reference's type where the column has one per field or reference."""
+    if isinstance(key, str):
+        return key
+    name, what = key
+    return f"{name}({getattr(what, 'kind', type(what).__name__)})"
 
 
 def _sin_multimesh(fa, workloads):
@@ -85,6 +96,7 @@ def fingerprint(name, checkout):
         res = driver.run(config, reference=reference, on_checkpoint=on_checkpoint)
     finally:
         driver.doerfler_mark = real_mark
+    forest = res.states[0].mesh.base
     # the wall time is a timing, not a result
     records = [
         {k: v for k, v in dataclasses.asdict(r).items() if k != "wall_time"} for r in res.records
@@ -100,6 +112,10 @@ def fingerprint(name, checkout):
         indicators=indicators,
         final_cell_keys=[_sha(st.mesh.cell_key) for st in res.states],
         solutions=solutions,
+        forest=dict(  # every mesh of the run, the final union too, is in this forest
+            rows=len(forest.node_key),
+            columns={_column_name(k): col.nbytes for k, col in forest.columns.items()},
+        ),
     )
 
 
@@ -143,6 +159,22 @@ def compare(a, b):
     return bad, diffs
 
 
+def forest_sizes(a, b):
+    """Lines that give the node table's rows and column bytes of both sides,
+    or say that a side did not record them."""
+    fa, fb = a.get("forest"), b.get("forest")
+    missing = [side for side, f in (("A", fa), ("B", fb)) if f is None]
+    if missing:
+        return [f"forest table: not recorded by {' and '.join(missing)}"]
+    lines = [f"forest rows: {fa['rows']} against {fb['rows']}"]
+    for name in sorted(fa["columns"].keys() | fb["columns"].keys()):
+        x, y = (f["columns"].get(name, 0) for f in (fa, fb))
+        lines.append(f"forest column {name}: {x} bytes against {y}")
+    total = [sum(f["columns"].values()) for f in (fa, fb)]
+    lines.append(f"forest columns: {total[0]} bytes against {total[1]}")
+    return lines
+
+
 def summary(a, b):
     """The closing line of ``--compare``: integer records (every non-float
     record field, the per-iteration lists and the stop reason) identical or
@@ -180,6 +212,8 @@ def main(argv=None):
             print("MISMATCH", line)
         for field, d in sorted(diffs.items()):
             print(f"{field}: largest relative difference {d:.3g}")
+        for line in forest_sizes(*loaded):
+            print(line)
         print(summary(*loaded))
         return 1 if bad else 0
     if not (args.workload and args.out):
