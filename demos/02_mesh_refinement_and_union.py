@@ -29,7 +29,12 @@ print(f"initial L-shape mesh: {m0.num_cells} cells, {m0.num_vertices} vertices")
 corner = np.flatnonzero(np.linalg.norm(m0.vertices[m0.cells].mean(axis=1), axis=1) < 0.4)
 ma = refine(m0, set(corner[:4]))
 print(f"after marking 4 corner cells: {ma.num_cells} cells (closure included)")
-assert np.all(np.unique(ma.edge_count) <= 2), "conformity violated"
+# at a hanging node the coarse edge and its two halves would each have one
+# incident cell, so the edges with one cell would add up to more than the
+# perimeter 8
+ends = ma.vertices[ma.edges[ma.edge_cells[:, 1] < 0]]
+d = ends[:, 1] - ends[:, 0]
+assert np.isclose(np.hypot(d[:, 0], d[:, 1]).sum(), 8.0, rtol=1e-12), "conformity violated"
 
 # a second mesh refined somewhere else entirely
 mb = refine(m0, {m0.num_cells - 1, m0.num_cells - 2})

@@ -128,7 +128,7 @@ def _columns(mesh, f):
 
 
 def _geometry(mesh):
-    """Areas, fixed edge normals and edge lengths, cached."""
+    """Fixed edge normals and edge lengths, cached; areas are ``mesh.cell_areas()``."""
     geo = mesh._cache.get("geometry")
     if geo is not None:
         return geo
@@ -139,7 +139,7 @@ def _geometry(mesh):
     d = mesh.vertices[mesh.cells[c0, (side + 1) % 3]] - mesh.vertices[mesh.cells[c0, side]]
     length = np.hypot(d[:, 0], d[:, 1])
     normal = np.stack([d[:, 1] / length, -d[:, 0] / length], axis=1)
-    geo = mesh._cache["geometry"] = dict(area=mesh.cell_areas(), normal=normal, length=length)
+    geo = mesh._cache["geometry"] = dict(normal=normal, length=length)
     return geo
 
 
@@ -176,12 +176,12 @@ def _modal_coeffs(target, columns, corner_vals, jump, b, c):
     with corner values (L, 3, m) and flux jumps (L, e), one b and c each."""
     Wp, B, lam, alpha = columns
     b, c = np.reshape(b, (-1, 1, 1)), np.reshape(c, (-1, 1, 1))
-    geo = _geometry(target)
-    j = np.take(jump * geo["length"], target.cell_edge.T, axis=1)
+    j = np.take(jump * _geometry(target)["length"], target.cell_edge.T, axis=1)
     # the mirror pairs edges 1 and 2, and corners 0 and 1: each pair is added first
     wj = Wp[:, 1] * j[:, None, 1] + Wp[:, 2] * j[:, None, 2]
     wj += Wp[:, 0] * j[:, None, 0]
-    return (alpha - c * _cell_matvec(B, corner_vals) - b / 4.0 * wj) / (lam * b + geo["area"] * c)
+    d = lam * b + target.cell_areas() * c
+    return (alpha - c * _cell_matvec(B, corner_vals) - b / 4.0 * wj) / d
 
 
 def local_indicators(mesh, w, b, c, f):
@@ -190,7 +190,7 @@ def local_indicators(mesh, w, b, c, f):
     ones with one b and one c per column."""
     vals, grads = _corner_values(mesh, w.nodal_values.reshape(mesh.num_vertices, -1))
     y = _modal_coeffs(mesh, _columns(mesh, f), vals, _edge_jumps(mesh, grads), b, c)
-    eta = np.sqrt(_geometry(mesh)["area"] * np.sum(y**2, axis=1)).T  # as in the union pass
+    eta = np.sqrt(mesh.cell_areas() * np.sum(y**2, axis=1)).T  # as in the union pass
     return eta if w.nodal_values.ndim > 1 else eta[:, 0]
 
 
@@ -216,15 +216,15 @@ def combined_equal_mesh_estimate(scheme, states, f):
         if not st.mesh.same_mesh(mesh):
             raise meshmod.MeshStructureError("states are not on a shared mesh")
     S = np.einsum("ma,aij->mij", _shape(mesh.vertices[mesh.cells]), _T)
-    geo = _geometry(mesh)
-    M = geo["area"][:, None, None] * _MREF
+    area, length = mesh.cell_areas(), _geometry(mesh)["length"]
+    M = area[:, None, None] * _MREF
     F = f(*np.moveaxis(_CB @ mesh.vertices[mesh.cells], -1, 0)) @ _WPHI
     combined = np.zeros((mesh.num_cells, 3))
     for st in states:
         b, c = scheme.b[st.index], scheme.c[st.index]
         vals, grads = _corner_values(mesh, st.solution.nodal_values[:, None])
-        jl = (_edge_jumps(mesh, grads)[0] * geo["length"])[mesh.cell_edge]
-        rhs = geo["area"][:, None] / 4.0 * (F - c * vals[0].T @ _G.T) - b / 4.0 * jl
+        jl = (_edge_jumps(mesh, grads)[0] * length)[mesh.cell_edge]
+        rhs = area[:, None] / 4.0 * (F - c * vals[0].T @ _G.T) - b / 4.0 * jl
         combined += scheme.a[st.index] * np.linalg.solve(b * S + c * M, rhs[..., None])[..., 0]
     combined *= scheme.C
     return float(np.sqrt(np.sum(np.einsum("mi,mij,mj->m", combined, M, combined))))
@@ -268,7 +268,7 @@ def global_union_estimate(scheme, states, union, f):
     the kernel, and the dirty ones get their indicators
     (``local_indicators``'s bits) here.
     """
-    area, columns = _geometry(union)["area"], _columns(union, f)  # hoisted out of the blocks
+    area, columns = union.cell_areas(), _columns(union, f)  # hoisted out of the blocks
     # classes of cells with bitwise equal (lam, |K|) rows, and the first cell of each; raw
     # bytes sort several times faster than np.unique(axis=0)'s structured rows
     rows = np.ascontiguousarray(np.vstack([columns[2], area]).T).view("V32").ravel()

@@ -93,7 +93,8 @@ class FeFunction:
     """Piecewise-linear function: a mesh plus one nodal value per vertex.
 
     ``nodal_values`` may also be (n, L), L functions stacked column by column;
-    every method then returns one trailing column per function.
+    ``cell_values_at`` then returns one trailing column per function.  There
+    is no point evaluation: ``transfer_p1`` moves P1 functions between meshes.
     """
 
     mesh: object
@@ -104,20 +105,10 @@ class FeFunction:
         if len(self.nodal_values) != self.mesh.num_vertices:
             raise ValueError("nodal value vector does not match the mesh")
 
-    def eval(self, points):
-        """Evaluate at arbitrary points inside the domain."""
-        cells, bary = self.mesh.locate(points)
-        vals = self.nodal_values[self.mesh.cells[cells]]
-        return np.einsum("pk,pk...->p...", bary, vals)
-
     def cell_values_at(self, bary_points):
         """Values at fixed barycentric points of every cell, shape (m, q, ...)."""
         vals = np.moveaxis(self.nodal_values[self.mesh.cells], 1, -1)
         return np.moveaxis(vals @ np.asarray(bary_points).T, -1, 1)
-
-    def cell_gradients(self):
-        """Constant gradient per cell, shape (m, 2, ...)."""
-        return _matvec(np.swapaxes(_grads(self.mesh), 1, 2), self.nodal_values[self.mesh.cells])
 
 
 def _test2_eval(x, y):

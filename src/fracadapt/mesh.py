@@ -83,7 +83,6 @@ _LEVEL_BITS = 6
 _LEVEL_MASK = (1 << _LEVEL_BITS) - 1
 _ROOT_SHIFT = MAX_LEVEL + _LEVEL_BITS
 _MAX_ROOTS = 1 << (63 - _ROOT_SHIFT)
-_LOCATE_TOL = 1e-12  # barycentric slack of ``locate`` at cell boundaries
 _PATH_DEPTH = 10  # deepest gap of the path table (2^11 maps, 147 KB)
 _PATH_BITS = MAX_LEVEL + 63 - _ROOT_SHIFT  # a full path: root path (<= 17 bits), key bits
 
@@ -236,9 +235,10 @@ def separator_nodes(mesh):
     the full paths of the vertex's cells, so of their min and max: leaves are
     prefix-free, so their left-aligned paths sort as the paths do, and the
     first bit where two differ is on both."""
-    depth = mesh.base.root_depth[mesh.cell_root]
+    root = mesh.cell_key >> _ROOT_SHIFT
+    depth = mesh.base.root_depth[root]
     bits = (mesh.cell_key >> _LEVEL_BITS) & ((1 << MAX_LEVEL) - 1)
-    path = mesh.base.root_path[mesh.cell_root] | bits << (_PATH_BITS - MAX_LEVEL - depth)
+    path = mesh.base.root_path[root] | bits << (_PATH_BITS - MAX_LEVEL - depth)
     vertex, path = mesh.cells.reshape(-1), np.repeat(path, 3)
     lo = np.full(mesh.num_vertices, np.iinfo(np.int64).max)
     mask = np.zeros(mesh.num_vertices, dtype=np.int64)
@@ -280,12 +280,10 @@ class TriMesh:
     vertices : (n, 2) float array
     cells : (m, 3) int array, counterclockwise, refinement edge ``(v0, v1)``
     cell_key : (m,) sorted int64 array, forest key of each cell (see module doc)
-    cell_root : (m,) int array, index of the initial cell each cell descends from
     rows : (m,) int array, node-table row of each cell (see ``_ForestBase``)
     edges : (e, 2) int array, sorted vertex pairs in lexicographic order
     cell_edge : (m, 3) int array, edge ids of local edges (v0,v1), (v1,v2), (v2,v0)
     edge_cells : (e, 2) int array, incident cells (second is -1 on the boundary)
-    edge_count : (e,) int array, number of incident cells
     boundary_vertex : (n,) bool array
     """
 
@@ -315,7 +313,6 @@ class TriMesh:
         local = np.empty(len(base.xy), dtype=np.int64)
         local[ids] = np.arange(len(ids))
         self.vertices, self.cells = base.xy[ids], local[corners]
-        self.cell_root = keys >> _ROOT_SHIFT
         self._compute_edges()
 
     def _compute_edges(self):
@@ -336,7 +333,6 @@ class TriMesh:
         # local edges ordered (v0,v1), (v1,v2), (v2,v0)
         self.cell_edge = inv.reshape(3, m).T
         counts = np.diff(np.append(first_idx, len(sk)))
-        self.edge_count = counts
         bmask = np.zeros(n, dtype=bool)
         bmask[self.edges[counts == 1].ravel()] = True
         self.boundary_vertex = bmask
@@ -363,9 +359,6 @@ class TriMesh:
     def num_interior_vertices(self):
         return int(np.count_nonzero(~self.boundary_vertex))
 
-    def cell_generation(self, k):
-        return int(self.cell_key[k] & _LEVEL_MASK)
-
     def cell_areas(self):
         return self.column("areas", _cell_areas)
 
@@ -389,50 +382,6 @@ class TriMesh:
         return self is other or (
             self.base is other.base and np.array_equal(self.cell_key, other.cell_key)
         )
-
-    def locate(self, points):
-        """Containing cell index and barycentric coordinates for each point.
-
-        Points must lie inside the domain (within ``_LOCATE_TOL``).  A point
-        goes to the first root cell that contains it, then down the bisection
-        forest into child 0 whenever child 0 contains it, so location is
-        exact with respect to the mesh hierarchy.
-        """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        bv, bc = self.base.vertices, self.base.cells
-        root = np.full(len(points), -1, dtype=np.int64)
-        # blocks of points bound the (points x roots) work arrays
-        block = max(1, (1 << 16) // len(bc))
-        for s in range(0, len(points), block):
-            p = points[s : s + block, None, :]
-            lam = _barycentric(bv[bc[:, 0]], bv[bc[:, 1]], bv[bc[:, 2]], p)
-            inside = lam.min(axis=2) >= -_LOCATE_TOL
-            first = inside.argmax(axis=1)
-            root[s : s + block] = np.where(inside.any(axis=1), first, -1)
-        if np.any(root < 0):
-            raise ValueError(f"point {points[np.argmax(root < 0)]} outside the domain")
-        cell = np.empty(len(points), dtype=np.int64)
-        todo, node, keys = np.arange(len(points)), root << _ROOT_SHIFT, self.cell_key
-        while todo.size:
-            pos = np.minimum(np.searchsorted(keys, node), len(keys) - 1)
-            leaf = keys[pos] == node
-            cell[todo[leaf]] = pos[leaf]
-            todo, node = todo[~leaf], node[~leaf]
-            child = _child_keys(node, 0)  # in the table: ``node`` holds a leaf
-            x = self.base.xy[self.base.corners[self.base.rows_of(child)]]
-            in0 = _barycentric(x[:, 0], x[:, 1], x[:, 2], points[todo]).min(axis=1) >= -_LOCATE_TOL
-            node = np.where(in0, child, _child_keys(node, 1))
-        x = self.vertices[self.cells[cell]]
-        return cell, _barycentric(x[:, 0], x[:, 1], x[:, 2], points)
-
-
-def _barycentric(A, B, C, p):
-    """Barycentric coordinates (..., 3) of points ``p`` in triangles ABC;
-    all arguments broadcast over leading axes, last axis holds (x, y)."""
-    T = np.stack([B - A, C - A], axis=-1)
-    lam12 = np.linalg.solve(T, (p - A)[..., None])[..., 0]
-    l1, l2 = lam12[..., 0], lam12[..., 1]
-    return np.stack([1.0 - l1 - l2, l1, l2], axis=-1)
 
 
 def _cell_areas(x):
@@ -673,8 +622,8 @@ def read_mesh(path):
     rotated so its (unique) longest edge comes first, which recovers the
     refinement edge for any mesh this package produces; ties are broken by the
     smallest opposite-vertex index.  Raises ValueError for a malformed or
-    truncated file, a vertex index out of range, or two vertices at the same
-    point.
+    truncated file, a vertex index out of range, two vertices at the same
+    point, or a cell of zero area (a repeated vertex gives one).
     """
     with open(path) as fh:
         header = fh.readline().split()
@@ -694,7 +643,11 @@ def read_mesh(path):
         raise ValueError("two vertices share the same coordinates")
     x = verts[cells]
     d1, d2 = x[:, 1] - x[:, 0], x[:, 2] - x[:, 0]
-    flip = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] < 0
+    area2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    if (area2 == 0).any():
+        k = int(np.argmax(area2 == 0))
+        raise ValueError(f"cell {k} has zero area: {cells[k].tolist()}")
+    flip = area2 < 0
     cells[flip] = cells[flip][:, [0, 2, 1]]
     rots = np.stack([cells, cells[:, [1, 2, 0]], cells[:, [2, 0, 1]]], axis=1)
     d = verts[rots[:, :, 1]] - verts[rots[:, :, 0]]

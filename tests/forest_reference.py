@@ -47,9 +47,10 @@ def bisect_roots(centroids):
 
 def separator_nodes(mesh):
     """``mesh.separator_nodes``, with each vertex's paths in one ``lexsort``."""
-    depth = mesh.base.root_depth[mesh.cell_root]
+    root = mesh.cell_key >> _ROOT_SHIFT
+    depth = mesh.base.root_depth[root]
     bits = (mesh.cell_key >> _LEVEL_BITS) & ((1 << MAX_LEVEL) - 1)
-    path = mesh.base.root_path[mesh.cell_root] | bits << (_PATH_BITS - MAX_LEVEL - depth)
+    path = mesh.base.root_path[root] | bits << (_PATH_BITS - MAX_LEVEL - depth)
     vertex, path = mesh.cells.reshape(-1), np.repeat(path, 3)
     path = path[np.lexsort((path, vertex))]
     last = np.cumsum(np.bincount(vertex, minlength=mesh.num_vertices)) - 1
@@ -161,7 +162,6 @@ class TriMesh:
         # cell_edge[k, j] = global edge id of local edge j of cell k,
         # local edges ordered (v0,v1), (v1,v2), (v2,v0)
         self.cell_edge = inv.reshape(3, len(c)).T
-        self.edge_count = counts
         bmask = np.zeros(len(self.vertices), dtype=bool)
         bnd = edges[counts == 1]
         bmask[bnd.ravel()] = True

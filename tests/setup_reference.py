@@ -137,7 +137,7 @@ def geometry(mesh):
     opp = mesh.cells[mesh.edge_cells[:, 0]].sum(axis=1) - mesh.edges.sum(axis=1)
     flip = np.einsum("ed,ed->e", normal, mesh.vertices[opp] - ev[:, 0]) > 0
     normal[flip] *= -1.0
-    return dict(area=areas(mesh), normal=normal, length=length)
+    return dict(normal=normal, length=length)
 
 
 def nested_barycentric(src, target, parents):

@@ -16,6 +16,7 @@ import pytest
 import fracadapt as fa
 from fracadapt import estimators
 from fracadapt.driver import MARKING_SLACK, doerfler_mark
+from fracadapt.mesh import ancestor_cell_map
 
 SQUARE = fa.DomainSpec("square")
 UNIT = fa.DomainSpec("unit-square")
@@ -29,6 +30,16 @@ def check(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
+def _p1_at(w, cell, pts):
+    """Values of the P1 function ``w`` at the points ``pts`` of its mesh's
+    cells ``cell``, by barycentric coordinates solved from the corners."""
+    corners = w.mesh.cells[cell]
+    x = w.mesh.vertices[corners]
+    T = np.stack([x[:, 1] - x[:, 0], x[:, 2] - x[:, 0]], axis=2)
+    l1, l2 = np.linalg.solve(T, (pts - x[:, 0])[..., None])[..., 0].T
+    return np.einsum("pk,pk->p", np.column_stack([1.0 - l1 - l2, l1, l2]), w.nodal_values[corners])
+
+
 # -- shared long runs --------------------------------------------------------
 
 
@@ -37,8 +48,9 @@ def case1_run():
     """Constant field on (-1,1)^2, s = 0.5, run to the desk-scale tolerance.
 
     At every checkpoint the exactness of the nested transfer is probed at 100
-    random points per sampled problem; the worst relative mismatch per
-    checkpoint is recorded alongside the run.
+    random points per sampled problem, each in a random union cell, where the
+    source is evaluated in the cell's ancestor; the worst relative mismatch
+    per checkpoint is recorded alongside the run.
     """
     f = fa.RhsField.one()
     ref = fa.spectral_reference(SQUARE, f, 0.5, modes=10_000)
@@ -46,9 +58,9 @@ def case1_run():
     transfer_errors = []
 
     def probe_transfer(m, states, union, solution):
-        pts = np.column_stack(
-            [rng.uniform(-1.0, 1.0, 100), rng.uniform(-1.0, 1.0, 100)]
-        )
+        cell = rng.integers(union.num_cells, size=100)
+        bary = rng.dirichlet(np.ones(3), size=100)
+        pts = np.einsum("pk,pkd->pd", bary, union.vertices[union.cells[cell]])
         # the most and least refined problems plus three rotating picks
         dofs = [st.mesh.num_interior_vertices for st in states]
         picks = {int(np.argmax(dofs)), int(np.argmin(dofs))}
@@ -57,8 +69,8 @@ def case1_run():
         for l in sorted(picks):
             src = states[l].solution
             moved = fa.transfer_p1(src, union)
-            a = src.eval(pts)
-            b = moved.eval(pts)
+            a = _p1_at(src, ancestor_cell_map(union, src.mesh)[cell], pts)
+            b = _p1_at(moved, cell, pts)
             scale = max(np.max(np.abs(a)), 1e-300)
             worst = max(worst, float(np.max(np.abs(a - b)) / scale))
         transfer_errors.append((m, worst))

@@ -1,4 +1,6 @@
+import importlib
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import splu
 
 import forest_reference
-from fracadapt import fem, oracle, rational
+from fracadapt import estimators, fem, oracle, rational
 from fracadapt import mesh as meshmod
 from fracadapt.fem import (
     TRI_QP,
@@ -32,6 +34,16 @@ from fracadapt.mesh import (
 from fracadapt.rational import bp_coefficients
 
 UNIT = DomainSpec("unit-square")
+BENCHMARKS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+@pytest.fixture
+def p1_eval(monkeypatch):
+    """Point values of a P1 function by the benchmark's brute-force search,
+    ``p1_eval(function, points)``."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    search = importlib.import_module("series").p1_eval
+    return lambda w, pts: search(w.mesh.vertices, w.mesh.cells, w.nodal_values, pts)
 
 
 def sinsin(x, y):
@@ -413,15 +425,15 @@ def test_one_zero_coefficient_solves(b, c):
     assert np.max(np.abs(w[interior] - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
-def test_transfer_p1_exact_at_random_points():
+def test_transfer_p1_exact_at_random_points(p1_eval):
     m0 = make_initial_mesh(UNIT, 32)
     m1 = refine(m0, {0, 3, 11})
     rng = np.random.default_rng(0)
     w = FeFunction(m0, rng.normal(size=m0.num_vertices))
     wt = transfer_p1(w, m1)
     pts = rng.uniform(0.001, 0.999, size=(100, 2))
-    a = w.eval(pts)
-    b = wt.eval(pts)
+    a = p1_eval(w, pts)
+    b = p1_eval(wt, pts)
     assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(a)))
 
 
@@ -435,19 +447,18 @@ def test_transfer_p1_same_mesh_copies():
 
 def test_stacked_values_match_columns():
     # (n, L) nodal values: transfer, gradients and cell values must equal the
-    # one-column results column by column; point values sum in another order
+    # one-column results column by column
     m0 = make_initial_mesh(UNIT, 32)
     m1 = refine(m0, {0, 3, 11, 20})
     rng = np.random.default_rng(5)
     W = rng.normal(size=(m0.num_vertices, 4))
     stacked = FeFunction(m0, W)
     moved = transfer_p1(stacked, m1)
-    pts = rng.uniform(0.001, 0.999, size=(20, 2))
+    grads = estimators._corner_values(m0, W)[1]
     for k in range(W.shape[1]):
         one = FeFunction(m0, W[:, k])
         assert np.array_equal(moved.nodal_values[:, k], transfer_p1(one, m1).nodal_values)
-        assert np.array_equal(stacked.cell_gradients()[..., k], one.cell_gradients())
-        assert np.allclose(stacked.eval(pts)[:, k], one.eval(pts), rtol=1e-15, atol=1e-15)
+        assert np.array_equal(grads[k], estimators._corner_values(m0, W[:, k, None])[1][0])
         assert np.array_equal(stacked.cell_values_at(TRI_QP)[..., k], one.cell_values_at(TRI_QP))
 
 
@@ -460,7 +471,7 @@ def test_transfer_preserves_l2_norm():
     assert l2_norm(wt) == pytest.approx(l2_norm(w), rel=1e-12)
 
 
-def test_combine_on_union_matches_manual_sum():
+def test_combine_on_union_matches_manual_sum(p1_eval):
     scheme = bp_coefficients(0.5, 0.5, 1.0)
     m0 = make_initial_mesh(UNIT, 32)
     meshes = [m0, refine(m0, {0, 1}), refine(m0, {8, 9})]
@@ -481,9 +492,9 @@ def test_combine_on_union_matches_manual_sum():
     pts = rng.uniform(0.01, 0.99, size=(25, 2))
     expected = np.zeros(len(pts))
     for st in states:
-        expected += scheme.a[st.index] * st.solution.eval(pts)
+        expected += scheme.a[st.index] * p1_eval(st.solution, pts)
     expected *= scheme.C
-    assert np.allclose(combined.eval(pts), expected, rtol=1e-11, atol=1e-13)
+    assert np.allclose(p1_eval(combined, pts), expected, rtol=1e-11, atol=1e-13)
 
 
 def test_rhs_field_test2_values():

@@ -35,11 +35,9 @@ FIELDS = (RhsField.one(), RhsField.test2(), eigenfunction_field(SQUARE, 2, 3))
 MESH_ARRAYS = (
     "vertices",
     "cells",
-    "cell_root",
     "edges",
     "cell_edge",
     "edge_cells",
-    "edge_count",
     "boundary_vertex",
 )
 
@@ -206,6 +204,7 @@ def test_node_table_holds_no_mesh():
     meshes = [m0, _chain(m0, A_MARKS), uniform_refine(m0)]
     for mesh in meshes:
         fem._load_vector(mesh, FIELDS[1])
+        mesh.cell_areas()
         estimators._geometry(mesh)
         estimators._columns(mesh, FIELDS[2])
     refs = [weakref.ref(mesh) for mesh in meshes]
@@ -220,7 +219,7 @@ def _deep(mesh, depth):
     """``mesh`` refined ``depth`` times at the cell holding a fixed point."""
     point = mesh.vertices[mesh.cells[3]].mean(axis=0)[None]
     for _ in range(depth):
-        mesh = refine(mesh, mesh.locate(point)[0])
+        mesh = refine(mesh, forest_reference.from_mesh(mesh).locate(point)[0])
     return mesh
 
 

@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 import forest_reference
 from fracadapt.mesh import (
+    _LEVEL_MASK,
     _MAX_ROOTS,
     MAX_LEVEL,
     _ForestBase,
     _child_keys,
+    _leaf_mesh,
     _root_mesh,
     DomainSpec,
     MeshStructureError,
@@ -27,21 +29,29 @@ from fracadapt.mesh import (
 
 SQUARE = DomainSpec("square")
 LSHAPE = DomainSpec("lshape")
+PERIMETER = 8.0  # of (-1,1)^2 and of the L-shape; (0,1)^2 has 4
 FOREST_ARRAYS = (
     "vertices",
     "cells",
-    "cell_root",
     "edges",
     "cell_edge",
     "edge_cells",
-    "edge_count",
     "boundary_vertex",
 )
 
 
-def assert_conforming(mesh):
-    """Structural conformity: every edge belongs to 1 (boundary) or 2 cells."""
-    assert set(np.unique(mesh.edge_count)) <= {1, 2}
+def once_length(mesh):
+    """Total length of the edges with one incident cell."""
+    ends = mesh.vertices[mesh.edges[mesh.edge_cells[:, 1] < 0]]
+    d = ends[:, 1] - ends[:, 0]
+    return np.hypot(d[:, 0], d[:, 1]).sum()
+
+
+def assert_conforming(mesh, perimeter=PERIMETER):
+    """Structural conformity: the edges with one incident cell make up the
+    boundary.  At a hanging node the coarse edge and its two halves each
+    have one incident cell, which adds twice the edge's length."""
+    assert once_length(mesh) == pytest.approx(perimeter, rel=1e-12)
     # orientation: all cells counterclockwise with positive area
     assert np.all(mesh.cell_areas() > 0)
     # no duplicated vertices
@@ -61,6 +71,7 @@ def test_initial_mesh_unit_square():
     m = make_initial_mesh(DomainSpec("unit-square"), 512)
     assert m.cell_areas().sum() == pytest.approx(1.0)
     assert np.all(m.vertices >= 0.0) and np.all(m.vertices <= 1.0)
+    assert_conforming(m, 4.0)
 
 
 def test_initial_mesh_lshape():
@@ -124,8 +135,8 @@ def test_refine_past_depth_limit_raises():
     m = make_initial_mesh(SQUARE, 8)
     with pytest.raises(MeshStructureError):
         for _ in range(2 * MAX_LEVEL):
-            m = refine(m, {max(range(m.num_cells), key=m.cell_generation)})
-    assert max(m.cell_generation(k) for k in range(m.num_cells)) >= MAX_LEVEL - 1
+            m = refine(m, {int(np.argmax(m.cell_key & _LEVEL_MASK))})
+    assert (m.cell_key & _LEVEL_MASK).max() >= MAX_LEVEL - 1
 
 
 def test_forest_root_limit():
@@ -170,7 +181,7 @@ def test_closure_no_hanging_nodes_brute_force():
         marked = set(rng.choice(m.num_cells, size=max(1, m.num_cells // 6), replace=False))
         m = refine(m, marked)
         verts = m.vertices
-        for e, cnt in zip(m.edges, m.edge_count):
+        for e in m.edges:
             a, b = verts[e[0]], verts[e[1]]
             t = b - a
             L2 = t @ t
@@ -291,7 +302,7 @@ def test_ancestor_cell_map():
     parents = ancestor_cell_map(m1, m0)
     # each fine cell's centroid lies in its reported coarse cell
     cent = m1.vertices[m1.cells].mean(axis=1)
-    cells, _ = m0.locate(cent)
+    cells, _ = forest_reference.from_mesh(m0).locate(cent)
     assert np.array_equal(parents, cells)
 
 
@@ -313,14 +324,18 @@ def test_ancestor_cell_map_holds_no_mesh_alive():
     assert fine.num_cells > 32
 
 
-def test_locate_barycentric_consistency():
-    m = refine(make_initial_mesh(SQUARE, 32), {0, 4, 9})
-    rng = np.random.default_rng(5)
-    pts = rng.uniform(-0.999, 0.999, size=(40, 2))
-    cells, bary = m.locate(pts)
-    rec = np.einsum("pk,pkd->pd", bary, m.vertices[m.cells[cells]])
-    assert np.allclose(rec, pts, atol=1e-12)
-    assert np.all(bary >= -1e-12) and np.allclose(bary.sum(axis=1), 1.0)
+def test_a_hanging_node_fails_the_conformity_check():
+    # root 0 bisected, root 1 across its hypotenuse not: the midpoint hangs
+    # on root 1's refinement edge, which then has one incident cell
+    m0 = make_initial_mesh(SQUARE, 8)
+    keys = np.sort(np.concatenate([m0.cell_key[1:], _child_keys(m0.cell_key[:1], 0),
+                                   _child_keys(m0.cell_key[:1], 1)]))
+    hanging = _leaf_mesh(m0.base, keys)
+    assert hanging.num_cells == 9 and hanging.cell_areas().sum() == pytest.approx(4.0)
+    assert once_length(hanging) == pytest.approx(PERIMETER + 2 * np.sqrt(2.0))
+    with pytest.raises(AssertionError):
+        assert_conforming(hanging)
+    assert_conforming(refine(m0, {0}))
 
 
 def test_mesh_file_roundtrip(tmp_path):
@@ -375,6 +390,22 @@ def test_read_mesh_names_the_problem(tmp_path, text, problem):
         read_mesh(p)
 
 
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        # a repeated vertex
+        ("nodes 3 cells 2\n0 0\n1 0\n0 1\n0 1 2\n0 0 1\n", r"cell 1 has zero area: \[0, 0, 1\]"),
+        # three collinear vertices
+        ("nodes 3 cells 1\n0 0\n1 0\n2 0\n0 1 2\n", r"cell 0 has zero area: \[0, 1, 2\]"),
+    ],
+)
+def test_read_mesh_rejects_degenerate_cells(tmp_path, text, problem):
+    p = tmp_path / "flat.txt"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=problem):
+        read_mesh(p)
+
+
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_refine_conformity_property(data):
@@ -385,8 +416,7 @@ def test_refine_conformity_property(data):
             st.sets(st.integers(0, n - 1), min_size=1, max_size=min(4, n))
         )
         m = refine(m, marked)
-    assert set(np.unique(m.edge_count)) <= {1, 2}
-    assert np.all(m.cell_areas() > 0)
+    assert_conforming(m)
     assert m.cell_areas().sum() == pytest.approx(4.0)
 
 
@@ -405,7 +435,7 @@ def test_union_overlay_property(data):
             m = refine(m, marked)
         meshes.append(m)
     u = union_mesh(meshes)
-    assert set(np.unique(u.edge_count)) <= {1, 2}
+    assert_conforming(u)
     for m in meshes:
         assert is_refinement_of(u, m)
     assert u.cell_areas().sum() == pytest.approx(4.0)
@@ -420,7 +450,7 @@ def assert_same_as_reference(mesh, ref):
 @settings(max_examples=50, deadline=None)
 @given(data=st.data(), initial=st.sampled_from([(SQUARE, 8), (LSHAPE, 24)]))
 def test_forest_matches_loop_reference(data, initial):
-    """Refine, union, uniform refine, ancestor map and locate give exactly the
+    """Refine, union, uniform refine and the ancestor map give exactly the
     arrays of the tuple-path loop implementation."""
     m0 = make_initial_mesh(*initial)
     meshes, refs = [], []
@@ -445,9 +475,3 @@ def test_forest_matches_loop_reference(data, initial):
     assert_same_as_reference(
         uniform_refine(meshes[0]), forest_reference.uniform_refine(refs[0])
     )
-    # vertices and edge midpoints sit on cell boundaries, centroids inside
-    x = u.vertices[u.cells]
-    pts = np.concatenate([u.vertices, x.mean(axis=1), 0.5 * (x[:, 0] + x[:, 1])])
-    cells, bary = u.locate(pts)
-    ref_cells, ref_bary = ru.locate(pts)
-    assert np.array_equal(cells, ref_cells) and np.array_equal(bary, ref_bary)

@@ -1,0 +1,22 @@
+import importlib.util
+import json
+import os
+
+_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "pair.py")
+_spec = importlib.util.spec_from_file_location("pair", _PATH)
+pair = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(pair)
+
+
+def test_pair_alternates_the_first_mode(capsys):
+    # two pairs at a loose tolerance: one JSON line per run, the first mode
+    # alternating, and a repeated run deciding the same
+    assert pair.main(["--tol", "0.05", "0.05"]) == 0
+    runs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["mode"] for r in runs] == ["multimesh", "singlemesh", "singlemesh", "multimesh"]
+    for r in runs:
+        assert set(r) == {"tol", "mode", "wall_s", "cumcost", "union_dofs", "iterations"}
+        assert r["tol"] == 0.05 and r["wall_s"] > 0.0
+    decided = {r["mode"]: (r["cumcost"], r["union_dofs"], r["iterations"]) for r in runs[:2]}
+    assert all(decided[r["mode"]] == (r["cumcost"], r["union_dofs"], r["iterations"])
+               for r in runs[2:])
