@@ -121,10 +121,10 @@ def _ops_of(x, f):
 
 
 def _columns(mesh, f):
-    """W' (3, 3, m), B (3, 3, m), lam (3, m) and alpha (3, m) of each cell
-    for the field ``f``, cells innermost, gathered from its per-node column."""
+    """W' (3, 3, m), B (3, 3, m), lam (3, m), alpha (3, m) for the field ``f``
+    from its per-node column, and the areas (m,), cells innermost."""
     ops = np.ascontiguousarray(mesh.column(("ops", f), lambda x: _ops_of(x, f)).transpose(1, 2, 0))
-    return ops[:, :3], ops[:, 3:6], ops[:, 6], ops[:, 7]
+    return ops[:, :3], ops[:, 3:6], ops[:, 6], ops[:, 7], mesh.cell_areas()
 
 
 def _geometry(mesh):
@@ -174,13 +174,13 @@ def _edge_jumps(mesh, grads):
 def _modal_coeffs(target, columns, corner_vals, jump, b, c):
     """Modal coefficients y (L, 3, m) on ``target`` of L stacked P1 functions
     with corner values (L, 3, m) and flux jumps (L, e), one b and c each."""
-    Wp, B, lam, alpha = columns
+    Wp, B, lam, alpha, area = columns
     b, c = np.reshape(b, (-1, 1, 1)), np.reshape(c, (-1, 1, 1))
     j = np.take(jump * _geometry(target)["length"], target.cell_edge.T, axis=1)
     # the mirror pairs edges 1 and 2, and corners 0 and 1: each pair is added first
     wj = Wp[:, 1] * j[:, None, 1] + Wp[:, 2] * j[:, None, 2]
     wj += Wp[:, 0] * j[:, None, 0]
-    d = lam * b + target.cell_areas() * c
+    d = lam * b + area * c
     return (alpha - c * _cell_matvec(B, corner_vals) - b / 4.0 * wj) / d
 
 
@@ -189,8 +189,9 @@ def local_indicators(mesh, w, b, c, f):
     ``w`` live on ``mesh``: shape (m,) for one solution, (m, L) for L stacked
     ones with one b and one c per column."""
     vals, grads = _corner_values(mesh, w.nodal_values.reshape(mesh.num_vertices, -1))
-    y = _modal_coeffs(mesh, _columns(mesh, f), vals, _edge_jumps(mesh, grads), b, c)
-    eta = np.sqrt(mesh.cell_areas() * np.sum(y**2, axis=1)).T  # as in the union pass
+    columns = _columns(mesh, f)
+    y = _modal_coeffs(mesh, columns, vals, _edge_jumps(mesh, grads), b, c)
+    eta = np.sqrt(columns[4] * np.sum(y**2, axis=1)).T  # as in the union pass
     return eta if w.nodal_values.ndim > 1 else eta[:, 0]
 
 
@@ -235,7 +236,7 @@ def _class_sums(union, columns, cls, Z, S):
     weighted sums Z (n, 6 x classes) at the union's vertices, per class and
     mode Z^c then Z^b, with S = sum_l a_l / d (classes, 3) (module docstring)
     and ``cls`` the class of each cell."""
-    (Wp, B, lam, alpha), classes, geo = columns, len(S), _geometry(union)
+    (Wp, B, lam, alpha, _), classes, geo = columns, len(S), _geometry(union)
     col = 3 * cls + np.arange(3)[:, None]  # per mode, the column of each cell's class
     v = Z[union.cells.T, col[:, None]]
     j = np.empty_like(v)
@@ -268,7 +269,8 @@ def global_union_estimate(scheme, states, union, f):
     the kernel, and the dirty ones get their indicators
     (``local_indicators``'s bits) here.
     """
-    area, columns = union.cell_areas(), _columns(union, f)  # hoisted out of the blocks
+    columns = _columns(union, f)  # hoisted out of the blocks
+    area = columns[4]
     # classes of cells with bitwise equal (lam, |K|) rows, and the first cell of each; raw
     # bytes sort several times faster than np.unique(axis=0)'s structured rows
     rows = np.ascontiguousarray(np.vstack([columns[2], area]).T).view("V32").ravel()

@@ -28,14 +28,14 @@ with the hypotenuse as refinement edge, so the refinement edge of every
 descendant is its (unique) longest edge.
 
 Each forest keeps a node table (``_ForestBase``): every node built so far,
-append-only, with its corners as forest vertex ids, and per-node columns
-(areas, gradients, per field the load contributions and the estimator's
-operators, per reference its values) computed once per node and gathered by
-every mesh (``TriMesh.column``).  A mesh build adds only the nodes missing
-from the table, level by level from their nearest ancestor there, and
-gathers its leaves' corners.  Forests compare by identity: meshes of two
-separately built forests are never the same mesh and never combine, even
-over equal roots.
+append-only, with its key, corners, edges and first child, and per-node
+columns (areas, gradients, per field the load contributions and the
+estimator's operators, per reference its values) computed once per node and
+gathered by every mesh (``TriMesh.column``).  A refinement keeps its mesh's
+leaf rows and adds children's, appended at a node's first bisection, and a
+build numbers the forest vertices and edges its leaves use.  Forests compare
+by identity: meshes of two separately built forests are never the same mesh
+and never combine, even over equal roots.
 
 Vertex numbering: the initial vertices come first, then one midpoint per
 bisected edge, ordered by the smallest key of a node that bisects that edge.
@@ -124,16 +124,18 @@ class DomainSpec:
 class _ForestBase:
     """An initial mesh (the forest roots) and the node table of its forest.
 
-    The table is append-only.  Row r holds a node's corners as forest vertex
-    ids, ``corners[r]``; ``node_key`` holds the keys of all rows, sorted, and
-    ``node_row`` their rows.  ``xy`` holds the forest vertices, ``rank``
-    their order in a mesh, ``mids`` the midpoint of each bisected edge
-    (``lo << 32 | hi``), ``columns`` the columns of ``TriMesh.column``, and
+    The table is append-only, roots first.  Row r holds a node's key, its
+    corners as forest vertex ids, its local edges (v0,v1), (v1,v2), (v2,v0)
+    as ids into ``edges``, the forest's (lo, hi) vertex pairs, and the row
+    of its child 0 (-1 until bisected; child 1 is the next row).  ``half``
+    holds the id of the half (lo, m) of each bisected edge, (hi, m) being
+    the next, else -1.  ``xy`` holds the forest vertices, ``rank`` their
+    order in a mesh, ``columns`` the columns of ``TriMesh.column``, and
     ``root_path``/``root_depth`` the roots' tree (``_bisect_roots``).
     """
 
-    __slots__ = ("vertices", "cells", "leaves", "node_key", "node_row", "corners", "xy", "rank",
-                 "mids", "columns", "root_path", "root_depth")
+    __slots__ = ("vertices", "cells", "leaves", "key", "corners", "cell_edge", "child", "edges",
+                 "half", "xy", "rank", "columns", "root_path", "root_depth")
 
     def __init__(self, vertices, cells):
         self.vertices = np.asarray(vertices, dtype=float)
@@ -142,42 +144,67 @@ class _ForestBase:
         if len(self.cells) >= _MAX_ROOTS:
             raise MeshStructureError(f"a forest has at most {_MAX_ROOTS - 1} roots")
         self.root_path, self.root_depth = _bisect_roots(self.vertices[self.cells].mean(axis=1))
-        self.node_row = np.arange(len(self.cells), dtype=np.int64)
-        self.node_key = self.node_row << _ROOT_SHIFT
+        self.key = np.arange(len(self.cells), dtype=np.int64) << _ROOT_SHIFT
         self.corners, self.xy = self.cells, self.vertices
+        self.child = np.full(len(self.cells), -1, dtype=np.int64)
+        pairs = np.sort(self.cells[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2), axis=1)
+        self.edges, inv = np.unique(pairs, axis=0, return_inverse=True)
+        self.cell_edge = inv.reshape(-1, 3)
+        self.half = np.full(len(self.edges), -1, dtype=np.int64)
         self.rank = np.arange(len(self.vertices), dtype=np.int64) - len(self.vertices)
-        self.mids, self.columns = {}, {}
+        self.columns = {}
 
     def rows_of(self, keys):
-        """Table rows of the nodes ``keys``.  A missing node is added level by
-        level below its nearest ancestor in the table, the last key before
-        it: the table holds the parent of every node and both children of
-        every bisected node, so no key lies between."""
-        while True:
-            pos = np.searchsorted(self.node_key, keys, side="right") - 1
-            missing = self.node_key[pos] != keys
-            if not missing.any():
-                return self.node_row[pos]
-            self._bisect(np.unique(pos[missing]))
+        """Rows of the sorted leaf keys ``keys``, descending from the roots by ``child``."""
+        # the leaves tile the roots if none holds the next one and, per root,
+        # their areas (2^-level of the root's) add up to the root's
+        share = np.bincount(keys >> _ROOT_SHIFT, 2.0 ** (MAX_LEVEL - (keys & _LEVEL_MASK)))
+        if not (np.array_equal(share, np.full(len(self.cells), 2.0**MAX_LEVEL))
+                and not _is_prefix(keys[:-1], keys[1:]).any()):
+            raise MeshStructureError("cell keys do not tile the forest roots")
+        rows, level = keys >> _ROOT_SHIFT, keys & _LEVEL_MASK
+        for d in range(int(level.max(initial=0))):
+            deeper = level > d
+            parent, inv = np.unique(rows[deeper], return_inverse=True)
+            rows[deeper] = self.children(parent)[inv, (keys[deeper] >> (_ROOT_SHIFT - 1 - d)) & 1]
+        return rows
 
-    def _bisect(self, pos):
-        """Append both children of the nodes at sorted positions ``pos``."""
-        keys, tri = self.node_key[pos], self.corners[self.node_row[pos]]
-        lo, hi = np.minimum(tri[:, 0], tri[:, 1]), np.maximum(tri[:, 0], tri[:, 1])
-        edge, inv = np.unique(lo << 32 | hi, return_inverse=True)
-        mid = np.array([self.mids.setdefault(e, len(self.vertices) + len(self.mids))
-                        for e in edge.tolist()])
-        new = edge[mid >= len(self.xy)]
-        self.xy = np.concatenate([self.xy, (self.xy[new >> 32] + self.xy[new & 0xFFFFFFFF]) / 2.0])
+    def children(self, rows):
+        """Rows (r, 2) of the children of the distinct nodes ``rows``, bisecting as needed."""
+        new = rows[self.child[rows] < 0]
+        if len(new):
+            self._bisect(new)
+        return self.child[rows, None] + np.arange(2)
+
+    def _bisect(self, rows):
+        """Append both children of the distinct, unbisected nodes ``rows``."""
+        keys, (v0, v1, v2), edge = self.key[rows], self.corners[rows].T, self.cell_edge[rows]
+        level = keys & _LEVEL_MASK
+        if level.max() >= MAX_LEVEL:
+            raise MeshStructureError(f"bisection deeper than MAX_LEVEL = {MAX_LEVEL}")
+        child = np.stack([keys + 1, keys + 1 + (1 << (_ROOT_SHIFT - 1 - level))], axis=1).ravel()
+        # a refinement edge bisected for the first time gets a midpoint and two halves
+        new = np.unique(edge[self.half[edge[:, 0]] < 0, 0])
+        ends, mid = self.edges[new], len(self.xy) + np.arange(len(new))
+        self.xy = np.concatenate([self.xy, (self.xy[ends[:, 0]] + self.xy[ends[:, 1]]) / 2.0])
         self.rank = np.append(self.rank, np.full(len(new), np.iinfo(np.int64).max))
-        m = mid[inv]
+        self.half[new] = len(self.edges) + 2 * np.arange(len(new))
+        halves = np.column_stack([ends.ravel(), np.repeat(mid, 2)])  # (lo, m), (hi, m)
+        peak = len(self.edges) + len(halves) + np.arange(len(rows))
+        self.edges = np.concatenate([self.edges, halves, np.empty((len(rows), 2), dtype=np.int64)])
+        self.half = np.append(self.half, np.full(len(halves) + len(rows), -1))
+        h = self.half[edge[:, 0]]
+        m = self.edges[h, 1]  # the later end of either half
         np.minimum.at(self.rank, m, keys)  # the smallest key bisecting the edge
-        children = np.stack([tri[:, 2], tri[:, 0], m, tri[:, 1], tri[:, 2], m], axis=1)
-        child = np.stack([_child_keys(keys, 0), _child_keys(keys, 1)], axis=1).ravel()
-        at = np.searchsorted(self.node_key, child)  # sorted, as ``keys`` are
-        self.node_key = np.insert(self.node_key, at, child)
-        self.node_row = np.insert(self.node_row, at, len(self.corners) + np.arange(len(child)))
-        self.corners = np.concatenate([self.corners, children.reshape(-1, 3)])
+        self.edges[peak] = np.stack([np.minimum(v2, m), np.maximum(v2, m)], axis=1)
+        self.child[rows] = len(self.key) + 2 * np.arange(len(rows))
+        self.child = np.append(self.child, np.full(len(child), -1))
+        self.key = np.concatenate([self.key, child])
+        children = np.stack([v2, v0, m, v1, v2, m], axis=1).reshape(-1, 3)
+        self.corners = np.concatenate([self.corners, children])
+        h0, h1 = h + (v0 > v1), h + (v1 > v0)  # the halves at v0 and at v1
+        edges = np.stack([edge[:, 2], h0, peak, edge[:, 1], peak, h1], axis=1).reshape(-1, 3)
+        self.cell_edge = np.concatenate([self.cell_edge, edges])
 
 
 def _bisect_roots(centroids):
@@ -208,14 +235,6 @@ def _bisect_roots(centroids):
 
 
 # -- node keys ---------------------------------------------------------------
-
-
-def _child_keys(keys, bit):
-    """Keys of child ``bit`` (0 or 1) of the nodes ``keys``."""
-    level = keys & _LEVEL_MASK
-    if level.size and level.max() >= MAX_LEVEL:
-        raise MeshStructureError(f"bisection deeper than MAX_LEVEL = {MAX_LEVEL}")
-    return keys + 1 + (np.int64(bit) << (_ROOT_SHIFT - 1 - level))
 
 
 def _is_prefix(p, q):
@@ -281,31 +300,25 @@ class TriMesh:
     cells : (m, 3) int array, counterclockwise, refinement edge ``(v0, v1)``
     cell_key : (m,) sorted int64 array, forest key of each cell (see module doc)
     rows : (m,) int array, node-table row of each cell (see ``_ForestBase``)
-    edges : (e, 2) int array, sorted vertex pairs in lexicographic order
+    edges : (e, 2) int array, sorted vertex pairs in the forest's edge order
     cell_edge : (m, 3) int array, edge ids of local edges (v0,v1), (v1,v2), (v2,v0)
     edge_cells : (e, 2) int array, incident cells (second is -1 on the boundary)
     boundary_vertex : (n,) bool array
     """
 
-    def __init__(self, base, cell_key):
+    def __init__(self, base, cell_key, rows=None):
         self.base = base
         self.cell_key = cell_key
-        self._build()
+        self._build(base.rows_of(cell_key) if rows is None else rows)
         self._cache = {}
 
     # -- construction -------------------------------------------------------
 
-    def _build(self):
-        """Vertices and cells of the leaves ``cell_key``, from the node table."""
-        base, keys = self.base, self.cell_key
-        # the leaves tile the roots if none holds the next one and, per root,
-        # their areas (2^-level of the root's) add up to the root's
-        share = np.bincount(keys >> _ROOT_SHIFT, 2.0 ** (MAX_LEVEL - (keys & _LEVEL_MASK)))
-        if not (np.array_equal(share, np.full(len(base.cells), 2.0**MAX_LEVEL))
-                and not _is_prefix(keys[:-1], keys[1:]).any()):
-            raise MeshStructureError("cell keys do not tile the forest roots")
-        self.rows = base.rows_of(keys)
-        corners = base.corners[self.rows]
+    def _build(self, rows):
+        """Vertices, cells and edges of the leaves at table rows ``rows``, found by masks."""
+        base = self.base
+        self.rows, corners = rows, np.take(base.corners, rows, axis=0)  # faster than [rows]
+        cell_edge = np.take(base.cell_edge, rows, axis=0)
         used = np.zeros(len(base.xy), dtype=bool)
         used[corners] = True
         ids = np.flatnonzero(used)
@@ -313,37 +326,21 @@ class TriMesh:
         local = np.empty(len(base.xy), dtype=np.int64)
         local[ids] = np.arange(len(ids))
         self.vertices, self.cells = base.xy[ids], local[corners]
-        self._compute_edges()
-
-    def _compute_edges(self):
-        c = self.cells
-        m, n = len(c), len(self.vertices)
-        pairs = np.concatenate([c[:, [0, 1]], c[:, [1, 2]], c[:, [2, 0]]], axis=0)
-        key = pairs.min(axis=1) * n + pairs.max(axis=1)
-        order = np.argsort(key)  # the two copies of an edge in either order
-        sk = key[order]
-        first = np.ones(len(sk), dtype=bool)
-        first[1:] = sk[1:] != sk[:-1]
-        first_idx = np.flatnonzero(first)
-        edges = sk[first_idx]
-        self.edges = np.stack([edges // n, edges % n], axis=1)
-        inv = np.empty(len(key), dtype=np.intp)
-        inv[order] = np.cumsum(first) - 1
-        # cell_edge[k, j] = global edge id of local edge j of cell k,
-        # local edges ordered (v0,v1), (v1,v2), (v2,v0)
-        self.cell_edge = inv.reshape(3, m).T
-        counts = np.diff(np.append(first_idx, len(sk)))
-        bmask = np.zeros(n, dtype=bool)
-        bmask[self.edges[counts == 1].ravel()] = True
-        self.boundary_vertex = bmask
-        # up to two incident cells per edge, in the order of their local edges
-        # in ``pairs`` (second is -1 on the boundary)
-        e2c = np.full((len(edges), 2), -1, dtype=np.int64)
-        shared = counts == 2
-        a, b = order[first_idx], order[np.minimum(first_idx + 1, len(sk) - 1)]
-        e2c[:, 0] = np.where(shared, np.minimum(a, b), a) % m
-        e2c[shared, 1] = np.maximum(a, b)[shared] % m
-        self.edge_cells = e2c
+        used = np.zeros(len(base.edges), dtype=bool)
+        used[cell_edge] = True
+        lo, hi = local[np.take(base.edges, np.flatnonzero(used), axis=0)].T
+        self.edges = np.stack([np.minimum(lo, hi), np.maximum(lo, hi)], axis=1)
+        self.cell_edge = (np.cumsum(used) - 1)[cell_edge]
+        # each edge's first and last incident cell in local-edge-major order (local
+        # edge j of cell k at j m + k); an edge used once is on the boundary
+        m, flat = len(rows), self.cell_edge.T.ravel()
+        first, last = np.full(len(self.edges), 3 * m), np.full(len(self.edges), -1)
+        np.minimum.at(first, flat, np.arange(3 * m))
+        np.maximum.at(last, flat, np.arange(3 * m))
+        once = first == last
+        self.edge_cells = np.stack([first % m, np.where(once, -1, last % m)], axis=1)
+        self.boundary_vertex = np.zeros(len(ids), dtype=bool)
+        self.boundary_vertex[self.edges[once]] = True
 
     # -- basic queries -------------------------------------------------------
 
@@ -473,16 +470,18 @@ def make_initial_mesh(domain, target_cells):
 
 def _root_mesh(base):
     """The unrefined mesh of a forest: one leaf per root."""
-    return _leaf_mesh(base, np.arange(len(base.cells), dtype=np.int64) << _ROOT_SHIFT)
+    return _leaf_mesh(base, np.arange(len(base.cells), dtype=np.int64))
 
 
-def _leaf_mesh(base, keys):
-    """The mesh of the sorted leaf keys ``keys``: a twin of a live mesh with
-    these leaves, sharing its arrays and ``_cache`` (see the module doc), or
-    else a new build."""
+def _leaf_mesh(base, rows):
+    """The mesh of the leaves at table rows ``rows``, ordered by key: a twin
+    of a live mesh with these leaves, sharing its arrays and ``_cache`` (see
+    the module doc), or else a new build."""
+    rows = rows[np.argsort(base.key[rows])]
+    keys = base.key[rows]
     built = base.leaves.get(keys.tobytes())  # weak: it holds no mesh alive
     if built is None:
-        return base.leaves.setdefault(keys.tobytes(), TriMesh(base, keys))
+        return base.leaves.setdefault(keys.tobytes(), TriMesh(base, keys, rows))
     twin = copy.copy(built)
     twin._built = built  # holds the registered mesh, and so its entry, alive
     return twin
@@ -515,30 +514,24 @@ def refine(mesh, marked):
         marked_edge[ref] = True
     # a split cell's child 0 (v2, v0, m) is split again if edge (v2, v0) is
     # marked, child 1 (v1, v2, m) if edge (v1, v2) is
-    keys = mesh.cell_key[split]
-    parts = [mesh.cell_key[~split]]
-    for bit, edge in ((0, 2), (1, 1)):
-        child = _child_keys(keys, bit)
-        again = marked_edge[ce[split, edge]]
-        twice = child[again]
-        parts += [child[~again], _child_keys(twice, 0), _child_keys(twice, 1)]
-    return _leaf_mesh(mesh.base, np.sort(np.concatenate(parts)))
+    children = mesh.base.children(mesh.rows[split])
+    again = marked_edge[ce[split][:, [2, 1]]]
+    rows = [mesh.rows[~split], children[~again], mesh.base.children(children[again]).ravel()]
+    return _leaf_mesh(mesh.base, np.concatenate(rows))
 
 
 def uniform_refine(mesh):
     """Split every cell into its four generation-(g+2) descendants."""
-    children = (_child_keys(mesh.cell_key, 0), _child_keys(mesh.cell_key, 1))
-    quads = [_child_keys(c, bit) for c in children for bit in (0, 1)]
-    return _leaf_mesh(mesh.base, np.stack(quads, axis=1).ravel())
+    return _leaf_mesh(mesh.base, mesh.base.children(mesh.base.children(mesh.rows).ravel()).ravel())
 
 
 def union_mesh(meshes):
     """Coarsest common refinement (overlay) of meshes sharing one initial mesh.
 
     Computed by merging the bisection forests: sort all leaf keys, then keep
-    each distinct key that is not an ancestor of the next one (the deepest
-    fringe).  The result is conforming because the overlay of conforming
-    newest-vertex refinements is conforming.
+    the row of each distinct key that is not an ancestor of the next one
+    (the deepest fringe).  The result is conforming because the overlay of
+    conforming newest-vertex refinements is conforming.
     """
     meshes = list(meshes)
     if not meshes:
@@ -549,11 +542,12 @@ def union_mesh(meshes):
             raise MeshStructureError("meshes do not share an initial mesh")
     if all(m.same_mesh(meshes[0]) for m in meshes):
         return meshes[0]
-    distinct = {id(m.cell_key): m.cell_key for m in meshes}  # twins share keys
-    keys = np.unique(np.concatenate(list(distinct.values())))
+    distinct = {id(m.rows): m.rows for m in meshes}  # twins share rows
+    rows = np.concatenate(list(distinct.values()))
+    keys, first = np.unique(base.key[rows], return_index=True)
     keep = np.ones(len(keys), dtype=bool)
     keep[:-1] = ~_is_prefix(keys[:-1], keys[1:])
-    return _leaf_mesh(base, keys[keep])
+    return _leaf_mesh(base, rows[first[keep]])
 
 
 def is_refinement_of(fine, coarse):
@@ -621,15 +615,18 @@ def read_mesh(path):
     The cells of the file become the roots of a fresh forest.  Each cell is
     rotated so its (unique) longest edge comes first, which recovers the
     refinement edge for any mesh this package produces; ties are broken by the
-    smallest opposite-vertex index.  Raises ValueError for a malformed or
-    truncated file, a vertex index out of range, two vertices at the same
-    point, or a cell of zero area (a repeated vertex gives one).
+    smallest opposite-vertex index.  Raises ValueError for a malformed
+    header (also a negative count or no cells), a truncated file, a vertex
+    index out of range, two vertices at the same point, or a cell of zero
+    area (a repeated vertex gives one).
     """
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 4 or header[0] != "nodes" or header[2] != "cells":
             raise ValueError("malformed mesh header")
         nv, nc = int(header[1]), int(header[3])
+        if nv < 0 or nc < 1:
+            raise ValueError("malformed mesh header")
         verts = np.array(_read_rows(fh, nv, 2, float, "vertex"), dtype=float)
         cells = np.array(_read_rows(fh, nc, 3, int, "cell"), dtype=np.int64)
     verts, cells = verts.reshape(nv, 2), cells.reshape(nc, 3)

@@ -11,6 +11,8 @@ frozenset of leaf paths (tuples of 0/1 bisection choices); building,
 refinement (recursive newest-vertex closure), overlay and the ancestor map
 walk those paths in Python.  Meshes here share ``_ForestBase`` with the real
 ones, and ``from_mesh`` / ``keys_of`` convert between the two encodings.
+The real meshes number their edges in the forest's order, the reference
+lexicographically; ``edge_arrays`` compares them apart from that numbering.
 """
 
 from dataclasses import dataclass
@@ -70,6 +72,14 @@ def from_mesh(mesh):
         path = tuple((bits >> (MAX_LEVEL - 1 - i)) & 1 for i in range(level))
         leaf_sets[key >> _ROOT_SHIFT].add(path)
     return TriMesh(mesh.base, tuple(frozenset(s) for s in leaf_sets))
+
+
+def edge_arrays(mesh):
+    """The edges of ``mesh`` apart from their numbering: the vertex pair of
+    every local edge, ``edges[cell_edge]``, and the edges and their incident
+    cells ``edge_cells`` by vertex pair, in lexicographic order."""
+    order = np.lexsort(mesh.edges.T[::-1])
+    return mesh.edges[mesh.cell_edge], mesh.edges[order], mesh.edge_cells[order]
 
 
 def keys_of(ref):

@@ -287,10 +287,10 @@ def test_each_live_mesh_is_built_once(monkeypatch):
     built = []
     real = mesh.TriMesh._build
 
-    def spy(self):
+    def spy(self, rows):
         keys = self.cell_key.tobytes()
         assert not any(k == keys and ref() is not None for k, ref in built)
-        real(self)
+        real(self, rows)
         built.append((keys, weakref.ref(self)))
 
     monkeypatch.setattr(mesh.TriMesh, "_build", spy)

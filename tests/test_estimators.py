@@ -498,7 +498,7 @@ def test_moved_solution_jumps_only_across_source_cells():
 
 def _num_classes(union, f):
     """Distinct (lam_0, lam_1, lam_2, |K|) rows of the union's cells."""
-    lam, area = estimators._columns(union, f)[2], union.cell_areas()
+    _, _, lam, _, area = estimators._columns(union, f)
     return len(np.unique(np.vstack([lam, area]).T, axis=0))
 
 

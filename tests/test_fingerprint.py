@@ -81,3 +81,19 @@ def test_forest_sizes_are_reported_not_compared():
     ]
     del a["forest"]
     assert fingerprint.forest_sizes(a, b) == ["forest table: not recorded by A"]
+
+
+def test_forest_edges_are_reported_where_recorded():
+    # a table that numbers forest edges records their count; one that does
+    # not records none, and the count is reported, never compared
+    a = _synthetic()
+    b = copy.deepcopy(a)
+    a["forest"] = dict(rows=10, edges=None, columns={"areas": 80})
+    b["forest"] = dict(rows=12, edges=21, columns={"areas": 96})
+    assert fingerprint.compare(a, b) == ([], {"eta_union": 0.0, "solution": 0.0})
+    assert fingerprint.forest_sizes(a, b)[:2] == [
+        "forest rows: 10 against 12",
+        "forest edges: not recorded against 21",
+    ]
+    a["forest"]["edges"] = 17
+    assert fingerprint.forest_sizes(a, b)[1] == "forest edges: 17 against 21"

@@ -32,14 +32,10 @@ from fracadapt.oracle import eigenfunction_field
 
 SQUARE = DomainSpec("square")
 FIELDS = (RhsField.one(), RhsField.test2(), eigenfunction_field(SQUARE, 2, 3))
-MESH_ARRAYS = (
-    "vertices",
-    "cells",
-    "edges",
-    "cell_edge",
-    "edge_cells",
-    "boundary_vertex",
-)
+# exactly equal; the edges are compared apart from their numbering, which
+# follows the forest's history (``forest_reference.edge_arrays``)
+MESH_ARRAYS = ("vertices", "cells", "boundary_vertex")
+EDGE_ARRAYS = ("edges[cell_edge]", "edges", "edge_cells")
 
 
 def assert_bits(a, b, what):
@@ -76,6 +72,9 @@ def assert_setup_matches_reference(mesh):
     ref = forest_reference.from_mesh(mesh)
     for name in MESH_ARRAYS:
         assert np.array_equal(getattr(mesh, name), getattr(ref, name)), name
+    got, want = forest_reference.edge_arrays(mesh), forest_reference.edge_arrays(ref)
+    for a, b, name in zip(got, want, EDGE_ARRAYS):
+        assert np.array_equal(a, b), name
     assert_bits(mesh.cell_areas(), setup_reference.areas(mesh), "areas")
     assert_bits(fem._grads(mesh), setup_reference.grads(mesh), "grads")
     geo, geo_ref = estimators._geometry(mesh), setup_reference.geometry(mesh)
@@ -90,10 +89,11 @@ def assert_setup_matches_reference(mesh):
         assert_bits(got, want, name)
     ops_ref = setup_reference.operators(mesh)
     for f in FIELDS:
-        *ops, alpha = estimators._columns(mesh, f)
+        *ops, alpha, area = estimators._columns(mesh, f)
         for got, want, name in zip(ops, ops_ref, ("W'", "B", "lam")):
             assert_bits(got, np.moveaxis(want, 0, -1), name)
         assert_bits(alpha, setup_reference.alpha(mesh, f).T, f"alpha {f.kind}")
+        assert_bits(area, setup_reference.areas(mesh), f"areas {f.kind}")
         assert_bits(fem._load_vector(mesh, f), setup_reference.load_vector(mesh, f), f.kind)
     dofs = np.flatnonzero(~mesh.boundary_vertex)
     system = fem._build_system(mesh, dofs)
@@ -113,17 +113,21 @@ def test_builds_do_not_depend_on_the_forest_history():
     b = _chain(m1, B_MARKS)
     second = union_mesh([b, _chain(m1, A_MARKS)])
     third = TriMesh(make_initial_mesh(SQUARE, 32).base, keys.copy())
-    rows = len(m0.base.node_key)
+    rows = len(m0.base.key)
     fourth = TriMesh(m0.base, keys.copy())
-    assert len(m0.base.node_key) == rows
+    assert len(m0.base.key) == rows
     assert np.array_equal(second.cell_key, keys)
     for mesh in (first, second, third, fourth):
         assert_setup_matches_reference(mesh)
     for mesh in (second, third, fourth):
         for name in MESH_ARRAYS:
             assert_bits(getattr(mesh, name), getattr(first, name), name)
-        normal = estimators._geometry(mesh)["normal"]
-        assert_bits(normal, estimators._geometry(first)["normal"], "normal")
+        got, want = forest_reference.edge_arrays(mesh), forest_reference.edge_arrays(first)
+        for a, b, name in zip(got, want, EDGE_ARRAYS):
+            assert_bits(a, b, name)
+        normal = [estimators._geometry(m)["normal"][np.lexsort(m.edges.T[::-1])]
+                  for m in (mesh, first)]  # by vertex pair, as edge_arrays orders them
+        assert_bits(*normal, "normal")
         assert_bits(fem._system(mesh).dofs, fem._system(first).dofs, "order")
 
 
@@ -162,17 +166,17 @@ def test_table_grows_only_by_new_nodes():
     m0 = make_initial_mesh(SQUARE, 32)
     base = m0.base
     a, b = _chain(m0, A_MARKS), _chain(m0, B_MARKS)
-    rows = len(base.node_key)
-    assert len(base.corners) == rows == len(np.unique(base.node_key))
+    rows = len(base.key)
+    assert len(base.corners) == rows == len(np.unique(base.key))
     u = union_mesh([a, b])
-    assert len(base.node_key) == rows  # the union's leaves are the sources'
+    assert len(base.key) == rows  # the union's leaves are the sources'
     del a, u
     gc.collect()
     again = _chain(m0, A_MARKS)  # rebuilt: no live mesh has these leaves
     assert not hasattr(again, "_built")
-    assert len(base.node_key) == rows
+    assert len(base.key) == rows
     uniform_refine(again)
-    assert len(base.node_key) > rows
+    assert len(base.key) > rows
 
 
 def test_field_is_evaluated_at_new_nodes_only():
@@ -186,11 +190,11 @@ def test_field_is_evaluated_at_new_nodes_only():
     m0 = make_initial_mesh(SQUARE, 32)
     base = m0.base
     fem._load_vector(m0, f)
-    assert sum(evaluated) == 6 * len(base.node_key)
-    rows = len(base.node_key)
+    assert sum(evaluated) == 6 * len(base.key)
+    rows = len(base.key)
     mesh = _chain(m0, A_MARKS)
     fem._load_vector(mesh, f)
-    assert sum(evaluated) == 6 * len(base.node_key) > 6 * rows
+    assert sum(evaluated) == 6 * len(base.key) > 6 * rows
     seen = sum(evaluated)
     del mesh
     gc.collect()
@@ -212,7 +216,7 @@ def test_node_table_holds_no_mesh():
     gc.collect()
     assert all(ref() is None for ref in refs)
     assert set(base.columns) == {"areas", ("load", FIELDS[1]), ("ops", FIELDS[2])}
-    assert len(base.node_key) > 32
+    assert len(base.key) > 32
 
 
 def _deep(mesh, depth):

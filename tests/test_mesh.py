@@ -11,7 +11,6 @@ from fracadapt.mesh import (
     _MAX_ROOTS,
     MAX_LEVEL,
     _ForestBase,
-    _child_keys,
     _leaf_mesh,
     _root_mesh,
     DomainSpec,
@@ -54,8 +53,14 @@ def assert_conforming(mesh, perimeter=PERIMETER):
     assert once_length(mesh) == pytest.approx(perimeter, rel=1e-12)
     # orientation: all cells counterclockwise with positive area
     assert np.all(mesh.cell_areas() > 0)
-    # no duplicated vertices
+    # no duplicated vertices, and no vertex pair listed as two edges (as
+    # where neighbours disagree on the ids of a bisected edge's halves)
     assert len(np.unique(mesh.vertices, axis=0)) == mesh.num_vertices
+    assert len(np.unique(mesh.edges, axis=0)) == len(mesh.edges)
+    # each local edge's id names the cell's own vertex pair (not, say, the
+    # other half of a bisected edge)
+    pairs = np.sort(mesh.cells[:, [[0, 1], [1, 2], [2, 0]]], axis=2)
+    assert np.array_equal(mesh.edges[mesh.cell_edge], pairs)
 
 
 def test_initial_mesh_square():
@@ -152,7 +157,7 @@ def test_keys_with_a_gap_do_not_tile():
 
 def test_keys_with_an_overlap_do_not_tile():
     m = refine(make_initial_mesh(SQUARE, 8), {0, 3})
-    children = [_child_keys(m.cell_key[2:3], bit) for bit in (0, 1)]
+    children = [m.base.key[row] for row in m.base.children(m.rows[2:3]).T]
     with pytest.raises(MeshStructureError, match="tile"):
         TriMesh(m.base, np.sort(np.append(m.cell_key, children[0])))
     # an overlap with the area of a gap: leaf 3, the sibling of leaf 2,
@@ -328,9 +333,8 @@ def test_a_hanging_node_fails_the_conformity_check():
     # root 0 bisected, root 1 across its hypotenuse not: the midpoint hangs
     # on root 1's refinement edge, which then has one incident cell
     m0 = make_initial_mesh(SQUARE, 8)
-    keys = np.sort(np.concatenate([m0.cell_key[1:], _child_keys(m0.cell_key[:1], 0),
-                                   _child_keys(m0.cell_key[:1], 1)]))
-    hanging = _leaf_mesh(m0.base, keys)
+    rows = np.concatenate([m0.rows[1:], m0.base.children(m0.rows[:1]).ravel()])
+    hanging = _leaf_mesh(m0.base, rows)
     assert hanging.num_cells == 9 and hanging.cell_areas().sum() == pytest.approx(4.0)
     assert once_length(hanging) == pytest.approx(PERIMETER + 2 * np.sqrt(2.0))
     with pytest.raises(AssertionError):
@@ -369,6 +373,15 @@ def test_read_mesh_malformed(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("vertices 3 cells 1\n")
     with pytest.raises(ValueError):
+        read_mesh(p)
+
+
+@pytest.mark.parametrize("text", ["nodes -1 cells -1\n", "nodes 0 cells 0\n"])
+def test_read_mesh_rejects_bad_counts(tmp_path, text):
+    # a negative count, or a mesh with no cells, is a malformed header
+    p = tmp_path / "bad.txt"
+    p.write_text(text)
+    with pytest.raises(ValueError, match="malformed mesh header"):
         read_mesh(p)
 
 
@@ -442,8 +455,12 @@ def test_union_overlay_property(data):
 
 
 def assert_same_as_reference(mesh, ref):
-    for name in FOREST_ARRAYS:
+    for name in ("vertices", "cells", "boundary_vertex"):
         assert np.array_equal(getattr(mesh, name), getattr(ref, name)), name
+    # the edges are numbered in the forest's order, the reference's lexicographically
+    got, want = forest_reference.edge_arrays(mesh), forest_reference.edge_arrays(ref)
+    for a, b, name in zip(got, want, ("edges[cell_edge]", "edges", "edge_cells")):
+        assert np.array_equal(a, b), name
     assert np.array_equal(mesh.cell_key, forest_reference.keys_of(ref))
 
 

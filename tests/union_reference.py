@@ -51,7 +51,8 @@ def _edge_jumps(mesh, grads, sides):
 def global_union_estimate(scheme, states, union, f):
     """``(eta, solution)`` of the union pass, one kernel pass per block;
     unlike the pass it leaves every state's indicators alone."""
-    area, columns = union.cell_areas(), _columns(union, f)
+    columns = _columns(union, f)
+    area = columns[4]
     combined = np.zeros((3, union.num_cells))
     corner_sum = np.zeros((1, 3, union.num_cells))
     for src, group in _mesh_groups(states):

@@ -7,7 +7,8 @@ sha256 of every problem's marked cells at every ``doerfler_mark`` call, of
 every state's indicators at every checkpoint, of every checkpoint's union
 mesh and of every final mesh, and the recombined solution at every
 checkpoint.  It also records the size of the forest's node table at the end
-of the run: its rows and the bytes of each per-node column.
+of the run: its rows, its edges (where the table numbers forest edges) and
+the bytes of each per-node column.
 
     python tools/fingerprint.py case1-multimesh out.json [--checkout DIR]
     python tools/fingerprint.py --compare parent.json change.json
@@ -113,7 +114,8 @@ def fingerprint(name, checkout):
         final_cell_keys=[_sha(st.mesh.cell_key) for st in res.states],
         solutions=solutions,
         forest=dict(  # every mesh of the run, the final union too, is in this forest
-            rows=len(forest.node_key),
+            rows=len(forest.corners),
+            edges=len(forest.edges) if hasattr(forest, "edges") else None,
             columns={_column_name(k): col.nbytes for k, col in forest.columns.items()},
         ),
     )
@@ -160,13 +162,17 @@ def compare(a, b):
 
 
 def forest_sizes(a, b):
-    """Lines that give the node table's rows and column bytes of both sides,
-    or say that a side did not record them."""
+    """Lines that give the node table's rows, edges and column bytes of both
+    sides, or say that a side did not record them."""
     fa, fb = a.get("forest"), b.get("forest")
     missing = [side for side, f in (("A", fa), ("B", fb)) if f is None]
     if missing:
         return [f"forest table: not recorded by {' and '.join(missing)}"]
     lines = [f"forest rows: {fa['rows']} against {fb['rows']}"]
+    # a table that numbers no forest edges records None, or nothing
+    edges = ["not recorded" if f.get("edges") is None else f["edges"] for f in (fa, fb)]
+    if edges != ["not recorded"] * 2:
+        lines.append(f"forest edges: {edges[0]} against {edges[1]}")
     for name in sorted(fa["columns"].keys() | fb["columns"].keys()):
         x, y = (f["columns"].get(name, 0) for f in (fa, fb))
         lines.append(f"forest column {name}: {x} bytes against {y}")
