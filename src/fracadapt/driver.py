@@ -159,16 +159,14 @@ def _problem(scheme, l):
 
 def _estimate(states, scheme, f):
     """Set the indicators of the solved ``states`` that are still dirty, in
-    one stacked ``local_indicators`` call per block of up to ``_BLOCK``
-    states per mesh, and check that every state's indicators are finite."""
+    one stacked ``local_indicators`` call per mesh, and check that every
+    state's indicators are finite."""
     for mesh, group in fem._mesh_groups([st for st in states if st.dirty]):
-        for start in range(0, len(group), estimators._BLOCK):
-            block = group[start : start + estimators._BLOCK]
-            l = [st.index for st in block]
-            w = fem.FeFunction(mesh, np.stack([st.solution.nodal_values for st in block], axis=1))
-            eta = estimators.local_indicators(mesh, w, scheme.b[l], scheme.c[l], f)
-            for st, col in zip(block, eta.T):
-                st.indicators, st.dirty = col, False
+        l = [st.index for st in group]
+        w = fem.FeFunction(mesh, np.stack([st.solution.nodal_values for st in group], axis=1))
+        eta = estimators.local_indicators(mesh, w, scheme.b[l], scheme.c[l], f)
+        for st, col in zip(group, eta.T):
+            st.indicators, st.dirty = col, False
     for st in states:
         if not np.all(np.isfinite(st.indicators)):
             raise ValueError(f"non-finite error indicator for {_problem(scheme, st.index)}")
@@ -256,27 +254,20 @@ def run(config, reference=None, on_checkpoint=None):
             if not any(marks):
                 stopped = "converged"
                 break
+        # each state's new mesh or None; lazily in multimesh, so that a state
+        # lets go of its old mesh before the next refine
         if cfg.mode == "multimesh":
-            marked = []
-            for st, mk in zip(states, marks):
-                if mk:
-                    st.mesh = refine(st.mesh, mk)
-                    st.dirty = True
-                    st.solution = None
-                    st.indicators = None
-                    refine_counts[st.index] += 1
-                    marked.append(st.index)
+            moves = (refine(st.mesh, mk) if mk else None for st, mk in zip(states, marks))
+        elif cfg.mode == "singlemesh":  # every problem moves to one new shared mesh
+            moves = [refine(states[0].mesh, set().union(*marks))] * len(states)
         else:
-            # singlemesh and uniform: every problem moves to one new shared mesh
-            if cfg.mode == "uniform":
-                new_mesh = uniform_refine(states[0].mesh)
-            else:
-                new_mesh = refine(states[0].mesh, set().union(*marks))
-            for st in states:
-                st.mesh = new_mesh
-                st.dirty = True
-            refine_counts += 1
-            marked = [st.index for st in states]
+            moves = [uniform_refine(states[0].mesh)] * len(states)
+        marked = []
+        for st, new in zip(states, moves):
+            if new is not None:
+                st.mesh, st.dirty, st.solution, st.indicators = new, True, None, None
+                refine_counts[st.index] += 1
+                marked.append(st.index)
         marked_per_iter.append(marked)
         rec.wall_time = time.perf_counter() - t0
 

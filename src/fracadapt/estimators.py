@@ -19,23 +19,19 @@ serves every estimate, and lam > 0 keeps its denominator positive:
 
     y = (alpha - c B v - (b / 4) W' j) / (lam b + |K| c),   ||e_K||^2 = |K| |y|^2.
 
-Both estimates stack up to ``_BLOCK`` problems of one mesh per kernel call,
-cells innermost, (L, 3, m); each cell sums its terms in a fixed order, so
-stacking changes no bit.  The union estimate needs only sum_l a_l y_l, which
+Both estimates run the kernel on blocks of up to ``_BLOCK`` problems of one
+mesh, cells innermost, (L, 3, m); each cell sums its terms in a fixed order,
+so stacking changes no bit.  The union estimate needs only sum_l a_l y_l, which
 is linear in each w_l with d = lam b_l + |K| c_l as its only (l, K) factor;
 per class of cells with bitwise equal (lam, |K|) and per mode, the weighted
 sums Z^c = sum_l a_l c_l w_l / d and Z^b = sum_l a_l b_l w_l / d give
 
     sum_l a_l y_l = alpha sum_l a_l / d - B v(Z^c) - (1 / 4) W' j(Z^b).
 
-A solution on a mesh coarser than the union is P1 on the union too.  The
-union pass moves it to the union's vertices by the one transfer of
-``fem.transfer_p1`` and estimates it there like a solution on the union,
-with corner values and jumps on every interior union edge.  When the coarser
-problems outnumber 3 x classes, it sums them into Z at the union's vertices
-instead and takes v and j there once per pass, with no kernel call per
-problem.  Either way the jumps on union edges inside a source cell are zero
-only up to rounding.
+A solution on a mesh coarser than the union is P1 on the union too, so the
+union pass estimates it at the union's vertices, alone or summed into Z
+(``global_union_estimate``); the jumps on union edges inside a source cell
+are then zero only up to rounding.
 """
 
 import math
@@ -121,25 +117,25 @@ def _ops_of(x, f):
 
 
 def _columns(mesh, f):
-    """W' (3, 3, m), B (3, 3, m), lam (3, m), alpha (3, m) for the field ``f``
-    from its per-node column, and the areas (m,), cells innermost."""
+    """W' (3, 3, m), B (3, 3, m), lam (3, m), alpha (3, m) for the field ``f``,
+    the areas (m,) and the hat-function gradients (2, 3, m), cells innermost."""
     ops = np.ascontiguousarray(mesh.column(("ops", f), lambda x: _ops_of(x, f)).transpose(1, 2, 0))
-    return ops[:, :3], ops[:, 3:6], ops[:, 6], ops[:, 7], mesh.cell_areas()
+    grads = np.ascontiguousarray(_grads(mesh).transpose(2, 1, 0))
+    return ops[:, :3], ops[:, 3:6], ops[:, 6], ops[:, 7], mesh.cell_areas(), grads
 
 
 def _geometry(mesh):
     """Fixed edge normals and edge lengths, cached; areas are ``mesh.cell_areas()``."""
     geo = mesh._cache.get("geometry")
-    if geo is not None:
-        return geo
-    # fixed edge normals: outward from edge_cells[:, 0], as its local edge j
-    # from corner j to corner j + 1 (mod 3) of the counterclockwise cell
-    c0, e = mesh.edge_cells[:, 0], np.arange(len(mesh.edges))
-    side = (mesh.cell_edge[c0, 1] == e) + 2 * (mesh.cell_edge[c0, 2] == e)
-    d = mesh.vertices[mesh.cells[c0, (side + 1) % 3]] - mesh.vertices[mesh.cells[c0, side]]
-    length = np.hypot(d[:, 0], d[:, 1])
-    normal = np.stack([d[:, 1] / length, -d[:, 0] / length], axis=1)
-    geo = mesh._cache["geometry"] = dict(normal=normal, length=length)
+    if geo is None:
+        # fixed edge normals: outward from edge_cells[:, 0], as its local edge j
+        # from corner j to corner j + 1 (mod 3) of the counterclockwise cell
+        c0, e = mesh.edge_cells[:, 0], np.arange(len(mesh.edges))
+        side = (mesh.cell_edge[c0, 1] == e) + 2 * (mesh.cell_edge[c0, 2] == e)
+        d = mesh.vertices[mesh.cells[c0, (side + 1) % 3]] - mesh.vertices[mesh.cells[c0, side]]
+        length = np.hypot(d[:, 0], d[:, 1])
+        normal = np.stack([d[:, 1] / length, -d[:, 0] / length], axis=1)
+        geo = mesh._cache["geometry"] = dict(normal=normal, length=length)
     return geo
 
 
@@ -151,11 +147,12 @@ def _cell_matvec(A, v):
     return out
 
 
-def _corner_values(mesh, nodal):
+def _corner_values(mesh, dphi, nodal):
     """Corner values (L, 3, m) and cell gradients (L, 2, m) of nodal values
-    (n, L) on ``mesh``."""
+    (n, L) on ``mesh``, from its hat-function gradients ``dphi`` (2, 3, m) as
+    ``_columns`` gives them."""
     vals = np.take(nodal.T, mesh.cells.T, axis=1)  # np.take keeps cells innermost
-    return vals, _cell_matvec(np.ascontiguousarray(_grads(mesh).transpose(2, 1, 0)), vals)
+    return vals, _cell_matvec(dphi, vals)
 
 
 def _edge_jumps(mesh, grads):
@@ -174,7 +171,7 @@ def _edge_jumps(mesh, grads):
 def _modal_coeffs(target, columns, corner_vals, jump, b, c):
     """Modal coefficients y (L, 3, m) on ``target`` of L stacked P1 functions
     with corner values (L, 3, m) and flux jumps (L, e), one b and c each."""
-    Wp, B, lam, alpha, area = columns
+    Wp, B, lam, alpha, area, _ = columns
     b, c = np.reshape(b, (-1, 1, 1)), np.reshape(c, (-1, 1, 1))
     j = np.take(jump * _geometry(target)["length"], target.cell_edge.T, axis=1)
     # the mirror pairs edges 1 and 2, and corners 0 and 1: each pair is added first
@@ -187,11 +184,13 @@ def _modal_coeffs(target, columns, corner_vals, jump, b, c):
 def local_indicators(mesh, w, b, c, f):
     """Per-cell indicators ||e_K||_{L2(K)} of the problems whose solutions
     ``w`` live on ``mesh``: shape (m,) for one solution, (m, L) for L stacked
-    ones with one b and one c per column."""
-    vals, grads = _corner_values(mesh, w.nodal_values.reshape(mesh.num_vertices, -1))
-    columns = _columns(mesh, f)
-    y = _modal_coeffs(mesh, columns, vals, _edge_jumps(mesh, grads), b, c)
-    eta = np.sqrt(columns[4] * np.sum(y**2, axis=1)).T  # as in the union pass
+    ones with one b and one c per column, estimated ``_BLOCK`` at a time."""
+    nodal, columns = w.nodal_values.reshape(mesh.num_vertices, -1), _columns(mesh, f)
+    b, c, eta = np.reshape(b, -1), np.reshape(c, -1), np.empty((mesh.num_cells, nodal.shape[1]))
+    for block in (slice(k, k + _BLOCK) for k in range(0, nodal.shape[1], _BLOCK)):
+        vals, grads = _corner_values(mesh, columns[5], nodal[:, block])
+        y = _modal_coeffs(mesh, columns, vals, _edge_jumps(mesh, grads), b[block], c[block])
+        eta[:, block] = np.sqrt(columns[4] * np.sum(y**2, axis=1)).T  # as in the union pass
     return eta if w.nodal_values.ndim > 1 else eta[:, 0]
 
 
@@ -220,10 +219,11 @@ def combined_equal_mesh_estimate(scheme, states, f):
     area, length = mesh.cell_areas(), _geometry(mesh)["length"]
     M = area[:, None, None] * _MREF
     F = f(*np.moveaxis(_CB @ mesh.vertices[mesh.cells], -1, 0)) @ _WPHI
+    dphi = np.ascontiguousarray(_grads(mesh).transpose(2, 1, 0))
     combined = np.zeros((mesh.num_cells, 3))
     for st in states:
         b, c = scheme.b[st.index], scheme.c[st.index]
-        vals, grads = _corner_values(mesh, st.solution.nodal_values[:, None])
+        vals, grads = _corner_values(mesh, dphi, st.solution.nodal_values[:, None])
         jl = (_edge_jumps(mesh, grads)[0] * length)[mesh.cell_edge]
         rhs = area[:, None] / 4.0 * (F - c * vals[0].T @ _G.T) - b / 4.0 * jl
         combined += scheme.a[st.index] * np.linalg.solve(b * S + c * M, rhs[..., None])[..., 0]
@@ -236,13 +236,13 @@ def _class_sums(union, columns, cls, Z, S):
     weighted sums Z (n, 6 x classes) at the union's vertices, per class and
     mode Z^c then Z^b, with S = sum_l a_l / d (classes, 3) (module docstring)
     and ``cls`` the class of each cell."""
-    (Wp, B, lam, alpha, _), classes, geo = columns, len(S), _geometry(union)
+    (Wp, B, lam, alpha, _, dphi), classes, geo = columns, len(S), _geometry(union)
     col = 3 * cls + np.arange(3)[:, None]  # per mode, the column of each cell's class
     v = Z[union.cells.T, col[:, None]]
     j = np.empty_like(v)
     for k in range(classes):  # one class at a time bounds the buffers
         at, zb = cls == k, Z[:, 3 * (classes + k) : 3 * (classes + k + 1)]
-        jump = _edge_jumps(union, _corner_values(union, zb)[1]) * geo["length"]
+        jump = _edge_jumps(union, _corner_values(union, dphi, zb)[1]) * geo["length"]
         j[:, :, at] = jump[:, union.cell_edge[at].T]
     Bv = B[:, 0] * v[:, 0] + B[:, 1] * v[:, 1]  # the mirror pairs are added first
     wj = Wp[:, 1] * j[:, 1] + Wp[:, 2] * j[:, 2]
@@ -270,23 +270,22 @@ def global_union_estimate(scheme, states, union, f):
     (``local_indicators``'s bits) here.
     """
     columns = _columns(union, f)  # hoisted out of the blocks
-    area = columns[4]
+    lam, area, dphi = columns[2], columns[4], columns[5]
     # classes of cells with bitwise equal (lam, |K|) rows, and the first cell of each; raw
     # bytes sort several times faster than np.unique(axis=0)'s structured rows
-    rows = np.ascontiguousarray(np.vstack([columns[2], area]).T).view("V32").ravel()
+    rows = np.ascontiguousarray(np.vstack([lam, area]).T).view("V32").ravel()
     _, rep, cls = np.unique(rows, return_index=True, return_inverse=True)
     groups = _mesh_groups(states)
     coarser = [st.index for src, group in groups if not src.same_mesh(union) for st in group]
     weighted = 3 * len(rep) < len(coarser)
     if weighted:
         a, b, c = (x[coarser, None, None] for x in (scheme.a, scheme.b, scheme.c))
-        wa = a / (columns[2][:, rep].T * b + area[rep, None] * c)  # the kernel's d, bit for bit
+        wa = a / (lam[:, rep].T * b + area[rep, None] * c)  # the kernel's d, bit for bit
         weights = np.concatenate([wa * c, wa * b], axis=1).reshape(len(coarser), -1)
         # alpha S cancels against B v(Z^c): round S once, its error is not averaged over l
         S = np.array([math.fsum(x) for x in wa.reshape(len(coarser), -1).T]).reshape(-1, 3)
         Z, moved, moved_w, done = np.zeros((union.num_vertices, weights.shape[1])), [], [], 0
-    combined = np.zeros((3, union.num_cells))
-    solution = np.zeros(union.num_vertices)
+    combined, solution = np.zeros((3, union.num_cells)), np.zeros(union.num_vertices)
     for src, group in groups:
         own = src.same_mesh(union)
         kernel = own or not weighted
@@ -299,7 +298,8 @@ def global_union_estimate(scheme, states, union, f):
             partial += nodal @ scheme.a[l]
             if not kernel:
                 continue
-            vals, grads = _corner_values(union, nodal if own else _at_vertices(transfer, nodal))
+            on_union = nodal if own else _at_vertices(transfer, nodal)
+            vals, grads = _corner_values(union, dphi, on_union)
             jump = _edge_jumps(union, grads)
             y = _modal_coeffs(union, columns, vals, jump, scheme.b[l], scheme.c[l])
             combined += (scheme.a[l] @ y.reshape(len(l), -1)).reshape(combined.shape)  # a gemv

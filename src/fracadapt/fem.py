@@ -20,15 +20,15 @@ Most poles of the pole sum lie close to one of its two limits, ``b K`` or
 limit by at most q = sigma / lam_lo (b >= c) or q = sigma lam_hi (b < c),
 where lam_lo = pi j01^2 / |mesh| (Faber-Krahn) bounds the smallest and
 lam_hi = max over cells of 12 sum_i |grad phi_i|^2 the largest eigenvalue of
-(K, M); both are cached per mesh.  A pole with q <= ``_Q`` is solved by the
-Neumann series w = sum_k (-sigma)^k (P^-1 E)^k P^-1 F / max(b, c), with P the
-limit matrix and E the other one, cut after the j terms with q^j <= 2^-53.
-Its terms V_k = (P^-1 E)^k P^-1 F, k < ``_T``, are computed once per mesh,
-limit and field from one factorization of P and cached; the factor itself is
-freed at once, because a live SuperLU object pins far more memory than the
-``_T`` vectors of the basis.  Every other pole factors its own
-``b K + c M``.  Equal meshes share one cache (see ``mesh``), so they also
-share the pattern, load vectors, bounds and bases.
+(K, M); the mesh's system carries both.  A pole with q <= ``_Q`` is solved
+by the Neumann series w = sum_k (-sigma)^k (P^-1 E)^k P^-1 F / max(b, c),
+with P the limit matrix and E the other one, cut after the j terms with
+q^j <= 2^-53.  Its terms V_k = (P^-1 E)^k P^-1 F, k < ``_T``, are computed
+once per mesh, limit and field from one factorization of P and cached; the
+factor itself is freed at once, because a live SuperLU object pins far more
+memory than the ``_T`` vectors of the basis.  Every other pole factors its
+own ``b K + c M``.  Equal meshes share one cache (see ``mesh``), so they also
+share the system, load vectors and bases.
 """
 
 import math
@@ -206,6 +206,11 @@ class _System(NamedTuple):
 
     Row and column ``i`` belong to vertex ``dofs[i]``; ``k`` and ``m`` are the
     stiffness and mass values in the slots of ``(indices, indptr)``.
+    ``lam_lo`` = pi j01^2 / |mesh| is below the smallest eigenvalue of (K, M)
+    (Faber-Krahn, and a Galerkin eigenvalue is at least the continuous one),
+    ``lam_hi`` = max over cells of 12 sum_i |grad phi_i|^2 above the largest
+    (on a cell, v^T K v <= |K| sum_i |grad phi_i|^2 |v|^2 and v^T M v >= |K|
+    |v|^2 / 12).
     """
 
     dofs: np.ndarray
@@ -213,12 +218,15 @@ class _System(NamedTuple):
     indptr: np.ndarray
     k: np.ndarray
     m: np.ndarray
+    lam_lo: float
+    lam_hi: float
 
 
 def _build_system(mesh, dofs):
     """Stiffness and mass of the interior vertices ``dofs``, summed from the
     element matrices into one value per interior vertex and per interior edge
-    and scattered to the CSC slots of the pattern in ``dofs`` order."""
+    and scattered to the CSC slots of the pattern in ``dofs`` order, and the
+    eigenvalue bounds of (K, M)."""
     interior = ~mesh.boundary_vertex
     on = interior[mesh.edges[:, 0]] & interior[mesh.edges[:, 1]]
     n, n_edges = mesh.num_vertices, len(mesh.edges)
@@ -254,7 +262,9 @@ def _build_system(mesh, dofs):
     value = np.concatenate([diag, edge_value, edge_value])[slot]
     indptr = np.zeros(n_dofs + 1, dtype=np.int32)
     np.cumsum(np.bincount(cols, minlength=n_dofs), out=indptr[1:])
-    return _System(dofs, rows[slot].astype(np.int32), indptr, k[value], m[value])
+    lam_lo = math.pi * J0_FIRST_ZERO**2 / float(np.sum(area))
+    lam_hi = 12.0 * float(np.max(np.sum(g * g, axis=(1, 2))))
+    return _System(dofs, rows[slot].astype(np.int32), indptr, k[value], m[value], lam_lo, lam_hi)
 
 
 def _system(mesh):
@@ -274,20 +284,6 @@ def _load_vector(mesh, f):
         F = np.bincount(mesh.cells.reshape(-1), contrib.reshape(-1), mesh.num_vertices)
         mesh._cache[key] = F
     return F
-
-
-def _eigen_bounds(mesh):
-    """(lam_lo, lam_hi), cached per mesh: lam_lo = pi j01^2 / |mesh| is below
-    the smallest eigenvalue of (K, M) (Faber-Krahn, and a Galerkin eigenvalue
-    is at least the continuous one), lam_hi = max over cells of
-    12 sum_i |grad phi_i|^2 above the largest (on a cell, v^T K v <= |K|
-    sum_i |grad phi_i|^2 |v|^2 and v^T M v >= |K| |v|^2 / 12)."""
-    bounds = mesh._cache.get("bounds")
-    if bounds is None:
-        g = _grads(mesh)
-        lam_lo = math.pi * J0_FIRST_ZERO**2 / float(np.sum(mesh.cell_areas()))
-        bounds = mesh._cache["bounds"] = lam_lo, 12.0 * float(np.max(np.sum(g * g, axis=(1, 2))))
-    return bounds
 
 
 def _csc(system, values):
@@ -350,9 +346,8 @@ def assemble_and_solve(mesh, b, c, f, rel_tol=1e-10):
         return FeFunction(mesh, w)
     A = _csc(system, b * system.k + c * system.m)
     rhs = _load_vector(mesh, f)[system.dofs]
-    lam_lo, lam_hi = _eigen_bounds(mesh)
     scale, sigma = max(b, c), min(b, c) / max(b, c)
-    kind, q = ("k", sigma / lam_lo) if b >= c else ("m", sigma * lam_hi)
+    kind, q = ("k", sigma / system.lam_lo) if b >= c else ("m", sigma * system.lam_hi)
     if q <= _Q:
         V = _basis(mesh, system, kind, f, b, c)
         j = _terms(q) if q > 0.0 else 1

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import TRI_QP, TRI_QW, FeFunction, _matvec
-from .mesh import DomainSpec
 
 __all__ = [
     "SpectralSolution",
@@ -99,29 +98,12 @@ class SpectralSolution:
                 block[rows] = np.einsum("pi,pi->p", sx[ix[rows]], sy[iy[rows]])
         return out
 
-    def tail_bound(self, extra=4):
-        """Sum of |lam^{-s} <f,psi>| over the next ``extra``-fold block of
-        modes past the truncation; an upper proxy for the truncation error."""
-        n = len(self.lam)
-        bigger = _sorted_modes(self.rect, (extra + 1) * n, odd_only=self._odd_only())
-        i, j, lam = bigger
-        coef = _unit_rhs_coef(self.rect, i, j) if self._odd_only() else None
-        if coef is None:
-            return float("nan")
-        tail = lam ** (-self.s) * np.abs(coef)
-        return float(np.sum(tail[n:]))
-
-    def _odd_only(self):
-        return bool(np.all(self.modes_i % 2 == 1) and np.all(self.modes_j % 2 == 1))
-
 
 def _rect_of(domain):
-    if isinstance(domain, DomainSpec):
-        rect = domain.rectangle
-        if rect is None:
-            raise ValueError(f"spectral reference needs a rectangle, got {domain.kind}")
-        return rect
-    return tuple(domain)
+    rect = domain.rectangle
+    if rect is None:
+        raise ValueError(f"spectral reference needs a rectangle, got {domain.kind}")
+    return rect
 
 
 def _sorted_modes(rect, count, odd_only=False):

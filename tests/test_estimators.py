@@ -394,7 +394,9 @@ def test_jump_orientation_invariance():
     m = refine(make_initial_mesh(UNIT, 32), {2, 7})
     # a globally linear function has no gradient jumps at all
     w = FeFunction(m, 0.25 * m.vertices[:, 0] + 0.5 * m.vertices[:, 1])
-    jumps = estimators._edge_jumps(m, estimators._corner_values(m, w.nodal_values[:, None])[1])
+    dphi = estimators._columns(m, RhsField.one())[5]
+    grads = estimators._corner_values(m, dphi, w.nodal_values[:, None])[1]
+    jumps = estimators._edge_jumps(m, grads)
     assert np.allclose(jumps, 0.0, atol=1e-13)
 
 
@@ -485,7 +487,8 @@ def test_moved_solution_jumps_only_across_source_cells():
     src = refine(m0, {0, 1})
     u = union_mesh([src, refine(refine(m0, {12, 20}), {5, 30})])
     w = assemble_and_solve(src, 1.0, 1.0, RhsField.one())
-    grads = estimators._corner_values(u, transfer_p1(w, u).nodal_values[:, None])[1]
+    dphi = estimators._columns(u, RhsField.one())[5]
+    grads = estimators._corner_values(u, dphi, transfer_p1(w, u).nodal_values[:, None])[1]
     jumps = np.abs(estimators._edge_jumps(u, grads)[0])
     parents = ancestor_cell_map(u, src)
     interior = u.edge_cells[:, 1] >= 0
@@ -498,7 +501,7 @@ def test_moved_solution_jumps_only_across_source_cells():
 
 def _num_classes(union, f):
     """Distinct (lam_0, lam_1, lam_2, |K|) rows of the union's cells."""
-    _, _, lam, _, area = estimators._columns(union, f)
+    _, _, lam, _, area, _ = estimators._columns(union, f)
     return len(np.unique(np.vstack([lam, area]).T, axis=0))
 
 
@@ -531,6 +534,54 @@ def _spy_union_paths(monkeypatch):
     monkeypatch.setattr(estimators, "_modal_coeffs", spy_kernel)
     monkeypatch.setattr(estimators, "_class_sums", spy_class_sums)
     return calls
+
+
+def _spy_column_reads(monkeypatch, mesh):
+    """Count the reads of each forest column by ``mesh`` and its twins."""
+    reads, column = {}, meshmod.TriMesh.column
+
+    def spy(self, name, compute):
+        if self._cache is mesh._cache:
+            key = name if isinstance(name, str) else name[0]
+            reads[key] = reads.get(key, 0) + 1
+        return column(self, name, compute)
+
+    monkeypatch.setattr(meshmod.TriMesh, "column", spy)
+    return reads
+
+
+def test_setup_reads_the_areas_and_gradients_once_per_use(monkeypatch):
+    # a factored pole, a basis pole and one stacked local_indicators call on a
+    # fresh mesh: the FE system forms its eigenvalue bounds from the areas
+    # and gradients it gathers, and the estimator gathers both once per call
+    m = refine(make_initial_mesh(UNIT, 32), {0, 9})
+    f = RhsField.test2()
+    reads = _spy_column_reads(monkeypatch, m)
+    b, c = np.array([1.0, 1.0]), np.array([1.0, 1e-9])
+    w = [assemble_and_solve(m, b[k], c[k], f).nodal_values for k in range(2)]
+    assert ("basis", "k", f) in m._cache  # only the second pole summed a basis
+    local_indicators(m, FeFunction(m, np.stack(w, axis=1)), b, c, f)
+    assert reads["grads"] == 2 and reads["areas"] == 2
+
+
+def test_union_pass_reads_the_union_gradients_once(monkeypatch):
+    # two kernel blocks on the union and one coarser group in the class sums
+    # share one gather of the union's gradients
+    scheme = bp_coefficients(0.5, 0.6, 1.0)
+    m0 = make_initial_mesh(UNIT, 32)
+    u = refine(m0, {0, 9})
+    f = RhsField.test2()
+    own = estimators._BLOCK + 1
+    states = [
+        _solved_state(l, u if l < own else m0, scheme.b[l], scheme.c[l], f)
+        for l in range(scheme.N)
+    ]
+    assert 3 * _num_classes(u, f) < scheme.N - own
+    calls = _spy_union_paths(monkeypatch)
+    reads = _spy_column_reads(monkeypatch, u)
+    global_union_estimate(scheme, states, union_mesh([u, m0]), f)
+    assert calls["kernel"] == [estimators._BLOCK, 1] and calls["class_sums"] == 1
+    assert reads["grads"] == 1
 
 
 def _random_refinement(mesh, rng, rounds):

@@ -261,7 +261,8 @@ def test_eigen_bounds_enclose_the_spectrum(make_mesh, tmp_path):
     Kd, Md = _dense_matrices(m)
     block = np.ix_(~m.boundary_vertex, ~m.boundary_vertex)
     lam = eigh(Kd[block], Md[block], eigvals_only=True)
-    lam_lo, lam_hi = fem._eigen_bounds(m)
+    system = fem._system(m)
+    lam_lo, lam_hi = system.lam_lo, system.lam_hi
     assert lam_lo <= lam[0] and lam[-1] <= lam_hi
 
 
@@ -454,11 +455,12 @@ def test_stacked_values_match_columns():
     W = rng.normal(size=(m0.num_vertices, 4))
     stacked = FeFunction(m0, W)
     moved = transfer_p1(stacked, m1)
-    grads = estimators._corner_values(m0, W)[1]
+    dphi = estimators._columns(m0, RhsField.one())[5]
+    grads = estimators._corner_values(m0, dphi, W)[1]
     for k in range(W.shape[1]):
         one = FeFunction(m0, W[:, k])
         assert np.array_equal(moved.nodal_values[:, k], transfer_p1(one, m1).nodal_values)
-        assert np.array_equal(grads[k], estimators._corner_values(m0, W[:, k, None])[1][0])
+        assert np.array_equal(grads[k], estimators._corner_values(m0, dphi, W[:, k, None])[1][0])
         assert np.array_equal(stacked.cell_values_at(TRI_QP)[..., k], one.cell_values_at(TRI_QP))
 
 

@@ -89,7 +89,7 @@ def assert_setup_matches_reference(mesh):
         assert_bits(got, want, name)
     ops_ref = setup_reference.operators(mesh)
     for f in FIELDS:
-        *ops, alpha, area = estimators._columns(mesh, f)
+        *ops, alpha, area, _ = estimators._columns(mesh, f)
         for got, want, name in zip(ops, ops_ref, ("W'", "B", "lam")):
             assert_bits(got, np.moveaxis(want, 0, -1), name)
         assert_bits(alpha, setup_reference.alpha(mesh, f).T, f"alpha {f.kind}")
@@ -215,7 +215,7 @@ def test_node_table_holds_no_mesh():
     del m0, meshes, mesh
     gc.collect()
     assert all(ref() is None for ref in refs)
-    assert set(base.columns) == {"areas", ("load", FIELDS[1]), ("ops", FIELDS[2])}
+    assert set(base.columns) == {"areas", "grads", ("load", FIELDS[1]), ("ops", FIELDS[2])}
     assert len(base.key) > 32
 
 

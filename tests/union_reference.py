@@ -64,12 +64,12 @@ def global_union_estimate(scheme, states, union, f):
             lam = meshmod.nested_barycentric(union.cell_key, src.cell_key[parents])
             lam = np.ascontiguousarray(lam.transpose(1, 2, 0))
             sides = _jump_sides(union, parents)
-        partial = np.zeros(src.num_vertices)
+        partial, dphi = np.zeros(src.num_vertices), _columns(src, f)[5]
         for start in range(0, len(group), _BLOCK):
             block = group[start : start + _BLOCK]
             l = np.array([st.index for st in block])
             nodal = np.stack([st.solution.nodal_values for st in block], axis=1)
-            vals, grads = _corner_values(src, nodal)
+            vals, grads = _corner_values(src, dphi, nodal)
             if lam is not None:
                 vals = _cell_matvec(lam, np.take(nodal.T, corners.T, axis=1))
             jump = _edge_jumps(union, grads, sides)
