@@ -202,15 +202,19 @@ def run(config, reference=None, on_checkpoint=None):
     for m in range(cfg.max_iterations):
         t0 = time.perf_counter()
         dirty = [st for st in states if st.dirty]
-        for st in dirty:
-            b, c = scheme.b[st.index], scheme.c[st.index]
-            try:
-                st.solution = fem.assemble_and_solve(st.mesh, b, c, cfg.f)
-            except fem.SolveError as exc:
-                raise fem.SolveError(f"{_problem(scheme, st.index)}: {exc}", exc.residual) from exc
-            except ValueError as exc:
-                raise ValueError(f"{_problem(scheme, st.index)}: {exc}") from exc
-            solve_counts[st.index] += 1
+        # one mesh group at a time, so that the solve phase holds one FE system
+        for mesh, group in fem._mesh_groups(dirty):
+            for st in group:
+                b, c = scheme.b[st.index], scheme.c[st.index]
+                try:
+                    st.solution = fem.assemble_and_solve(st.mesh, b, c, cfg.f)
+                except fem.SolveError as exc:
+                    msg = f"{_problem(scheme, st.index)}: {exc}"
+                    raise fem.SolveError(msg, exc.residual) from exc
+                except ValueError as exc:
+                    raise ValueError(f"{_problem(scheme, st.index)}: {exc}") from exc
+                solve_counts[st.index] += 1
+            fem._drop_solve_caches(mesh)
         solved_per_iter.append(sorted(st.index for st in dirty))
 
         totcost = sum(st.mesh.num_interior_vertices for st in dirty)

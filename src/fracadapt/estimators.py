@@ -117,26 +117,30 @@ def _ops_of(x, f):
 
 
 def _columns(mesh, f):
-    """W' (3, 3, m), B (3, 3, m), lam (3, m), alpha (3, m) for the field ``f``,
-    the areas (m,) and the hat-function gradients (2, 3, m), cells innermost."""
+    """Everything an estimate call reads of ``mesh``, formed once per call and
+    not cached: W' (3, 3, m), B (3, 3, m), lam (3, m), alpha (3, m) for the
+    field ``f``, the areas (m,) and the hat-function gradients (2, 3, m),
+    cells innermost, then the edge normals (e, 2) and lengths (e,) of
+    ``_geometry``."""
     ops = np.ascontiguousarray(mesh.column(("ops", f), lambda x: _ops_of(x, f)).transpose(1, 2, 0))
     grads = np.ascontiguousarray(_grads(mesh).transpose(2, 1, 0))
-    return ops[:, :3], ops[:, 3:6], ops[:, 6], ops[:, 7], mesh.cell_areas(), grads
+    return ops[:, :3], ops[:, 3:6], ops[:, 6], ops[:, 7], mesh.cell_areas(), grads, *_geometry(mesh)
 
 
 def _geometry(mesh):
-    """Fixed edge normals and edge lengths, cached; areas are ``mesh.cell_areas()``."""
-    geo = mesh._cache.get("geometry")
-    if geo is None:
-        # fixed edge normals: outward from edge_cells[:, 0], as its local edge j
-        # from corner j to corner j + 1 (mod 3) of the counterclockwise cell
-        c0, e = mesh.edge_cells[:, 0], np.arange(len(mesh.edges))
-        side = (mesh.cell_edge[c0, 1] == e) + 2 * (mesh.cell_edge[c0, 2] == e)
-        d = mesh.vertices[mesh.cells[c0, (side + 1) % 3]] - mesh.vertices[mesh.cells[c0, side]]
-        length = np.hypot(d[:, 0], d[:, 1])
-        normal = np.stack([d[:, 1] / length, -d[:, 0] / length], axis=1)
-        geo = mesh._cache["geometry"] = dict(normal=normal, length=length)
-    return geo
+    """Fixed edge normals (e, 2) and edge lengths (e,), formed at each call;
+    the areas are ``mesh.cell_areas()``."""
+    # fixed edge normals: outward from edge_cells[:, 0], as its local edge j
+    # from corner j to corner j + 1 (mod 3) of the counterclockwise cell
+    c0, e = mesh.edge_cells[:, 0], np.arange(len(mesh.edges), dtype=np.int32)
+    ce = np.take(mesh.cell_edge, c0, axis=0)
+    # the flat index in cells of corner j of c0, where the edge is its local edge j
+    start = 3 * c0.astype(np.intp) + (ce[:, 1] == e) + 2 * (ce[:, 2] == e)
+    ends = np.take(mesh.cells, [start + np.where(start % 3 == 2, -2, 1), start])
+    p = np.take(mesh.vertices, ends, axis=0)
+    d = p[0] - p[1]
+    length = np.hypot(d[:, 0], d[:, 1])
+    return np.stack([d[:, 1] / length, -d[:, 0] / length], axis=1), length
 
 
 def _cell_matvec(A, v):
@@ -155,13 +159,13 @@ def _corner_values(mesh, dphi, nodal):
     return vals, _cell_matvec(dphi, vals)
 
 
-def _edge_jumps(mesh, grads):
-    """Flux-jump scalar (gradient jump dotted with the fixed normal) per edge,
-    shape (L, e), for cell gradients (L, 2, m); boundary edges get an exact
-    zero."""
+def _edge_jumps(mesh, normal, grads):
+    """Flux-jump scalar (gradient jump dotted with the fixed ``normal``) per
+    edge, shape (L, e), for cell gradients (L, 2, m); boundary edges get an
+    exact zero."""
     c1, c2 = mesh.edge_cells.T
     sel = c2 >= 0
-    normal = _geometry(mesh)["normal"][sel].T
+    normal = normal[sel].T
     dg = np.take(grads, c1[sel], axis=2) - np.take(grads, c2[sel], axis=2)
     j = np.zeros((len(grads), len(mesh.edges)))
     j[:, sel] = dg[:, 0] * normal[0] + dg[:, 1] * normal[1]
@@ -171,9 +175,9 @@ def _edge_jumps(mesh, grads):
 def _modal_coeffs(target, columns, corner_vals, jump, b, c):
     """Modal coefficients y (L, 3, m) on ``target`` of L stacked P1 functions
     with corner values (L, 3, m) and flux jumps (L, e), one b and c each."""
-    Wp, B, lam, alpha, area, _ = columns
+    Wp, B, lam, alpha, area, _, _, length = columns
     b, c = np.reshape(b, (-1, 1, 1)), np.reshape(c, (-1, 1, 1))
-    j = np.take(jump * _geometry(target)["length"], target.cell_edge.T, axis=1)
+    j = np.take(jump * length, target.cell_edge.T, axis=1)
     # the mirror pairs edges 1 and 2, and corners 0 and 1: each pair is added first
     wj = Wp[:, 1] * j[:, None, 1] + Wp[:, 2] * j[:, None, 2]
     wj += Wp[:, 0] * j[:, None, 0]
@@ -189,7 +193,8 @@ def local_indicators(mesh, w, b, c, f):
     b, c, eta = np.reshape(b, -1), np.reshape(c, -1), np.empty((mesh.num_cells, nodal.shape[1]))
     for block in (slice(k, k + _BLOCK) for k in range(0, nodal.shape[1], _BLOCK)):
         vals, grads = _corner_values(mesh, columns[5], nodal[:, block])
-        y = _modal_coeffs(mesh, columns, vals, _edge_jumps(mesh, grads), b[block], c[block])
+        jump = _edge_jumps(mesh, columns[6], grads)
+        y = _modal_coeffs(mesh, columns, vals, jump, b[block], c[block])
         eta[:, block] = np.sqrt(columns[4] * np.sum(y**2, axis=1)).T  # as in the union pass
     return eta if w.nodal_values.ndim > 1 else eta[:, 0]
 
@@ -216,7 +221,7 @@ def combined_equal_mesh_estimate(scheme, states, f):
         if not st.mesh.same_mesh(mesh):
             raise meshmod.MeshStructureError("states are not on a shared mesh")
     S = np.einsum("ma,aij->mij", _shape(mesh.vertices[mesh.cells]), _T)
-    area, length = mesh.cell_areas(), _geometry(mesh)["length"]
+    area, (normal, length) = mesh.cell_areas(), _geometry(mesh)
     M = area[:, None, None] * _MREF
     F = f(*np.moveaxis(_CB @ mesh.vertices[mesh.cells], -1, 0)) @ _WPHI
     dphi = np.ascontiguousarray(_grads(mesh).transpose(2, 1, 0))
@@ -224,7 +229,7 @@ def combined_equal_mesh_estimate(scheme, states, f):
     for st in states:
         b, c = scheme.b[st.index], scheme.c[st.index]
         vals, grads = _corner_values(mesh, dphi, st.solution.nodal_values[:, None])
-        jl = (_edge_jumps(mesh, grads)[0] * length)[mesh.cell_edge]
+        jl = (_edge_jumps(mesh, normal, grads)[0] * length)[mesh.cell_edge]
         rhs = area[:, None] / 4.0 * (F - c * vals[0].T @ _G.T) - b / 4.0 * jl
         combined += scheme.a[st.index] * np.linalg.solve(b * S + c * M, rhs[..., None])[..., 0]
     combined *= scheme.C
@@ -236,14 +241,14 @@ def _class_sums(union, columns, cls, Z, S):
     weighted sums Z (n, 6 x classes) at the union's vertices, per class and
     mode Z^c then Z^b, with S = sum_l a_l / d (classes, 3) (module docstring)
     and ``cls`` the class of each cell."""
-    (Wp, B, lam, alpha, _, dphi), classes, geo = columns, len(S), _geometry(union)
+    (Wp, B, lam, alpha, _, dphi, normal, length), classes = columns, len(S)
     col = 3 * cls + np.arange(3)[:, None]  # per mode, the column of each cell's class
     v = Z[union.cells.T, col[:, None]]
     j = np.empty_like(v)
     for k in range(classes):  # one class at a time bounds the buffers
         at, zb = cls == k, Z[:, 3 * (classes + k) : 3 * (classes + k + 1)]
-        jump = _edge_jumps(union, _corner_values(union, dphi, zb)[1]) * geo["length"]
-        j[:, :, at] = jump[:, union.cell_edge[at].T]
+        jump = _edge_jumps(union, normal, _corner_values(union, dphi, zb)[1]) * length
+        j[:, :, at] = np.take(jump, union.cell_edge[at].T, axis=1)
     Bv = B[:, 0] * v[:, 0] + B[:, 1] * v[:, 1]  # the mirror pairs are added first
     wj = Wp[:, 1] * j[:, 1] + Wp[:, 2] * j[:, 2]
     Bv, wj = Bv + B[:, 2] * v[:, 2], wj + Wp[:, 0] * j[:, 0]
@@ -300,7 +305,7 @@ def global_union_estimate(scheme, states, union, f):
                 continue
             on_union = nodal if own else _at_vertices(transfer, nodal)
             vals, grads = _corner_values(union, dphi, on_union)
-            jump = _edge_jumps(union, grads)
+            jump = _edge_jumps(union, columns[6], grads)
             y = _modal_coeffs(union, columns, vals, jump, scheme.b[l], scheme.c[l])
             combined += (scheme.a[l] @ y.reshape(len(l), -1)).reshape(combined.shape)  # a gemv
             if own:

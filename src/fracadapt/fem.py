@@ -6,12 +6,12 @@ pass (``estimators.global_union_estimate``); ``combine_on_union`` is the
 one-shot public recombination for callers that hold only the states.
 
 Every problem ``(b K + c M) w = F`` on a mesh is symmetric positive definite
-and shares the matrices ``K`` and ``M``.  Once per mesh the stiffness and mass
-values are formed from the areas and gradients (per-node columns of the
-forest, see ``mesh``) and summed straight into one compressed sparse column
-(CSC) pattern of the interior vertices (one value per interior vertex and
-per interior edge).  That pattern's order is a nested dissection read off
-the forest (``mesh.dissection_order``), fixed before the first
+and shares the matrices ``K`` and ``M``.  Once per mesh and solve phase the
+stiffness and mass values are formed from the areas and gradients (per-node
+columns of the forest, see ``mesh``) and summed straight into one compressed
+sparse column (CSC) pattern of the interior vertices (one value per interior
+vertex and per interior edge).  That pattern's order is a nested dissection
+read off the forest (``mesh.dissection_order``), fixed before the first
 factorization, and every factorization runs SuperLU with diagonal pivots in
 it, so a solution depends only on the mesh's leaves, b, c and f.
 
@@ -27,8 +27,14 @@ q^j <= 2^-53.  Its terms V_k = (P^-1 E)^k P^-1 F, k < ``_T``, are computed
 once per mesh, limit and field from one factorization of P and cached; the
 factor itself is freed at once, because a live SuperLU object pins far more
 memory than the ``_T`` vectors of the basis.  Every other pole factors its
-own ``b K + c M``.  Equal meshes share one cache (see ``mesh``), so they also
-share the system, load vectors and bases.
+own ``b K + c M``.
+
+The system, load vectors and bases are cached in the mesh's ``_cache`` on
+first use, which equal meshes share (see ``mesh``), and live for one solve
+phase: the driver solves the problems of one mesh group after another and
+drops the group's entries (``_drop_solve_caches``) when it is done, so a
+solve phase holds one system at a time.  A later solve on the same leaves
+builds them again, bit for bit.
 """
 
 import math
@@ -107,7 +113,7 @@ class FeFunction:
 
     def cell_values_at(self, bary_points):
         """Values at fixed barycentric points of every cell, shape (m, q, ...)."""
-        vals = np.moveaxis(self.nodal_values[self.mesh.cells], 1, -1)
+        vals = np.moveaxis(np.take(self.nodal_values, self.mesh.cells, axis=0), 1, -1)
         return np.moveaxis(vals @ np.asarray(bary_points).T, -1, 1)
 
 
@@ -228,7 +234,7 @@ def _build_system(mesh, dofs):
     and scattered to the CSC slots of the pattern in ``dofs`` order, and the
     eigenvalue bounds of (K, M)."""
     interior = ~mesh.boundary_vertex
-    on = interior[mesh.edges[:, 0]] & interior[mesh.edges[:, 1]]
+    on = np.take(interior, mesh.edges[:, 0]) & np.take(interior, mesh.edges[:, 1])
     n, n_edges = mesh.num_vertices, len(mesh.edges)
     g, area = _grads(mesh), mesh.cell_areas()
     g_next = np.roll(g, -1, axis=1)  # local edge j joins corners j and j + 1 (mod 3)
@@ -253,7 +259,7 @@ def _build_system(mesh, dofs):
     n_dofs = len(dofs)
     row = np.empty(n, dtype=np.intp)
     row[dofs] = np.arange(n_dofs)
-    i, j = row[mesh.edges[on]].T
+    i, j = np.take(row, mesh.edges[on]).T  # intp, so cols * n_dofs + rows cannot overflow
     diag = np.arange(n_dofs)
     edge_value = np.arange(n_dofs, len(k))
     rows = np.concatenate([diag, i, j])
@@ -273,6 +279,13 @@ def _system(mesh):
     if system is None:
         system = mesh._cache["system"] = _build_system(mesh, meshmod.dissection_order(mesh))
     return system
+
+
+def _drop_solve_caches(mesh):
+    """Drop the system, load vectors and bases from the ``_cache`` of ``mesh``
+    and its twins."""
+    for key in [k for k in mesh._cache if k == "system" or k[0] in ("load", "basis")]:
+        del mesh._cache[key]
 
 
 def _load_vector(mesh, f):
@@ -377,7 +390,7 @@ def _vertex_transfer(src, target):
     cell, corner = last
     parents = meshmod.ancestor_cell_map(target, src)[cell]
     bary = meshmod.nested_barycentric(target.cell_key[cell], src.cell_key[parents])
-    return src.cells[parents], bary[np.arange(len(cell)), corner]
+    return np.take(src.cells, parents, axis=0), bary[np.arange(len(cell)), corner]
 
 
 def _at_vertices(transfer, nodal):
@@ -386,8 +399,9 @@ def _at_vertices(transfer, nodal):
     (``_vertex_transfer``), summed term by term in the order of ``_matvec``."""
     corners, bary = transfer
     w = bary.T.reshape((3, -1) + (1,) * (nodal.ndim - 1))  # one corner at a time bounds the buffers
-    out = w[0] * nodal[corners[:, 0]] + w[1] * nodal[corners[:, 1]]
-    out += w[2] * nodal[corners[:, 2]]
+    c = corners.T
+    out = w[0] * np.take(nodal, c[0], axis=0) + w[1] * np.take(nodal, c[1], axis=0)
+    out += w[2] * np.take(nodal, c[2], axis=0)
     return out
 
 

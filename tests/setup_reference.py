@@ -129,7 +129,7 @@ def alpha(mesh, f):
 
 
 def geometry(mesh):
-    """The dict of ``estimators._geometry``."""
+    """The edge normals and lengths of ``estimators._geometry``, as a dict."""
     ev = mesh.vertices[mesh.edges]
     tang = ev[:, 1] - ev[:, 0]
     length = np.hypot(tang[:, 0], tang[:, 1])

@@ -321,6 +321,25 @@ def test_mesh_caches_hold_no_mesh():
         assert not list(_meshes_in(m._cache))
 
 
+@pytest.mark.parametrize("mode", ["multimesh", "singlemesh"])
+def test_solve_caches_live_for_one_solve_phase(mode, monkeypatch):
+    # the driver drops a mesh group's FE system, loads and bases once its
+    # solves are done, and the estimator caches no edge geometry: no system
+    # outlives its group, and at the end no mesh holds any of them
+    built, build = [], fem._build_system
+
+    def spy(m, dofs):
+        assert not any("system" in cache for cache in built)
+        built.append(m._cache)
+        return build(m, dofs)
+
+    monkeypatch.setattr(fem, "_build_system", spy)
+    res = run(small_config(mode=mode))
+    assert len(built) >= len(res.records)
+    for m in [st.mesh for st in res.states] + [res.union]:
+        assert not [k for k in m._cache if k in ("system", "geometry") or k[0] in ("load", "basis")]
+
+
 def test_multimesh_cheaper_than_singlemesh():
     multi = run(small_config(max_iterations=6))
     single = run(small_config(max_iterations=6, mode="singlemesh"))

@@ -3,6 +3,7 @@ history, per-node columns equal to the per-mesh formulas they replaced
 (``setup_reference``), the table's growth and references, and the exact
 path table of the union transfer."""
 
+import copy
 import gc
 import weakref
 
@@ -13,13 +14,14 @@ import scipy.sparse as sp
 import forest_reference
 import setup_reference
 from fracadapt import estimators, fem
-from fracadapt.fem import FeFunction, RhsField, transfer_p1
+from fracadapt.fem import FeFunction, ParametricState, RhsField, assemble_and_solve, transfer_p1
 from fracadapt.mesh import (
     _LEVEL_MASK,
     _PATH_DEPTH,
     DomainSpec,
     TriMesh,
     ancestor_cell_map,
+    dissection_order,
     make_initial_mesh,
     nested_barycentric,
     read_mesh,
@@ -29,6 +31,7 @@ from fracadapt.mesh import (
     write_mesh,
 )
 from fracadapt.oracle import eigenfunction_field
+from fracadapt.rational import bp_coefficients
 
 SQUARE = DomainSpec("square")
 FIELDS = (RhsField.one(), RhsField.test2(), eigenfunction_field(SQUARE, 2, 3))
@@ -77,7 +80,8 @@ def assert_setup_matches_reference(mesh):
         assert np.array_equal(a, b), name
     assert_bits(mesh.cell_areas(), setup_reference.areas(mesh), "areas")
     assert_bits(fem._grads(mesh), setup_reference.grads(mesh), "grads")
-    geo, geo_ref = estimators._geometry(mesh), setup_reference.geometry(mesh)
+    geo = dict(zip(("normal", "length"), estimators._geometry(mesh)))
+    geo_ref = setup_reference.geometry(mesh)
     assert geo.keys() == geo_ref.keys()
     for name in geo:
         got, want = geo[name], geo_ref[name]
@@ -89,7 +93,7 @@ def assert_setup_matches_reference(mesh):
         assert_bits(got, want, name)
     ops_ref = setup_reference.operators(mesh)
     for f in FIELDS:
-        *ops, alpha, area, _ = estimators._columns(mesh, f)
+        *ops, alpha, area, _, _, _ = estimators._columns(mesh, f)
         for got, want, name in zip(ops, ops_ref, ("W'", "B", "lam")):
             assert_bits(got, np.moveaxis(want, 0, -1), name)
         assert_bits(alpha, setup_reference.alpha(mesh, f).T, f"alpha {f.kind}")
@@ -125,10 +129,56 @@ def test_builds_do_not_depend_on_the_forest_history():
         got, want = forest_reference.edge_arrays(mesh), forest_reference.edge_arrays(first)
         for a, b, name in zip(got, want, EDGE_ARRAYS):
             assert_bits(a, b, name)
-        normal = [estimators._geometry(m)["normal"][np.lexsort(m.edges.T[::-1])]
+        normal = [estimators._geometry(m)[0][np.lexsort(m.edges.T[::-1])]
                   for m in (mesh, first)]  # by vertex pair, as edge_arrays orders them
         assert_bits(*normal, "normal")
         assert_bits(fem._system(mesh).dofs, fem._system(first).dofs, "order")
+
+
+ID_ARRAYS = ("cells", "edges", "cell_edge", "edge_cells", "rows")
+
+
+def _with_int64_ids(mesh):
+    """A shallow copy of ``mesh`` with int64 id arrays and a cache of its own."""
+    wide = copy.copy(mesh)
+    for name in ID_ARRAYS:
+        setattr(wide, name, getattr(mesh, name).astype(np.int64))
+    wide._cache = {}
+    return wide
+
+
+def test_ids_are_int32_and_no_value_depends_on_their_dtype():
+    m0 = make_initial_mesh(SQUARE, 32)
+    coarse = _chain(m0, A_MARKS)
+    union = union_mesh([coarse, _chain(m0, B_MARKS)])
+    for name in ("corners", "cell_edge", "edges", "child", "half"):
+        assert getattr(m0.base, name).dtype == np.int32, name
+    assert m0.base.key.dtype == union.cell_key.dtype == np.int64
+    for mesh in (m0, coarse, union):
+        assert all(getattr(mesh, name).dtype == np.int32 for name in ID_ARRAYS)
+    # the setup functions, stacked local indicators and one union pass with a
+    # kernel block on the union and a class-sum group on the coarse mesh
+    f, scheme, own = FIELDS[1], bp_coefficients(0.5, 0.6, 1.0), 3
+    _, _, lam, _, area, *_ = estimators._columns(union, f)
+    assert 3 * len(np.unique(np.vstack([lam, area]), axis=1)) < scheme.N - own
+    w = [assemble_and_solve(union if l < own else coarse, scheme.b[l], scheme.c[l], f).nodal_values
+         for l in range(scheme.N)]
+
+    def values(coarse, union):
+        dofs = dissection_order(union)
+        states = [ParametricState(l, union if l < own else coarse) for l in range(scheme.N)]
+        for st in states:
+            st.solution = FeFunction(st.mesh, w[st.index])
+        eta, solution = estimators.global_union_estimate(scheme, states, union, f)
+        stacked = FeFunction(union, np.stack(w[:own], axis=1))
+        local = estimators.local_indicators(union, stacked, scheme.b[:own], scheme.c[:own], f)
+        return [dofs, *fem._build_system(union, dofs), *estimators._geometry(union),
+                *estimators._geometry(coarse), eta, solution.nodal_values, local,
+                *(st.indicators for st in states[:own])]
+
+    for got, want in zip(values(_with_int64_ids(coarse), _with_int64_ids(union)),
+                         values(coarse, union), strict=True):
+        assert_bits(got, want, "value")
 
 
 def test_columns_extend_with_the_table():

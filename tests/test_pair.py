@@ -15,8 +15,9 @@ def test_pair_alternates_the_first_mode(capsys):
     runs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [r["mode"] for r in runs] == ["multimesh", "singlemesh", "singlemesh", "multimesh"]
     for r in runs:
-        assert set(r) == {"tol", "mode", "wall_s", "cumcost", "union_dofs", "iterations"}
-        assert r["tol"] == 0.05 and r["wall_s"] > 0.0
+        assert set(r) == {"tol", "mode", "wall_s", "peak_rss_mb", "cumcost", "union_dofs",
+                          "iterations"}
+        assert r["tol"] == 0.05 and r["wall_s"] > 0.0 and r["peak_rss_mb"] > 0.0
     decided = {r["mode"]: (r["cumcost"], r["union_dofs"], r["iterations"]) for r in runs[:2]}
     assert all(decided[r["mode"]] == (r["cumcost"], r["union_dofs"], r["iterations"])
                for r in runs[2:])

@@ -18,7 +18,6 @@ from fracadapt.estimators import (
     _cell_matvec,
     _columns,
     _corner_values,
-    _geometry,
     _modal_coeffs,
 )
 from fracadapt.fem import FeFunction, _mesh_groups
@@ -36,12 +35,12 @@ def _jump_sides(mesh, labels=None):
     return sel, c1[sel], c2[sel]
 
 
-def _edge_jumps(mesh, grads, sides):
-    """Flux-jump scalar (gradient jump dotted with the fixed normal) per edge,
-    shape (L, e), for gradients (L, 2, k) per side of ``sides``; edges left
-    out get an exact zero."""
+def _edge_jumps(mesh, normal, grads, sides):
+    """Flux-jump scalar (gradient jump dotted with the fixed ``normal``) per
+    edge, shape (L, e), for gradients (L, 2, k) per side of ``sides``; edges
+    left out get an exact zero."""
     sel, s1, s2 = sides
-    normal = _geometry(mesh)["normal"][sel].T
+    normal = normal[sel].T
     dg = np.take(grads, s1, axis=2) - np.take(grads, s2, axis=2)
     j = np.zeros((len(grads), len(mesh.edges)))
     j[:, sel] = dg[:, 0] * normal[0] + dg[:, 1] * normal[1]
@@ -72,7 +71,7 @@ def global_union_estimate(scheme, states, union, f):
             vals, grads = _corner_values(src, dphi, nodal)
             if lam is not None:
                 vals = _cell_matvec(lam, np.take(nodal.T, corners.T, axis=1))
-            jump = _edge_jumps(union, grads, sides)
+            jump = _edge_jumps(union, columns[6], grads, sides)
             y = _modal_coeffs(union, columns, vals, jump, scheme.b[l], scheme.c[l])
             combined += (scheme.a[l] @ y.reshape(len(l), -1)).reshape(combined.shape)
             partial += nodal @ scheme.a[l]

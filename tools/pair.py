@@ -10,14 +10,16 @@ package in ``DIR/src`` (default: this checkout), so one copy of this script
 times any commit.  Per tolerance, in the order given, both modes run, and
 the mode that runs first alternates from one tolerance to the next; give a
 tolerance twice for two pairs.  Each run prints one JSON line: tolerance,
-mode, wall time of ``fracadapt.run`` in s, ``cumcost``, the final union
-dofs and the iterations.
+mode, wall time of ``fracadapt.run`` in s, the run's peak resident set size
+in MB (``ru_maxrss`` of its process, as the benchmark's ``peak_rss_mb``),
+``cumcost``, the final union dofs and the iterations.
 """
 
 import argparse
 import dataclasses
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -37,8 +39,9 @@ def run_one(mode, tol, checkout):
     res = fa.run(config)
     wall = time.perf_counter() - t0
     last = res.records[-1]
-    return dict(tol=tol, mode=mode, wall_s=round(wall, 3), cumcost=last.cumcost,
-                union_dofs=last.union_dofs, iterations=len(res.records))
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+    return dict(tol=tol, mode=mode, wall_s=round(wall, 3), peak_rss_mb=round(peak, 1),
+                cumcost=last.cumcost, union_dofs=last.union_dofs, iterations=len(res.records))
 
 
 def main(argv=None):
