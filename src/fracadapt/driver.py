@@ -95,6 +95,24 @@ class RunResult:
     marked_per_iter: list = field(default_factory=list)
 
 
+def _partition_at(vals, kth):
+    """The (kth + 1)-th smallest entry of ``vals``, by an in-place partition
+    that leaves ``vals`` in partitioned order."""
+    vals.partition(kth)
+    return vals[kth]
+
+
+def _pool(pooled, scheme, out):
+    """Write the (a_l * eta_{l,K})^2 of the states ``pooled`` into ``out``, one
+    state after the other."""
+    lo = 0
+    for st in pooled:
+        seg = out[lo : lo + len(st.indicators)]
+        np.square(np.multiply(scheme.a[st.index], st.indicators, out=seg), out=seg)
+        lo += len(seg)
+    return out
+
+
 def doerfler_mark(states, scheme, theta):
     """Joint weighted bulk marking of minimal cumulative cardinality.
 
@@ -104,14 +122,20 @@ def doerfler_mark(states, scheme, theta):
     Only the values at or above the k-th largest are sorted, with k doubled
     until their partial sums reach the target: they are the sort's first
     entries, in its order, so prefix and partial sums are those of the full
-    sort.  Returns one cell-id set per state, in the order of ``states``.
+    sort.  The pool is one array, written in place state by state; each k-th
+    largest comes from partitioning that array in place (its value does not
+    depend on the order), and the array is written again from the indicators
+    before the values at or above it are found and sorted, so the call holds
+    one pool-sized float array.  Returns one cell-id set per state, in the
+    order of ``states``.
     """
     for st in states:
         if st.dirty:
             raise ValueError(f"state {st.index} has stale indicators")
     by_index = sorted(range(len(states)), key=lambda i: states[i].index)
     pooled = [states[i] for i in by_index]
-    vals = np.concatenate([(scheme.a[st.index] * st.indicators) ** 2 for st in pooled])
+    offsets = np.cumsum([0] + [len(st.indicators) for st in pooled])
+    vals = _pool(pooled, scheme, np.empty(offsets[-1]))
     total = vals.sum()
     target = theta * total - MARKING_SLACK * total
     marks = [set() for _ in states]
@@ -119,15 +143,16 @@ def doerfler_mark(states, scheme, theta):
         return marks
     n, k = len(vals), max(1, len(vals) >> 5)
     while True:
-        top = np.flatnonzero(vals >= np.partition(vals, n - k)[n - k])
+        kth = _partition_at(vals, n - k)
+        top = np.flatnonzero(_pool(pooled, scheme, vals) >= kth)
         order = top[np.argsort(-vals[top], kind="stable")]
         cumsum = np.cumsum(vals[order])
         if cumsum[-1] >= target or len(top) == n:
             break
         k = min(2 * len(top), n)
+    del vals  # the mark sets are built without the pool
     take = int(np.searchsorted(cumsum, target)) + 1
     picked = np.sort(order[:take])
-    offsets = np.cumsum([0] + [len(st.indicators) for st in pooled])
     cuts = np.searchsorted(picked, offsets)
     for i, lo, hi, offset in zip(by_index, cuts[:-1], cuts[1:], offsets):
         marks[i] = set((picked[lo:hi] - offset).tolist())
@@ -272,6 +297,8 @@ def run(config, reference=None, on_checkpoint=None):
                 st.mesh, st.dirty, st.solution, st.indicators = new, True, None, None
                 refine_counts[st.index] += 1
                 marked.append(st.index)
+        # the spent marks are not carried through the next iteration
+        marks = moves = None
         marked_per_iter.append(marked)
         rec.wall_time = time.perf_counter() - t0
 

@@ -237,7 +237,7 @@ def _build_system(mesh, dofs):
     on = np.take(interior, mesh.edges[:, 0]) & np.take(interior, mesh.edges[:, 1])
     n, n_edges = mesh.num_vertices, len(mesh.edges)
     g, area = _grads(mesh), mesh.cell_areas()
-    g_next = np.roll(g, -1, axis=1)  # local edge j joins corners j and j + 1 (mod 3)
+    g_next = np.take(g, [1, 2, 0], axis=1)  # local edge j joins corners j and j + 1 (mod 3)
     k_diag = area[:, None] * (g[..., 0] * g[..., 0] + g[..., 1] * g[..., 1])
     k_edge = area[:, None] * (g[..., 0] * g_next[..., 0] + g[..., 1] * g_next[..., 1])
     area3 = np.repeat(area, 3)
@@ -269,7 +269,10 @@ def _build_system(mesh, dofs):
     indptr = np.zeros(n_dofs + 1, dtype=np.int32)
     np.cumsum(np.bincount(cols, minlength=n_dofs), out=indptr[1:])
     lam_lo = math.pi * J0_FIRST_ZERO**2 / float(np.sum(area))
-    lam_hi = 12.0 * float(np.max(np.sum(g * g, axis=(1, 2))))
+    # the six squares of a cell summed in (corner, axis) order, as np.sum over
+    # axes (1, 2) sums them: these bits decide which poles take a basis
+    sq = (g * g).reshape(len(g), 6)
+    lam_hi = 12.0 * float(np.max(sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3] + sq[:, 4] + sq[:, 5]))
     return _System(dofs, rows[slot].astype(np.int32), indptr, k[value], m[value], lam_lo, lam_hi)
 
 
@@ -396,12 +399,19 @@ def _vertex_transfer(src, target):
 def _at_vertices(transfer, nodal):
     """Values (n, ...) at the target's vertices of P1 functions with nodal
     values ``nodal`` (n_src, ...) on the source mesh of ``transfer``
-    (``_vertex_transfer``), summed term by term in the order of ``_matvec``."""
+    (``_vertex_transfer``), summed term by term in the order of ``_matvec``:
+    (w0 t0 + w1 t1) + w2 t2.  The output is formed in place with one scratch
+    array, so the call holds two output-sized arrays."""
     corners, bary = transfer
-    w = bary.T.reshape((3, -1) + (1,) * (nodal.ndim - 1))  # one corner at a time bounds the buffers
+    w = bary.T.reshape((3, -1) + (1,) * (nodal.ndim - 1))
     c = corners.T
-    out = w[0] * np.take(nodal, c[0], axis=0) + w[1] * np.take(nodal, c[1], axis=0)
-    out += w[2] * np.take(nodal, c[2], axis=0)
+    out = np.take(nodal, c[0], axis=0)
+    out *= w[0]
+    tmp = np.empty_like(out)
+    for j in (1, 2):
+        np.take(nodal, c[j], axis=0, out=tmp, mode="clip")  # valid ids; "raise" would copy
+        tmp *= w[j]
+        out += tmp
     return out
 
 

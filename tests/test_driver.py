@@ -340,6 +340,34 @@ def test_solve_caches_live_for_one_solve_phase(mode, monkeypatch):
         assert not [k for k in m._cache if k in ("system", "geometry") or k[0] in ("load", "basis")]
 
 
+@pytest.mark.parametrize("mode", ["multimesh", "singlemesh", "uniform"])
+def test_spent_marks_are_released(mode, monkeypatch):
+    # every iteration is a checkpoint (k = 1) and marks after it, so at the
+    # checkpoint of iteration m every mark set made so far, and every set a
+    # refine took, belongs to an earlier iteration and must be gone
+    refs, mark, refine = [], driver.doerfler_mark, driver.refine
+
+    def spy_mark(*args):
+        marks = mark(*args)
+        refs.extend(weakref.ref(mk) for mk in marks)
+        return marks
+
+    def spy_refine(m, marked):
+        refs.append(weakref.ref(marked))
+        return refine(m, marked)
+
+    def on_checkpoint(m, *args):
+        checked.append(m)
+        assert not [ref for ref in refs if ref() is not None]
+
+    checked = []
+    monkeypatch.setattr(driver, "doerfler_mark", spy_mark)
+    monkeypatch.setattr(driver, "refine", spy_refine)
+    res = run(small_config(mode=mode, max_iterations=4), on_checkpoint=on_checkpoint)
+    assert checked == [0, 1, 2, 3] and res.stopped == "max-iter"
+    assert bool(refs) == (mode != "uniform")
+
+
 def test_multimesh_cheaper_than_singlemesh():
     multi = run(small_config(max_iterations=6))
     single = run(small_config(max_iterations=6, mode="singlemesh"))

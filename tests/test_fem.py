@@ -264,6 +264,9 @@ def test_eigen_bounds_enclose_the_spectrum(make_mesh, tmp_path):
     system = fem._system(m)
     lam_lo, lam_hi = system.lam_lo, system.lam_hi
     assert lam_lo <= lam[0] and lam[-1] <= lam_hi
+    # the explicit six-term sum keeps the bits of a reduction over two axes
+    g = fem._grads(m)
+    assert lam_hi == 12.0 * float(np.max(np.sum(g * g, axis=(1, 2))))
 
 
 @pytest.mark.parametrize("kappa", [0.26, None], ids=["kappa0.26", "finest"])

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import marking_reference
+from fracadapt import driver
 from fracadapt.driver import doerfler_mark
 from fracadapt.fem import ParametricState
 
@@ -60,13 +63,13 @@ def test_prefix_that_outgrows_the_first_partition(monkeypatch):
     inds = [np.r_[np.full(100, 3.0), np.full(100, 2.0)], np.full(100, 3.0),
             np.r_[np.full(100, 2.0), np.full(200, 1.0)]]
     states, scheme = _states(inds), _FakeScheme([1, 1, 1])
-    real, calls = np.partition, []
+    real, calls = driver._partition_at, []
 
-    def spy(a, kth):
+    def spy(vals, kth):
         calls.append(kth)
-        return real(a, kth)
+        return real(vals, kth)
 
-    monkeypatch.setattr(np, "partition", spy)
+    monkeypatch.setattr(driver, "_partition_at", spy)
     marks = doerfler_mark(states, scheme, 0.8)
     assert calls == [600 - 18, 600 - 400]
     assert marks == marking_reference.doerfler_mark(states, scheme, 0.8)
@@ -87,3 +90,22 @@ def test_marks_equal_reference_on_large_tied_pools(seed):
         assert doerfler_mark(states, scheme, theta) == marking_reference.doerfler_mark(
             states, scheme, theta
         )
+
+
+def test_marking_holds_one_pool():
+    # 64 problems of 20,000 cells whose bulk lies in a few percent of them,
+    # so that the marks stay small: the call's working set is the pooled
+    # array of (a_l eta)^2, its mask and the selected ids, not two pools
+    rng = np.random.default_rng(0)
+    states = _states([np.exp(-20.0 * rng.random(20_000)) for _ in range(64)])
+    scheme = _FakeScheme(rng.uniform(0.5, 2.0, size=64))
+    pool_bytes = 64 * 20_000 * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        marks = doerfler_mark(states, scheme, 0.5)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert 0 < sum(len(m) for m in marks) < 0.05 * 64 * 20_000
+    assert peak < 1.3 * pool_bytes
