@@ -259,11 +259,11 @@ def run(config, reference=None, on_checkpoint=None):
             # when every state shares one mesh, the union is that mesh; the
             # union pass estimates the dirty states that live on the union
             union = union_mesh([st.mesh for st in states])
-            rec.eta_union, solution = estimators.global_union_estimate(
-                scheme, states, union, cfg.f
-            )
-        _estimate(dirty, scheme, cfg.f)
+            rec.eta_union, solution = estimators.global_union_estimate(scheme, states, union, cfg.f)
+        _estimate(dirty, scheme, cfg.f)  # a non-finite indicator is named first
         if checkpoint:
+            if not (np.isfinite(rec.eta_union) and np.isfinite(solution.nodal_values).all()):
+                raise ValueError(f"non-finite union estimate or recombined solution at m = {m}")
             rec.eta_triangle = estimators.global_triangle_estimate(scheme, states)
             rec.union_dofs = union.num_interior_vertices
             if reference is not None:

@@ -29,9 +29,10 @@ sums Z^c = sum_l a_l c_l w_l / d and Z^b = sum_l a_l b_l w_l / d give
     sum_l a_l y_l = alpha sum_l a_l / d - B v(Z^c) - (1 / 4) W' j(Z^b).
 
 A solution on a mesh coarser than the union is P1 on the union too, so the
-union pass estimates it at the union's vertices, alone or summed into Z
-(``global_union_estimate``); the jumps on union edges inside a source cell
-are then zero only up to rounding.
+union pass estimates it at the union's vertices, alone or summed into Z,
+where one sweep of hierarchical surpluses carries every coarser group's
+columns (``global_union_estimate``); the jumps on union edges inside a
+source cell are then zero only up to rounding.
 """
 
 import math
@@ -39,8 +40,7 @@ import math
 import numpy as np
 
 from . import mesh as meshmod
-from .fem import TRI_QP, TRI_QW, FeFunction, _at_vertices, _grads, _matvec, _mesh_groups
-from .fem import _vertex_transfer
+from .fem import TRI_QP, TRI_QW, FeFunction, _grads, _matvec, _mesh_groups, _Prolongation
 from .fem import transfer_p1  # noqa: F401  (the benchmark tracer wraps this name)
 
 __all__ = [
@@ -261,21 +261,19 @@ def global_union_estimate(scheme, states, union, f):
     Returns ``(eta, solution)``: eta = sqrt(sum_K ||C sum_l a_l e_{l,K}||^2)
     from the local problems on every union cell for every l, and the
     ``FeFunction`` C sum_l a_l w_l on ``union``.  States whose meshes share
-    leaves form one group; each group's recombined sum is formed in blocks of
-    ``_BLOCK``.  Every coarser group reaches the union's vertices by the one
-    transfer of ``fem.transfer_p1``: a vertex takes its values from the
-    ancestor of the last union cell that lists it.  When the L coarser
-    problems outnumber 3 x classes, they all go into the weighted sums
-    (module docstring) at the union's vertices, each group by whichever is
-    fewer columns: its L solutions, or its 6 x classes sums formed at its own
-    vertices.  Otherwise every group runs the kernel in blocks on its
-    solutions at the union's vertices, estimated like the union's own group,
-    with jumps on every interior union edge.  States on the union always run
-    the kernel, and the dirty ones get their indicators
-    (``local_indicators``'s bits) here.
+    leaves form one group.  States on the union run the kernel in blocks of
+    ``_BLOCK``, and the dirty ones get their indicators (``local_indicators``'s
+    bits) here.  Every coarser group adds the hierarchical surpluses of its
+    solutions, times its rows of ``weights``, to one accumulator that one
+    coarse-to-fine sweep completes at the union's vertices
+    (``fem._Prolongation``).  When the L coarser problems outnumber
+    3 x classes, the weights form the recombined sum and the weighted sums Z
+    (module docstring); else each problem keeps a column, which runs the
+    kernel in blocks like the union's own, with jumps on every interior union
+    edge.
     """
     columns = _columns(union, f)  # hoisted out of the blocks
-    lam, area, dphi = columns[2], columns[4], columns[5]
+    lam, area = columns[2], columns[4]
     # classes of cells with bitwise equal (lam, |K|) rows, and the first cell of each; raw
     # bytes sort several times faster than np.unique(axis=0)'s structured rows
     rows = np.ascontiguousarray(np.vstack([lam, area]).T).view("V32").ravel()
@@ -287,43 +285,40 @@ def global_union_estimate(scheme, states, union, f):
         a, b, c = (x[coarser, None, None] for x in (scheme.a, scheme.b, scheme.c))
         wa = a / (lam[:, rep].T * b + area[rep, None] * c)  # the kernel's d, bit for bit
         weights = np.concatenate([wa * c, wa * b], axis=1).reshape(len(coarser), -1)
+        weights = np.column_stack([a[:, 0, 0], weights])  # column 0: the recombined sum
         # alpha S cancels against B v(Z^c): round S once, its error is not averaged over l
         S = np.array([math.fsum(x) for x in wa.reshape(len(coarser), -1).T]).reshape(-1, 3)
-        Z, moved, moved_w, done = np.zeros((union.num_vertices, weights.shape[1])), [], [], 0
+    else:
+        weights = np.eye(len(coarser))  # each coarser problem in a column of its own
+    sweep = _Prolongation(union, weights.shape[1])
     combined, solution = np.zeros((3, union.num_cells)), np.zeros(union.num_vertices)
+    kernel, done = [], 0  # per kernel block: its problems, states on the union, first column
     for src, group in groups:
-        own = src.same_mesh(union)
-        kernel = own or not weighted
-        transfer = None if own else _vertex_transfer(src, union)
-        partial = np.zeros(src.num_vertices)
-        for start in range(0, len(group), _BLOCK):
-            block = group[start : start + _BLOCK]
-            l = np.array([st.index for st in block])
-            nodal = np.stack([st.solution.nodal_values for st in block], axis=1)
-            partial += nodal @ scheme.a[l]
-            if not kernel:
-                continue
-            on_union = nodal if own else _at_vertices(transfer, nodal)
-            vals, grads = _corner_values(union, dphi, on_union)
-            jump = _edge_jumps(union, columns[6], grads)
-            y = _modal_coeffs(union, columns, vals, jump, scheme.b[l], scheme.c[l])
-            combined += (scheme.a[l] @ y.reshape(len(l), -1)).reshape(combined.shape)  # a gemv
-            if own:
-                for st, col in zip(block, np.sqrt(area * np.sum(y**2, axis=1))):
-                    if st.dirty:
-                        st.indicators, st.dirty = col, False
-        solution += partial if own else _at_vertices(transfer, partial)
-        if not kernel:
+        l, own = np.array([st.index for st in group]), src.same_mesh(union)
+        if not own:
             nodal = np.stack([st.solution.nodal_values for st in group], axis=1)
-            w, done = weights[done : done + len(group)], done + len(group)
-            if w.shape[1] < len(group):  # fewer columns to interpolate
-                Z += _at_vertices(transfer, nodal @ w)
-            else:
-                moved.append(_at_vertices(transfer, nodal))
-                moved_w.append(w)
-    if weighted:
-        if moved:  # one gemm
-            Z += np.concatenate(moved, axis=1) @ np.concatenate(moved_w)
-        combined += _class_sums(union, columns, cls, Z, S)
+            sweep.add(src, nodal, weights[done : done + len(l)])
+        if own or not weighted:
+            kernel += [(l[k : k + _BLOCK], group[k : k + _BLOCK] if own else [], done + k)
+                       for k in range(0, len(l), _BLOCK)]
+        done += 0 if own else len(l)
+    if coarser:
+        acc = sweep.result()
+        solution += acc[:, 0] if weighted else acc @ scheme.a[coarser]
+        if weighted:
+            combined += _class_sums(union, columns, cls, acc[:, 1:], S)
+    for l, block, col in kernel:
+        if block:
+            nodal = np.stack([st.solution.nodal_values for st in block], axis=1)
+            solution += nodal @ scheme.a[l]
+        else:
+            nodal = acc[:, col : col + len(l)]
+        vals, grads = _corner_values(union, columns[5], nodal)
+        jump = _edge_jumps(union, columns[6], grads)
+        y = _modal_coeffs(union, columns, vals, jump, scheme.b[l], scheme.c[l])
+        combined += (scheme.a[l] @ y.reshape(len(l), -1)).reshape(combined.shape)  # a gemv
+        for st, ind in zip(block, np.sqrt(area * np.sum(y**2, axis=1))):
+            if st.dirty:
+                st.indicators, st.dirty = ind, False
     eta = scheme.C * float(np.sqrt(np.sum(area * np.sum(combined**2, axis=0))))
     return eta, FeFunction(union, scheme.C * solution)

@@ -381,48 +381,79 @@ def assemble_and_solve(mesh, b, c, f, rel_tol=1e-10):
     return FeFunction(mesh, w)
 
 
-def _vertex_transfer(src, target):
-    """Per vertex of ``target``, a refinement of ``src``: the corners (n, 3)
-    of the ``src`` cell that holds the last ``target`` cell listing the
-    vertex, and the vertex's barycentric coordinates (n, 3) there."""
-    last = target._cache.get("last_corner")  # depends only on the leaves
-    if last is None:
-        slot = np.empty(target.num_vertices, dtype=np.intp)
-        slot[target.cells] = np.arange(3 * target.num_cells).reshape(-1, 3)
-        last = target._cache["last_corner"] = np.divmod(slot, 3)
-    cell, corner = last
-    parents = meshmod.ancestor_cell_map(target, src)[cell]
-    bary = meshmod.nested_barycentric(target.cell_key[cell], src.cell_key[parents])
-    return np.take(src.cells, parents, axis=0), bary[np.arange(len(cell)), corner]
+_CHUNK = 16  # a source of fewer problems is multiplied out at the target, this many per gemm
 
 
-def _at_vertices(transfer, nodal):
-    """Values (n, ...) at the target's vertices of P1 functions with nodal
-    values ``nodal`` (n_src, ...) on the source mesh of ``transfer``
-    (``_vertex_transfer``), summed term by term in the order of ``_matvec``:
-    (w0 t0 + w1 t1) + w2 t2.  The output is formed in place with one scratch
-    array, so the call holds two output-sized arrays."""
-    corners, bary = transfer
-    w = bary.T.reshape((3, -1) + (1,) * (nodal.ndim - 1))
-    c = corners.T
-    out = np.take(nodal, c[0], axis=0)
-    out *= w[0]
-    tmp = np.empty_like(out)
-    for j in (1, 2):
-        np.take(nodal, c[j], axis=0, out=tmp, mode="clip")  # valid ids; "raise" would copy
-        tmp *= w[j]
-        out += tmp
-    return out
+class _Prolongation:
+    """The sum T of the P1 prolongations onto ``target`` of functions on
+    meshes that it refines, in one coarse-to-fine sweep.  A function on a
+    mesh without the midpoint v of the forest edge (a, b) has, at v, the mean
+    of its values at a and b (a cell of that mesh holds the edge), so
+    T(v) = (T(a) + T(b)) / 2 plus the hierarchical surplus
+    x(v) - (x(a) + x(b)) / 2 of every source x that has v.  Each source adds
+    its surpluses to one accumulator (``add``), and ``result`` adds the
+    parents' means, generation by generation."""
+
+    def __init__(self, target, width):
+        self.base, self.ids = target.base, target.ids
+        # every mesh of the forest lists the same initial vertices first
+        self.k = int(np.count_nonzero(self.ids < len(self.base.vertices)))
+        self.at = np.full(len(self.base.xy), -1, dtype=np.int32)  # forest id -> target vertex
+        self.at[self.ids] = np.arange(len(self.ids), dtype=np.int32)
+        self.slot = np.empty(len(self.base.xy), dtype=np.int32)  # forest id -> source vertex
+        self.acc, self.held = np.zeros((len(self.ids), width)), []
+
+    def add(self, src, values, right):
+        """Add the surpluses of ``values`` (n_src, L) on ``src`` (overwritten)
+        times ``right`` (L, width): at the source's vertices for L >=
+        ``_CHUNK``, else at the target's, one gemm per ``_CHUNK`` columns."""
+        if src.base is not self.base:
+            raise meshmod.MeshStructureError("meshes do not share an initial mesh")
+        pos, k = np.take(self.at, src.ids), self.k
+        if pos.min() < 0:  # a conforming mesh of bisections is fixed by its vertices
+            raise meshmod.MeshStructureError("target mesh is not a refinement of the source")
+        self.slot[src.ids] = np.arange(len(pos), dtype=np.int32)
+        lo, hi = np.take(self.slot, np.take(self.base.parent, src.ids[k:], axis=0)).T
+        values[k:] -= (np.take(values, lo, axis=0) + np.take(values, hi, axis=0)) / 2.0
+        if len(right) >= _CHUNK:  # a take and a store: 2x faster than acc[pos] += ...
+            self.acc[pos] = np.take(self.acc, pos, axis=0) + values @ right
+            return
+        if len(self.held) + len(right) > _CHUNK:
+            self._flush()
+        self.held += [(pos, column, w) for column, w in zip(values.T, right)]
+
+    def _flush(self):
+        block = np.zeros((len(self.held), len(self.ids)))
+        for row, (pos, column, _) in zip(block, self.held):
+            row[pos] = column
+        self.acc += block.T @ np.reshape([w for *_, w in self.held], (len(block), -1))
+        self.held = []
+
+    def result(self):
+        """The accumulator, completed in place: (n_target, width)."""
+        if self.held:
+            self._flush()
+        ids, k, acc = self.ids, self.k, self.acc
+        lo, hi = np.take(self.at, np.take(self.base.parent, ids[k:], axis=0)).T
+        gen = np.take(self.base.generation, ids[k:])
+        for g in range(1, int(gen.max(initial=0)) + 1):
+            v = np.flatnonzero(gen == g)
+            mean = (np.take(acc, lo[v], axis=0) + np.take(acc, hi[v], axis=0)) / 2.0
+            acc[k + v] = np.take(acc, k + v, axis=0) + mean
+        return acc
 
 
 def transfer_p1(f, target):
-    """Exact nodal transfer of a P1 function onto a refinement of its mesh,
-    by the transfer the union pass uses (``_vertex_transfer``); stacked
-    (n, L) nodal values are transferred column by column."""
-    src = f.mesh
+    """Exact nodal transfer of a P1 function onto a refinement of its mesh:
+    the one-source case of the union pass's sweep (``_Prolongation``);
+    stacked (n, L) nodal values are transferred column by column."""
+    src, nodal = f.mesh, f.nodal_values
     if src.same_mesh(target):
-        return FeFunction(target, f.nodal_values.copy())
-    return FeFunction(target, _at_vertices(_vertex_transfer(src, target), f.nodal_values))
+        return FeFunction(target, nodal.copy())
+    values = nodal.reshape(len(nodal), -1).copy()
+    sweep = _Prolongation(target, values.shape[1])
+    sweep.add(src, values, np.eye(values.shape[1]))  # an exact product
+    return FeFunction(target, sweep.result().reshape((-1,) + nodal.shape[1:]))
 
 
 def _mesh_groups(states):
@@ -437,14 +468,14 @@ def _mesh_groups(states):
 def combine_on_union(scheme, states, union):
     """Fully discrete combination C * sum_l a_l w_l on the union mesh.
 
-    States whose meshes share leaves are summed nodally before the (exact)
-    transfer, which matters when many problems still sit on the initial mesh.
+    States whose meshes share leaves are summed nodally, and every group
+    reaches the union in one sweep (``_Prolongation``).
     """
-    out = np.zeros(union.num_vertices)
+    sweep = _Prolongation(union, 1)
     for m, group in _mesh_groups(states):
         partial = sum(scheme.a[st.index] * st.solution.nodal_values for st in group)
-        out += transfer_p1(FeFunction(m, partial), union).nodal_values
-    return FeFunction(union, scheme.C * out)
+        sweep.add(m, partial[:, None], np.ones((1, 1)))
+    return FeFunction(union, scheme.C * sweep.result()[:, 0])
 
 
 def l2_norm(obj, mesh=None):

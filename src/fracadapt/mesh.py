@@ -31,7 +31,10 @@ Each forest keeps a node table (``_ForestBase``): every node built so far,
 append-only, with its key, corners, edges and first child, and per-node
 columns (areas, gradients, per field the load contributions and the
 estimator's operators, per reference its values) computed once per node and
-gathered by every mesh (``TriMesh.column``).  A refinement keeps its mesh's
+gathered by every mesh (``TriMesh.column``).  Each midpoint also records the
+ends (lo, hi) of the edge it bisects and its generation, one more than the
+larger of theirs (roots: 0), which is all a P1 prolongation between meshes of
+the forest needs (``fem._Prolongation``).  A refinement keeps its mesh's
 leaf rows and adds children's, appended at a node's first bisection, and a
 build numbers the forest vertices and edges its leaves use.  Forests compare
 by identity: meshes of two separately built forests are never the same mesh
@@ -56,8 +59,7 @@ Every ``_cache`` entry is a function of the leaves, and of the ``RhsField``
 where keyed by one, and holds no mesh; so twins share the dict safely,
 ``id(mesh._cache)`` groups meshes by leaves, and no cache keeps another mesh
 alive.  An entry lives only while a layer needs it: the FE system, loads and
-Neumann bases for one solve phase (``fem``), and the union transfer's last
-corners for as long as the mesh.
+Neumann bases for one solve phase (``fem``).
 
 Vertex, cell, edge and row ids, in the meshes and in the node table, are
 int32: a forest stays far below 2**31 nodes.  Hot gathers by them use
@@ -66,7 +68,6 @@ are formed in intp.
 """
 
 import copy
-import functools
 import weakref
 from dataclasses import dataclass
 
@@ -90,7 +91,6 @@ _LEVEL_BITS = 6
 _LEVEL_MASK = (1 << _LEVEL_BITS) - 1
 _ROOT_SHIFT = MAX_LEVEL + _LEVEL_BITS
 _MAX_ROOTS = 1 << (63 - _ROOT_SHIFT)
-_PATH_DEPTH = 10  # deepest gap of the path table (2^11 maps, 147 KB)
 _PATH_BITS = MAX_LEVEL + 63 - _ROOT_SHIFT  # a full path: root path (<= 17 bits), key bits
 
 
@@ -137,12 +137,14 @@ class _ForestBase:
     of its child 0 (-1 until bisected; child 1 is the next row).  ``half``
     holds the id of the half (lo, m) of each bisected edge, (hi, m) being
     the next, else -1.  ``xy`` holds the forest vertices, ``rank`` their
-    order in a mesh, ``columns`` the columns of ``TriMesh.column``, and
+    order in a mesh, ``parent`` the (lo, hi) ends of the edge each midpoint
+    bisects (-1 at the initial vertices), ``generation`` their generations,
+    ``columns`` the columns of ``TriMesh.column``, and
     ``root_path``/``root_depth`` the roots' tree (``_bisect_roots``).
     """
 
     __slots__ = ("vertices", "cells", "leaves", "key", "corners", "cell_edge", "child", "edges",
-                 "half", "xy", "rank", "columns", "root_path", "root_depth")
+                 "half", "xy", "rank", "parent", "generation", "columns", "root_path", "root_depth")
 
     def __init__(self, vertices, cells):
         self.vertices = np.asarray(vertices, dtype=float)
@@ -159,6 +161,8 @@ class _ForestBase:
         self.cell_edge = inv.reshape(-1, 3).astype(np.int32)
         self.half = np.full(len(self.edges), -1, dtype=np.int32)
         self.rank = np.arange(len(self.vertices), dtype=np.int64) - len(self.vertices)
+        self.parent = np.full((len(self.vertices), 2), -1, dtype=np.int32)
+        self.generation = np.zeros(len(self.vertices), dtype=np.int8)  # at most MAX_LEVEL
         self.columns = {}
 
     def rows_of(self, keys):
@@ -196,6 +200,8 @@ class _ForestBase:
         ends, mid = self.edges[new], len(self.xy) + np.arange(len(new), dtype=np.int32)
         self.xy = np.concatenate([self.xy, (self.xy[ends[:, 0]] + self.xy[ends[:, 1]]) / 2.0])
         self.rank = np.append(self.rank, np.full(len(new), np.iinfo(np.int64).max))
+        self.parent = np.concatenate([self.parent, ends])
+        self.generation = np.append(self.generation, self.generation[ends].max(axis=1) + 1)
         self.half[new] = len(self.edges) + 2 * np.arange(len(new), dtype=np.int32)
         halves = np.column_stack([ends.ravel(), np.repeat(mid, 2)])  # (lo, m), (hi, m)
         peak = len(self.edges) + len(halves) + np.arange(len(rows), dtype=np.int32)
@@ -308,6 +314,7 @@ class TriMesh:
     cells : (m, 3) int32 array, counterclockwise, refinement edge ``(v0, v1)``
     cell_key : (m,) sorted int64 array, forest key of each cell (see module doc)
     rows : (m,) int32 array, node-table row of each cell (see ``_ForestBase``)
+    ids : (n,) int32 array, forest vertex id of each vertex; the initial ones first
     edges : (e, 2) int32 array, sorted vertex pairs in the forest's edge order
     cell_edge : (m, 3) int32 array, edge ids of local edges (v0,v1), (v1,v2), (v2,v0)
     edge_cells : (e, 2) int32 array, incident cells (second is -1 on the boundary)
@@ -334,6 +341,7 @@ class TriMesh:
         local = np.empty(len(base.xy), dtype=np.int32)
         local[ids] = np.arange(len(ids), dtype=np.int32)
         self.vertices, self.cells = base.xy[ids], np.take(local, corners)
+        self.ids = ids.astype(np.int32)  # the forest's vertex ids, for ``fem._Prolongation``
         used = np.zeros(len(base.edges), dtype=bool)
         used[cell_edge.astype(np.intp)] = True
         lo, hi = np.take(local, np.take(base.edges, np.flatnonzero(used), axis=0)).T
@@ -395,40 +403,6 @@ def _cell_areas(x):
     d1 = x[:, 1] - x[:, 0]
     d2 = x[:, 2] - x[:, 0]
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
-
-@functools.cache
-def _path_table(depth):
-    """Barycentric coordinates (2 << depth, 3, 3) of a node's corners (rows)
-    in the corners of its ancestor d <= depth levels up (columns), at index
-    (1 << d) + the d choices below the ancestor.  Bisection maps the corners
-    (v0, v1, v2) to (v2, v0, m) or (v1, v2, m), so every entry is an exact
-    dyadic."""
-    if depth == 0:
-        return np.stack([np.zeros((3, 3)), np.eye(3)])
-    prev = _path_table(depth - 1)
-    P = prev[1 << (depth - 1) :]  # the maps of depth - 1, by path
-    m = (P[:, 0] + P[:, 1]) / 2.0
-    children = np.stack([P[:, 2], P[:, 0], m, P[:, 1], P[:, 2], m], axis=1)
-    return np.concatenate([prev, children.reshape(-1, 3, 3)])
-
-
-def nested_barycentric(keys, ancestors):
-    """Barycentric coordinates (n, 3, 3) of the corners of the nodes ``keys``
-    (rows) in the corners of their ancestors ``ancestors`` (columns), exactly:
-    looked up by relative path, in chained lookups for gaps deeper than
-    ``_PATH_DEPTH``."""
-    level = keys & _LEVEL_MASK
-    gap = level - (ancestors & _LEVEL_MASK)
-    path = (keys >> (_ROOT_SHIFT - level)) & ((1 << gap) - 1)
-    table = _path_table(min(int(gap.max(initial=0)), _PATH_DEPTH))
-    step = np.minimum(gap, _PATH_DEPTH)
-    lam = table[(1 << step) + (path & ((1 << step) - 1))]
-    while (gap := gap - step).any():
-        path >>= step
-        step = np.minimum(gap, _PATH_DEPTH)
-        lam = lam @ table[(1 << step) + (path & ((1 << step) - 1))]
-    return lam
 
 
 # -- initial meshes ----------------------------------------------------------

@@ -216,6 +216,29 @@ def test_nonfinite_indicator_fails_loudly(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("broken", ["eta", "solution"])
+def test_nonfinite_union_pass_names_the_checkpoint(monkeypatch, broken):
+    # a union pass that returns a non-finite eta_union or recombined solution
+    # at checkpoint m = 1 stops the run there, instead of failing eta < tol
+    # at every checkpoint until max-iter
+    real, seen = estimators.global_union_estimate, []
+
+    def broken_pass(scheme, states, union, f):
+        eta, solution = real(scheme, states, union, f)
+        seen.append(eta)
+        if len(seen) == 2:
+            if broken == "eta":
+                eta = math.nan
+            else:
+                solution.nodal_values[-1] = math.inf
+        return eta, solution
+
+    monkeypatch.setattr(estimators, "global_union_estimate", broken_pass)
+    with pytest.raises(ValueError, match=r"recombined solution at m = 1$"):
+        run(small_config(max_iterations=6))
+    assert len(seen) == 2
+
+
 def test_singlemesh_estimates_in_stacked_blocks(monkeypatch):
     # every iteration solves all N problems on the shared mesh, which is the
     # union, and the union pass estimates them in ceil(N / _BLOCK) stacked

@@ -25,7 +25,6 @@ from fracadapt.mesh import (
     DomainSpec,
     ancestor_cell_map,
     make_initial_mesh,
-    nested_barycentric,
     read_mesh,
     refine,
     uniform_refine,
@@ -34,6 +33,7 @@ from fracadapt.mesh import (
 )
 from fracadapt.oracle import l2_error
 from fracadapt.rational import bp_coefficients
+from union_reference import nested_barycentric
 
 UNIT = DomainSpec("unit-square")
 
@@ -284,8 +284,9 @@ def test_union_pass_sets_the_indicators_of_dirty_states_on_the_union(tmp_path):
 
 
 def test_union_table_interpolates_like_transfer(tmp_path):
-    # the per-source table gives each union cell the corner values that an
-    # exact transfer puts on the union vertices
+    # the reference's per-source table gives each union cell the corner
+    # values that its vertex transfer puts on the union vertices, and the
+    # sweep of transfer_p1 gives them up to rounding
     m0 = _perturbed_mesh(tmp_path)
     src = refine(m0, {0, 1, 2})
     u = union_mesh([src, refine(refine(m0, {20, 21}), {5})])
@@ -294,8 +295,11 @@ def test_union_table_interpolates_like_transfer(tmp_path):
     parents = ancestor_cell_map(u, src)
     lam = nested_barycentric(u.cell_key, src.cell_key[parents])
     table = fem._matvec(lam, w.nodal_values[src.cells[parents]])
-    moved = transfer_p1(w, u).nodal_values[u.cells]
+    transfer = union_reference.vertex_transfer(src, u)
+    moved = union_reference.at_vertices(transfer, w.nodal_values)[u.cells]
     assert np.array_equal(table, moved)
+    swept = transfer_p1(w, u).nodal_values[u.cells]
+    assert np.max(np.abs(swept - table)) <= 1e-14 * np.max(np.abs(table))
 
 
 def test_union_pass_makes_no_transfer(monkeypatch, tmp_path):
@@ -322,7 +326,8 @@ def test_union_pass_makes_no_transfer(monkeypatch, tmp_path):
 
 def test_union_pass_groups_twin_meshes(monkeypatch, tmp_path):
     # twins (equal leaves, separate objects) form one source group: one
-    # ancestor map per distinct source mesh, and the result of one shared object
+    # scatter into the sweep per distinct source mesh, and the result of one
+    # shared object
     scheme = bp_coefficients(0.5, 0.6, 1.0)
     m0 = _perturbed_mesh(tmp_path)
     a, b = refine(m0, {0, 1, 2}), refine(m0, {20, 21})
@@ -339,13 +344,13 @@ def test_union_pass_groups_twin_meshes(monkeypatch, tmp_path):
 
     expected_eta, expected = global_union_estimate(scheme, solved_on([m0, a, a, b, b]), u, f)
     calls = []
-    real = meshmod.ancestor_cell_map
+    real = fem._Prolongation.add
 
-    def spy(fine, coarse):
-        calls.append(coarse.cell_key.tobytes())
-        return real(fine, coarse)
+    def spy(self, src, values, right):
+        calls.append(src.cell_key.tobytes())
+        return real(self, src, values, right)
 
-    monkeypatch.setattr(meshmod, "ancestor_cell_map", spy)
+    monkeypatch.setattr(fem._Prolongation, "add", spy)
     states = solved_on(twins)
     eta, solution = global_union_estimate(scheme, states, u, f)
     assert len(calls) == len(set(calls)) == 3
@@ -506,21 +511,23 @@ def _num_classes(union, f):
 
 
 def _spy_union_paths(monkeypatch):
-    """Record the union pass's paths: the coarser groups whose recombined sum
-    is interpolated to the union's vertices, the columns each interpolates
-    for the weighted sums or a kernel block, the problems per kernel call,
-    and the number of weighted-sum evaluations."""
-    calls = {"recombined": 0, "interpolated": [], "kernel": [], "class_sums": 0}
-    at_vertices, kernel, class_sums = (
-        estimators._at_vertices, estimators._modal_coeffs, estimators._class_sums
-    )
+    """Record the union pass's paths: per coarser group's surpluses added to
+    the sweep, its problems and the columns they go to (the recombined sum in
+    column 0 and the weighted sums, or a column per coarser problem), the
+    number of sweeps, the problems per kernel call, and the number of
+    weighted-sum evaluations."""
+    calls = {"scattered": [], "sweeps": 0, "kernel": [], "class_sums": 0}
+    add, result = fem._Prolongation.add, fem._Prolongation.result
+    kernel, class_sums = estimators._modal_coeffs, estimators._class_sums
 
-    def spy_at_vertices(transfer, nodal):
-        if nodal.ndim == 1:
-            calls["recombined"] += 1
-        else:
-            calls["interpolated"].append(nodal.shape[1])
-        return at_vertices(transfer, nodal)
+    def spy_add(self, src, values, right):
+        assert values.shape[1] == len(right)
+        calls["scattered"].append(right.shape)
+        return add(self, src, values, right)
+
+    def spy_result(self):
+        calls["sweeps"] += 1
+        return result(self)
 
     def spy_kernel(target, columns, corner_vals, jump, b, c):
         calls["kernel"].append(len(corner_vals))
@@ -530,10 +537,17 @@ def _spy_union_paths(monkeypatch):
         calls["class_sums"] += 1
         return class_sums(*args)
 
-    monkeypatch.setattr(estimators, "_at_vertices", spy_at_vertices)
+    monkeypatch.setattr(fem._Prolongation, "add", spy_add)
+    monkeypatch.setattr(fem._Prolongation, "result", spy_result)
     monkeypatch.setattr(estimators, "_modal_coeffs", spy_kernel)
     monkeypatch.setattr(estimators, "_class_sums", spy_class_sums)
     return calls
+
+
+def _assert_close(solution, reference):
+    """Equal up to the sweep's rounding: 1e-14 relative in the max norm."""
+    ref = reference.nodal_values
+    assert np.max(np.abs(solution.nodal_values - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def _spy_column_reads(monkeypatch, mesh):
@@ -625,14 +639,16 @@ def test_union_pass_equals_per_problem_reference(kind, s, seed, monkeypatch):
             states.append(ParametricState(index=int(l), mesh=mesh, solution=w))
     calls = _spy_union_paths(monkeypatch)
     eta, solution = global_union_estimate(scheme, states, u, f)
-    # every coarser group interpolates min(L, 6 x classes) columns, the union's
-    # own problem alone runs the kernel, and the weighted sums are taken once
+    # each of the four coarser groups scatters its recombined sum with its
+    # 6 x classes weighted sums into one sweep, the union's own problem alone
+    # runs the kernel, and the weighted sums are taken once
     groups = [k3 + 5, k3 + 1, k3, 2 * (k3 // 2 + 1)]
-    assert sorted(calls["interpolated"]) == sorted(min(n, 2 * k3) for n in groups)
-    assert calls["recombined"] == 4 and calls["kernel"] == [1] and calls["class_sums"] == 1
+    assert sorted(calls["scattered"]) == sorted((n, 1 + 2 * k3) for n in groups)
+    assert calls["sweeps"] == 1
+    assert calls["kernel"] == [1] and calls["class_sums"] == 1
     ref_eta, ref_solution = union_reference.global_union_estimate(scheme, states, u, f)
     assert eta == pytest.approx(ref_eta, rel=1e-14, abs=0)
-    assert np.array_equal(solution.nodal_values, ref_solution.nodal_values)
+    _assert_close(solution, ref_solution)
 
 
 @pytest.mark.parametrize("kind", ["square", "unit-square", "lshape"])
@@ -655,12 +671,11 @@ def test_single_problem_groups_join_the_union_sum(kind, monkeypatch):
     ]
     calls = _spy_union_paths(monkeypatch)
     eta, solution = global_union_estimate(scheme, states, u, f)
-    assert calls == {
-        "recombined": 5, "interpolated": [k6, 1, 1, 1, 1], "kernel": [], "class_sums": 1
-    }
+    scattered = [(k6 + 1, 1 + k6)] + [(1, 1 + k6)] * 4
+    assert calls == {"scattered": scattered, "sweeps": 1, "kernel": [], "class_sums": 1}
     ref_eta, ref_solution = union_reference.global_union_estimate(scheme, states, u, f)
     assert eta == pytest.approx(ref_eta, rel=1e-14, abs=0)
-    assert np.array_equal(solution.nodal_values, ref_solution.nodal_values)
+    _assert_close(solution, ref_solution)
 
 
 def test_weighted_group_makes_no_kernel_call(monkeypatch):
@@ -686,14 +701,15 @@ def test_weighted_group_makes_no_kernel_call(monkeypatch):
     assert calls == [1]
     ref_eta, ref_solution = union_reference.global_union_estimate(scheme, states, u, f)
     assert eta == pytest.approx(ref_eta, rel=1e-14, abs=0)
-    assert np.array_equal(solution.nodal_values, ref_solution.nodal_values)
+    _assert_close(solution, ref_solution)
 
 
 def test_many_classes_keep_every_group_on_the_kernel(monkeypatch, tmp_path):
     # on the perturbed read_mesh forest more than half the cells have a shape
     # of their own, so 3 x classes exceeds the coarser problems: every group
-    # moves each block to the union's vertices and runs the kernel there, and
-    # the pass is the per-problem reference bit for bit
+    # scatters its solutions into the one sweep, each block runs the kernel at
+    # the union's vertices, and the pass is the per-problem reference up to
+    # the sweep's rounding
     scheme = bp_coefficients(0.5, 0.6, 1.0)
     m0 = _perturbed_mesh(tmp_path)
     meshes = [m0, refine(m0, {0, 1, 2}), refine(refine(m0, {20, 21}), {5})]
@@ -707,12 +723,11 @@ def test_many_classes_keep_every_group_on_the_kernel(monkeypatch, tmp_path):
     eta, solution = global_union_estimate(scheme, states, u, f)
     sizes, B = [len(range(k, scheme.N, 3)) for k in range(3)], estimators._BLOCK
     blocks = [min(B, n - i) for n in sizes for i in range(0, n, B)]
-    assert calls == {
-        "recombined": 3, "interpolated": blocks, "kernel": blocks, "class_sums": 0
-    }
+    scattered = [(n, scheme.N) for n in sizes]
+    assert calls == {"scattered": scattered, "sweeps": 1, "kernel": blocks, "class_sums": 0}
     ref_eta, ref_solution = union_reference.global_union_estimate(scheme, states, u, f)
-    assert eta == ref_eta
-    assert np.array_equal(solution.nodal_values, ref_solution.nodal_values)
+    assert eta == pytest.approx(ref_eta, rel=1e-14, abs=0)
+    _assert_close(solution, ref_solution)
 
 
 def test_class_sums_hold_under_cancellation(monkeypatch):

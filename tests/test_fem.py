@@ -449,6 +449,20 @@ def test_transfer_p1_same_mesh_copies():
     assert wt.nodal_values is not w.nodal_values
 
 
+def test_transfer_p1_needs_a_refinement_of_the_same_forest():
+    # the sweep reads the target's vertices: a source vertex the target
+    # lacks (overlapping refinements, or a coarser target) is an error, and
+    # so is a mesh of another forest with equal roots
+    m0 = make_initial_mesh(UNIT, 32)
+    a, b = refine(m0, {0, 3}), refine(m0, {20})
+    for src, target in ((a, b), (a, m0)):
+        with pytest.raises(meshmod.MeshStructureError, match="not a refinement"):
+            transfer_p1(FeFunction(src, np.zeros(src.num_vertices)), target)
+    other = refine(make_initial_mesh(UNIT, 32), {0, 3})
+    with pytest.raises(meshmod.MeshStructureError, match="share an initial mesh"):
+        transfer_p1(FeFunction(m0, np.zeros(m0.num_vertices)), other)
+
+
 def test_stacked_values_match_columns():
     # (n, L) nodal values: transfer, gradients and cell values must equal the
     # one-column results column by column

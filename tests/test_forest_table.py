@@ -1,7 +1,8 @@
 """The forest's node table: builds that do not depend on the forest's
 history, per-node columns equal to the per-mesh formulas they replaced
-(``setup_reference``), the table's growth and references, and the exact
-path table of the union transfer."""
+(``setup_reference``), the table's growth and references, the exact path
+table of the old union transfer (``union_reference``), and the sweep of
+hierarchical surpluses that replaced it."""
 
 import copy
 import gc
@@ -13,17 +14,16 @@ import scipy.sparse as sp
 
 import forest_reference
 import setup_reference
+import union_reference
 from fracadapt import estimators, fem
 from fracadapt.fem import FeFunction, ParametricState, RhsField, assemble_and_solve, transfer_p1
 from fracadapt.mesh import (
     _LEVEL_MASK,
-    _PATH_DEPTH,
     DomainSpec,
     TriMesh,
     ancestor_cell_map,
     dissection_order,
     make_initial_mesh,
-    nested_barycentric,
     read_mesh,
     refine,
     uniform_refine,
@@ -32,6 +32,7 @@ from fracadapt.mesh import (
 )
 from fracadapt.oracle import eigenfunction_field
 from fracadapt.rational import bp_coefficients
+from union_reference import PATH_DEPTH, nested_barycentric
 
 SQUARE = DomainSpec("square")
 FIELDS = (RhsField.one(), RhsField.test2(), eigenfunction_field(SQUARE, 2, 3))
@@ -281,19 +282,20 @@ def _deep(mesh, depth):
 def test_path_table_equals_geometric_transfer(kind, cells):
     m0 = make_initial_mesh(DomainSpec(kind), cells)
     src = refine(m0, {0, 3})
-    fine = union_mesh([_deep(src, 2 * _PATH_DEPTH + 3), _chain(src, [{1, 7}, {2}])])
+    fine = union_mesh([_deep(src, 2 * PATH_DEPTH + 3), _chain(src, [{1, 7}, {2}])])
     rng = np.random.default_rng(4)
     for coarse in (m0, src):
         parents = ancestor_cell_map(fine, coarse)
         gap = (fine.cell_key & _LEVEL_MASK) - (coarse.cell_key[parents] & _LEVEL_MASK)
-        assert gap.max() > 2 * _PATH_DEPTH  # three chained lookups
+        assert gap.max() > 2 * PATH_DEPTH  # three chained lookups
         lam = nested_barycentric(fine.cell_key, coarse.cell_key[parents])
         corners, lam_ref = setup_reference.nested_barycentric(coarse, fine, parents)
         assert np.array_equal(lam, lam_ref)
         w = FeFunction(coarse, rng.normal(size=coarse.num_vertices))
         moved = np.empty(fine.num_vertices)
         moved[fine.cells] = fem._matvec(lam_ref, w.nodal_values[corners])
-        assert np.array_equal(transfer_p1(w, fine).nodal_values, moved)
+        transfer = union_reference.vertex_transfer(coarse, fine)
+        assert np.array_equal(union_reference.at_vertices(transfer, w.nodal_values), moved)
 
 
 def _moved_mesh(tmp_path):
@@ -332,9 +334,44 @@ def test_vertex_transfer_equals_the_per_cell_table(kind, tmp_path):
     for coarse in (m0, src):
         parents = ancestor_cell_map(fine, coarse)
         gap = (fine.cell_key & _LEVEL_MASK) - (coarse.cell_key[parents] & _LEVEL_MASK)
-        assert gap.max() > 2 * _PATH_DEPTH
+        assert gap.max() > 2 * PATH_DEPTH
         lam = nested_barycentric(fine.cell_key, coarse.cell_key[parents])
         W = rng.normal(size=(coarse.num_vertices, 3))
         table = fem._matvec(lam, W[coarse.cells[parents]])
-        moved = fem._at_vertices(fem._vertex_transfer(coarse, fine), W)
+        moved = union_reference.at_vertices(union_reference.vertex_transfer(coarse, fine), W)
         assert_bits(moved[fine.cells], table, kind)
+
+
+@pytest.mark.parametrize("kind", ["square", "lshape", "read_mesh"])
+def test_sweep_equals_the_per_cell_table(kind, tmp_path):
+    # the sweep of hierarchical surpluses (transfer_p1 on stacked columns, and
+    # the union pass's recombined solution over four source meshes) agrees
+    # with the path-table transfer to 1e-14 relative in the max norm, past
+    # gaps of 20 levels too
+    if kind == "read_mesh":
+        m0 = _moved_mesh(tmp_path)
+    else:
+        m0 = make_initial_mesh(DomainSpec(kind), 24 if kind == "lshape" else 32)
+    src = refine(m0, {0, 3})
+    deep, chain = _deep(src, 2 * PATH_DEPTH + 3), _chain(src, [{1, 7}, {2}])
+    fine = union_mesh([deep, chain])
+    rng = np.random.default_rng(8)
+    for coarse in (m0, src, deep):
+        parents = ancestor_cell_map(fine, coarse)
+        gap = (fine.cell_key & _LEVEL_MASK) - (coarse.cell_key[parents] & _LEVEL_MASK)
+        assert gap.max() > 2 * PATH_DEPTH or coarse is deep
+        W = rng.normal(size=(coarse.num_vertices, 3))
+        ref = union_reference.at_vertices(union_reference.vertex_transfer(coarse, fine), W)
+        moved = transfer_p1(FeFunction(coarse, W), fine).nodal_values
+        assert np.max(np.abs(moved - ref)) <= 1e-14 * np.max(np.abs(ref)), kind
+    scheme = bp_coefficients(0.5, 0.6, 1.0)
+    meshes = [m0, src, deep, chain]
+    states = []
+    for l in range(scheme.N):
+        mesh = meshes[l % 4]
+        w = FeFunction(mesh, rng.normal(size=mesh.num_vertices))
+        states.append(ParametricState(index=l, mesh=mesh, solution=w, dirty=False))
+    f = RhsField.test2()
+    solution = estimators.global_union_estimate(scheme, states, fine, f)[1].nodal_values
+    ref = union_reference.global_union_estimate(scheme, states, fine, f)[1].nodal_values
+    assert np.max(np.abs(solution - ref)) <= 1e-14 * np.max(np.abs(ref)), kind

@@ -6,13 +6,22 @@ estimator kernel ``_modal_coeffs`` once per block of up to ``_BLOCK``
 problems on every union cell.  A coarser group's corner values come from a
 per-cell barycentric table, its gradients from its own cells, and its jumps
 only on union edges between two source cells, with exact zeros inside one.
-The tests compare the pass against it: bit for bit where every group takes
-the kernel, within rounding where a group takes the weighted sums.
+The tests compare the pass against it within rounding.
+
+The barycentric table is the exact path table (``path_table``,
+``nested_barycentric``) that the pass and ``fem.transfer_p1`` used before
+they swept hierarchical surpluses over the union's vertices, and
+``vertex_transfer``/``at_vertices`` are that transfer: each target vertex
+takes its values from the source cell holding the last target cell that
+lists it.
 """
+
+import functools
 
 import numpy as np
 
 from fracadapt import mesh as meshmod
+from fracadapt.mesh import _LEVEL_MASK, _ROOT_SHIFT
 from fracadapt.estimators import (
     _BLOCK,
     _cell_matvec,
@@ -21,6 +30,65 @@ from fracadapt.estimators import (
     _modal_coeffs,
 )
 from fracadapt.fem import FeFunction, _mesh_groups
+
+PATH_DEPTH = 10  # deepest gap of the path table (2^11 maps, 147 KB)
+
+
+@functools.cache
+def path_table(depth):
+    """Barycentric coordinates (2 << depth, 3, 3) of a node's corners (rows)
+    in the corners of its ancestor d <= depth levels up (columns), at index
+    (1 << d) + the d choices below the ancestor.  Bisection maps the corners
+    (v0, v1, v2) to (v2, v0, m) or (v1, v2, m), so every entry is an exact
+    dyadic."""
+    if depth == 0:
+        return np.stack([np.zeros((3, 3)), np.eye(3)])
+    prev = path_table(depth - 1)
+    P = prev[1 << (depth - 1) :]  # the maps of depth - 1, by path
+    m = (P[:, 0] + P[:, 1]) / 2.0
+    children = np.stack([P[:, 2], P[:, 0], m, P[:, 1], P[:, 2], m], axis=1)
+    return np.concatenate([prev, children.reshape(-1, 3, 3)])
+
+
+def nested_barycentric(keys, ancestors):
+    """Barycentric coordinates (n, 3, 3) of the corners of the nodes ``keys``
+    (rows) in the corners of their ancestors ``ancestors`` (columns), exactly:
+    looked up by relative path, in chained lookups for gaps deeper than
+    ``PATH_DEPTH``."""
+    level = keys & _LEVEL_MASK
+    gap = level - (ancestors & _LEVEL_MASK)
+    path = (keys >> (_ROOT_SHIFT - level)) & ((1 << gap) - 1)
+    table = path_table(min(int(gap.max(initial=0)), PATH_DEPTH))
+    step = np.minimum(gap, PATH_DEPTH)
+    lam = table[(1 << step) + (path & ((1 << step) - 1))]
+    while (gap := gap - step).any():
+        path >>= step
+        step = np.minimum(gap, PATH_DEPTH)
+        lam = lam @ table[(1 << step) + (path & ((1 << step) - 1))]
+    return lam
+
+
+def vertex_transfer(src, target):
+    """Per vertex of ``target``, a refinement of ``src``: the corners (n, 3)
+    of the ``src`` cell that holds the last ``target`` cell listing the
+    vertex, and the vertex's barycentric coordinates (n, 3) there."""
+    slot = np.empty(target.num_vertices, dtype=np.intp)
+    slot[target.cells] = np.arange(3 * target.num_cells).reshape(-1, 3)
+    cell, corner = np.divmod(slot, 3)
+    parents = meshmod.ancestor_cell_map(target, src)[cell]
+    bary = nested_barycentric(target.cell_key[cell], src.cell_key[parents])
+    return np.take(src.cells, parents, axis=0), bary[np.arange(len(cell)), corner]
+
+
+def at_vertices(transfer, nodal):
+    """Values (n, ...) at the target's vertices of P1 functions with nodal
+    values ``nodal`` (n_src, ...) on the source mesh of ``transfer``
+    (``vertex_transfer``), summed term by term in the order of
+    ``fem._matvec``: (w0 t0 + w1 t1) + w2 t2."""
+    corners, bary = transfer
+    w = bary.T.reshape((3, -1) + (1,) * (nodal.ndim - 1))
+    c = corners.T
+    return (w[0] * nodal[c[0]] + w[1] * nodal[c[1]]) + w[2] * nodal[c[2]]
 
 
 def _jump_sides(mesh, labels=None):
@@ -60,7 +128,7 @@ def global_union_estimate(scheme, states, union, f):
         else:
             parents = meshmod.ancestor_cell_map(union, src)
             corners = src.cells[parents]
-            lam = meshmod.nested_barycentric(union.cell_key, src.cell_key[parents])
+            lam = nested_barycentric(union.cell_key, src.cell_key[parents])
             lam = np.ascontiguousarray(lam.transpose(1, 2, 0))
             sides = _jump_sides(union, parents)
         partial, dphi = np.zeros(src.num_vertices), _columns(src, f)[5]
