@@ -1,13 +1,13 @@
 """The adaptive Solve / Estimate / Mark / Refine loop.
 
-One independently refined mesh is kept per parametric reaction-diffusion
-problem.  Marking is joint weighted bulk marking over the union of all
-(problem, cell) indicator pairs; problems whose mark set comes back empty
-carry their mesh, solution and indicators over to the next iteration without
-any recomputation.  Problems refined to equal meshes get separate mesh
-objects that share one build and its caches (see ``mesh``).  The union-mesh
-estimate gates the stopping criterion and is computed every ``k``-th
-iteration.
+The parametric reaction-diffusion problems are partitioned into clusters
+that share one mesh: each problem alone in multimesh mode, all in one in
+singlemesh and uniform mode.  Joint weighted bulk marking runs over all
+(problem, cell) indicator pairs; a cluster with marks is refined once by the
+union of its members' marks, and a cluster without carries its mesh,
+solutions and indicators over without any recomputation.  Equal refinements
+are separate mesh objects that share one build and its caches (see
+``mesh``).  The union-mesh estimate, every ``k``-th iteration, gates the stop.
 """
 
 import time
@@ -51,6 +51,8 @@ class RunConfig:
     def __post_init__(self):
         if not (0.0 < self.theta <= 1.0):
             raise ValueError("theta must lie in (0, 1]")
+        if not 0.0 < self.tol < np.inf:  # a NaN fails this too
+            raise ValueError("tol must be finite and positive")
         if self.k < 1:
             raise ValueError("k must be a positive integer")
         if self.max_iterations < 1:
@@ -208,13 +210,13 @@ def run(config, reference=None, on_checkpoint=None):
     cfg = config
     lam0 = oracle.faber_krahn_lambda0(cfg.domain)
     mesh0 = make_initial_mesh(cfg.domain, cfg.initial_cells)
-    if cfg.kappa is not None:
-        kappa = cfg.kappa
-    else:
-        f_norm = fem.l2_norm(cfg.f, mesh0)
-        kappa = rational.choose_kappa(cfg.s, cfg.tol, lam0, f_norm)
+    kappa = cfg.kappa
+    if kappa is None:
+        kappa = rational.choose_kappa(cfg.s, cfg.tol, lam0, fem.l2_norm(cfg.f, mesh0))
     scheme = rational.bp_coefficients(cfg.s, kappa, lam0)
     states = [fem.ParametricState(index=l, mesh=mesh0) for l in range(scheme.N)]
+    poles = list(range(scheme.N))
+    clusters = [[l] for l in poles] if cfg.mode == "multimesh" else [poles]
     solve_counts = np.zeros(scheme.N, dtype=int)
     refine_counts = np.zeros(scheme.N, dtype=int)
 
@@ -283,23 +285,20 @@ def run(config, reference=None, on_checkpoint=None):
             if not any(marks):
                 stopped = "converged"
                 break
-        # each state's new mesh or None; lazily in multimesh, so that a state
-        # lets go of its old mesh before the next refine
-        if cfg.mode == "multimesh":
-            moves = (refine(st.mesh, mk) if mk else None for st, mk in zip(states, marks))
-        elif cfg.mode == "singlemesh":  # every problem moves to one new shared mesh
-            moves = [refine(states[0].mesh, set().union(*marks))] * len(states)
-        else:
-            moves = [uniform_refine(states[0].mesh)] * len(states)
-        marked = []
-        for st, new in zip(states, moves):
-            if new is not None:
+        # a cluster with marks is refined once by the union of its members' marks
+        # (uniform mode refines every cluster); its members move to the new mesh
+        for cluster in clusters:
+            if cfg.mode == "uniform":
+                new = uniform_refine(states[cluster[0]].mesh)
+            elif any(marks[l] for l in cluster):
+                new = refine(states[cluster[0]].mesh, set().union(*(marks[l] for l in cluster)))
+            else:
+                continue
+            for st in (states[l] for l in cluster):
                 st.mesh, st.dirty, st.solution, st.indicators = new, True, None, None
-                refine_counts[st.index] += 1
-                marked.append(st.index)
-        # the spent marks are not carried through the next iteration
-        marks = moves = None
-        marked_per_iter.append(marked)
+            refine_counts[cluster] += 1
+        marks = new = None  # no spent mark set is carried through the next iteration
+        marked_per_iter.append([st.index for st in states if st.dirty])
         rec.wall_time = time.perf_counter() - t0
 
     # every run ends in a break, which skips the two lines above

@@ -191,3 +191,9 @@ def test_run_rejects_zero_iterations(capsys):
 def test_run_rejects_bad_theta(capsys):
     assert run_cli(["run", "--s", "0.5", "--theta", "2.0"]) == 1
     assert "theta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0"])
+def test_run_rejects_a_tolerance_that_cannot_stop(capsys, tol):
+    assert run_cli(["run", "--s", "0.5", f"--tol={tol}"]) == 1
+    assert "error: tol" in capsys.readouterr().err

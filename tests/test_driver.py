@@ -1,6 +1,7 @@
 import math
 import time
 import weakref
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -11,9 +12,9 @@ from fracadapt.driver import RunConfig, decay_rate, run
 from fracadapt.driver import IterationRecord
 from fracadapt.estimators import combined_equal_mesh_estimate
 from fracadapt.fem import RhsField, SolveError
-from fracadapt.mesh import DomainSpec, is_refinement_of
+from fracadapt.mesh import DomainSpec, is_refinement_of, make_initial_mesh
 from fracadapt.oracle import faber_krahn_lambda0
-from fracadapt.rational import bp_coefficients
+from fracadapt.rational import bp_coefficients, choose_kappa
 
 SQUARE = DomainSpec("square")
 
@@ -46,6 +47,16 @@ def test_config_validation():
     for n in (0, -1):
         with pytest.raises(ValueError, match="max_iterations"):
             small_config(max_iterations=n)
+    # eta_union < tol could never hold, so the run would refine to max_iterations
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            small_config(tol=tol)
+
+
+def test_kappa_none_is_chosen_from_the_tolerance():
+    res = run(small_config(kappa=None, tol=1e-2, max_iterations=2))
+    f_norm = fem.l2_norm(RhsField.one(), make_initial_mesh(SQUARE, 32))
+    assert res.scheme.kappa == choose_kappa(0.5, 1e-2, faber_krahn_lambda0(SQUARE), f_norm)
 
 
 def test_run_produces_expected_records():
@@ -117,6 +128,45 @@ def test_wall_time_covers_mark_and_refine(monkeypatch):
     monkeypatch.setattr(driver, "refine", slow)
     res = run(small_config(max_iterations=2))
     assert calls and res.records[0].wall_time >= 0.05 * len(calls)
+
+
+@pytest.mark.parametrize("mode", ["multimesh", "singlemesh", "uniform"])
+def test_each_refined_mesh_is_solved_once_per_holder(mode, monkeypatch):
+    # the benchmark tracer's per-object rule: iteration 0 solves every
+    # problem on one mesh object, and at iteration m + 1 exactly the objects
+    # that the refines of iteration m returned are solved, once per problem
+    # that holds one; every object is held, so no id is reused
+    solved, refined, holders = [[]], [[]], []
+    real_solve = fem.assemble_and_solve
+
+    def spy_solve(mesh, *args):
+        solved[-1].append(mesh)
+        return real_solve(mesh, *args)
+
+    def spy_refine(real):
+        def call(*args):
+            refined[-1].append(real(*args))
+            return refined[-1][-1]
+
+        return call
+
+    monkeypatch.setattr(fem, "assemble_and_solve", spy_solve)
+    for name in ("refine", "uniform_refine"):
+        monkeypatch.setattr(driver, name, spy_refine(getattr(driver, name)))
+
+    def on_checkpoint(m, states, *args):
+        holders.append(Counter(id(st.mesh) for st in states))
+        solved.append([])
+        refined.append([])
+
+    res = run(small_config(mode=mode, max_iterations=4), on_checkpoint=on_checkpoint)
+    assert res.stopped == "max-iter" and len(holders) == 4
+    n = res.scheme.N
+    assert len(solved[0]) == n and len({id(x) for x in solved[0]}) == 1
+    for m in range(1, len(holders)):
+        expected = {id(x): holders[m][id(x)] for x in refined[m]}
+        assert refined[m] and Counter(id(x) for x in solved[m]) == expected
+        assert sum(expected.values()) == len(res.marked_per_iter[m - 1])
 
 
 def test_estimate_decreases():

@@ -13,10 +13,10 @@ the bytes of each per-node column.
     python tools/fingerprint.py case1-multimesh out.json [--checkout DIR]
     python tools/fingerprint.py --compare parent.json change.json
 
-The first form runs the named config of ``benchmarks/workloads.py``, or this
-script's own ``sin-multimesh`` config, with the package in ``DIR/src``
-(default: this checkout), so one copy of this script fingerprints any
-commit.  The second prints every integer and hash mismatch, naming for
+The first form runs the named config of ``benchmarks/workloads.py``, or one
+of this script's own ``sin-multimesh`` and ``case2-uniform`` configs, with
+the package in ``DIR/src`` (default: this checkout), so one copy of this
+script fingerprints any commit.  The second prints every integer and hash mismatch, naming for
 marks and indicators the marking call or checkpoint and up to five problems,
 and the largest relative difference of each float field; it exits 1 on any
 mismatch.  Float differences are reported, not judged, and so are the table
@@ -68,14 +68,25 @@ def _sin_multimesh(fa, workloads):
     return config, fa.eigenfunction_reference(domain, 1, 2, 0.5)
 
 
+def _case2_uniform(fa, workloads):
+    """``case2-multimesh``'s inputs in uniform mode for 3 iterations (up to
+    8,192 cells): uniform refinement does not mark, so this config compares
+    the refinement that no marking drives."""
+    config, reference = workloads.make_inputs("case2-multimesh")
+    return dataclasses.replace(config, mode="uniform", max_iterations=3), reference
+
+
+_OWN_CONFIGS = {"sin-multimesh": _sin_multimesh, "case2-uniform": _case2_uniform}
+
+
 def fingerprint(name, checkout):
     sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "benchmarks")]
     import fracadapt as fa
     import fracadapt.driver as driver
     import workloads
 
-    if name == "sin-multimesh":
-        config, reference = _sin_multimesh(fa, workloads)
+    if name in _OWN_CONFIGS:
+        config, reference = _OWN_CONFIGS[name](fa, workloads)
     else:
         config, reference = workloads.make_inputs(name)
     marks, unions, indicators, solutions = [], [], [], []
