@@ -20,11 +20,12 @@ serves every estimate, and lam > 0 keeps its denominator positive:
     y = (alpha - c B v - (b / 4) W' j) / (lam b + |K| c),   ||e_K||^2 = |K| |y|^2.
 
 Both estimates run the kernel on blocks of up to ``_BLOCK`` problems of one
-mesh, cells innermost, (L, 3, m); each cell sums its terms in a fixed order,
-so stacking changes no bit.  The union estimate needs only sum_l a_l y_l, which
-is linear in each w_l with d = lam b_l + |K| c_l as its only (l, K) factor;
-per class of cells with bitwise equal (lam, |K|) and per mode, the weighted
-sums Z^c = sum_l a_l c_l w_l / d and Z^b = sum_l a_l b_l w_l / d give
+mesh, cells innermost, (L, 3, m), into one buffer per call; each cell sums
+its terms in a fixed order, so stacking and the buffers change no bit.  The
+union estimate needs only sum_l a_l y_l, which is linear in each w_l with
+d = lam b_l + |K| c_l as its only (l, K) factor; per class of cells with
+bitwise equal (lam, |K|) and per mode, the weighted sums
+Z^c = sum_l a_l c_l w_l / d and Z^b = sum_l a_l b_l w_l / d give
 
     sum_l a_l y_l = alpha sum_l a_l / d - B v(Z^c) - (1 / 4) W' j(Z^b).
 
@@ -120,11 +121,10 @@ def _columns(mesh, f):
     """Everything an estimate call reads of ``mesh``, formed once per call and
     not cached: W' (3, 3, m), B (3, 3, m), lam (3, m), alpha (3, m) for the
     field ``f``, the areas (m,) and the hat-function gradients (2, 3, m),
-    cells innermost, then the edge normals (e, 2) and lengths (e,) of
-    ``_geometry``."""
-    ops = np.ascontiguousarray(mesh.column(("ops", f), lambda x: _ops_of(x, f)).transpose(1, 2, 0))
-    grads = np.ascontiguousarray(_grads(mesh).transpose(2, 1, 0))
-    return ops[:, :3], ops[:, 3:6], ops[:, 6], ops[:, 7], mesh.cell_areas(), grads, *_geometry(mesh)
+    cells innermost as the forest columns are gathered, with no transposed
+    copy, then the edge normals (e, 2) and lengths (e,) of ``_geometry``."""
+    ops, dphi = mesh.column(("ops", f), lambda x: _ops_of(x, f)), _grads(mesh).T
+    return ops[:, :3], ops[:, 3:6], ops[:, 6], ops[:, 7], mesh.cell_areas(), dphi, *_geometry(mesh)
 
 
 def _geometry(mesh):
@@ -143,10 +143,11 @@ def _geometry(mesh):
     return np.stack([d[:, 1] / length, -d[:, 0] / length], axis=1), length
 
 
-def _cell_matvec(A, v):
-    """A (p, 3, m) times v (L, 3, m) cell by cell, shape (L, p, m), summed
-    term by term in the order of ``fem._matvec``."""
-    out = A[:, 0] * v[:, None, 0] + A[:, 1] * v[:, None, 1]
+def _cell_matvec(A, v, out=None):
+    """A (p, 3, m) times v (L, 3, m) cell by cell, shape (L, p, m), into
+    ``out`` if given, summed term by term in the order of ``fem._matvec``."""
+    out = np.multiply(A[:, 0], v[:, None, 0], out=out)
+    out += A[:, 1] * v[:, None, 1]
     out += A[:, 2] * v[:, None, 2]
     return out
 
@@ -159,30 +160,48 @@ def _corner_values(mesh, dphi, nodal):
     return vals, _cell_matvec(dphi, vals)
 
 
+def _jumps(grads, c1, c2, normal):
+    """(grads at c1 - grads at c2) . ``normal`` (..., 2) for gradients
+    (L, 2, k) and cell indices c1, c2 of one shape, formed one axis at a time."""
+    out = (np.take(grads[:, 0], c1, axis=1) - np.take(grads[:, 0], c2, axis=1)) * normal[..., 0]
+    out += (np.take(grads[:, 1], c1, axis=1) - np.take(grads[:, 1], c2, axis=1)) * normal[..., 1]
+    return out
+
+
 def _edge_jumps(mesh, normal, grads):
     """Flux-jump scalar (gradient jump dotted with the fixed ``normal``) per
     edge, shape (L, e), for cell gradients (L, 2, m); boundary edges get an
     exact zero."""
     c1, c2 = mesh.edge_cells.T
-    sel = c2 >= 0
-    normal = normal[sel].T
-    dg = np.take(grads, c1[sel], axis=2) - np.take(grads, c2[sel], axis=2)
-    j = np.zeros((len(grads), len(mesh.edges)))
-    j[:, sel] = dg[:, 0] * normal[0] + dg[:, 1] * normal[1]
+    j = _jumps(grads, c1, c2, normal)  # c2 = -1 past the boundary: the last cell
+    j[:, c2 < 0] = 0.0
     return j
 
 
-def _modal_coeffs(target, columns, corner_vals, jump, b, c):
+def _modal_coeffs(target, columns, nodal, b, c, out):
     """Modal coefficients y (L, 3, m) on ``target`` of L stacked P1 functions
-    with corner values (L, 3, m) and flux jumps (L, e), one b and c each."""
-    Wp, B, lam, alpha, area, _, _, length = columns
+    with nodal values (n, L), one b and c each, written into ``out``.  Each
+    spent array is dropped at once and every other step runs in place, in
+    the order of the plain formula, so at most about four (L, 3, m) arrays
+    are live and no bit depends on the buffers."""
+    Wp, B, lam, alpha, area, dphi, normal, length = columns
     b, c = np.reshape(b, (-1, 1, 1)), np.reshape(c, (-1, 1, 1))
-    j = np.take(jump * length, target.cell_edge.T, axis=1)
-    # the mirror pairs edges 1 and 2, and corners 0 and 1: each pair is added first
-    wj = Wp[:, 1] * j[:, None, 1] + Wp[:, 2] * j[:, None, 2]
-    wj += Wp[:, 0] * j[:, None, 0]
-    d = lam * b + area * c
-    return (alpha - c * _cell_matvec(B, corner_vals) - b / 4.0 * wj) / d
+    vals, grads = _corner_values(target, dphi, nodal)
+    y, vals = _cell_matvec(B, vals, out), None
+    j, grads = np.take(_edge_jumps(target, normal, grads), target.cell_edge.T, axis=1), None
+    j *= np.take(length, target.cell_edge.T)
+    # W' j row by row, so its scratch is (L, m); the mirror pairs edges 1 and 2, and
+    # corners 0 and 1 (in B v): each pair is added first
+    wj = np.empty_like(j)
+    for r in range(3):
+        row = np.multiply(Wp[r, 1], j[:, 1], out=wj[:, r])
+        row += Wp[r, 2] * j[:, 2]
+        row += Wp[r, 0] * j[:, 0]
+    np.subtract(alpha, np.multiply(y, c, out=y), out=y)
+    y -= np.multiply(wj, b / 4.0, out=wj)
+    d = np.multiply(lam, b, out=wj)
+    d += area * c
+    return np.divide(y, d, out=y)
 
 
 def local_indicators(mesh, w, b, c, f):
@@ -191,11 +210,10 @@ def local_indicators(mesh, w, b, c, f):
     ones with one b and one c per column, estimated ``_BLOCK`` at a time."""
     nodal, columns = w.nodal_values.reshape(mesh.num_vertices, -1), _columns(mesh, f)
     b, c, eta = np.reshape(b, -1), np.reshape(c, -1), np.empty((mesh.num_cells, nodal.shape[1]))
-    for block in (slice(k, k + _BLOCK) for k in range(0, nodal.shape[1], _BLOCK)):
-        vals, grads = _corner_values(mesh, columns[5], nodal[:, block])
-        jump = _edge_jumps(mesh, columns[6], grads)
-        y = _modal_coeffs(mesh, columns, vals, jump, b[block], c[block])
-        eta[:, block] = np.sqrt(columns[4] * np.sum(y**2, axis=1)).T  # as in the union pass
+    out = np.empty((min(nodal.shape[1], _BLOCK), 3, mesh.num_cells))
+    for l in (slice(k, k + _BLOCK) for k in range(0, nodal.shape[1], _BLOCK)):
+        y = _modal_coeffs(mesh, columns, nodal[:, l], b[l], c[l], out[: len(b[l])])
+        eta[:, l] = np.sqrt(columns[4] * np.sum(y**2, axis=1)).T  # as in the union pass
     return eta if w.nodal_values.ndim > 1 else eta[:, 0]
 
 
@@ -224,7 +242,7 @@ def combined_equal_mesh_estimate(scheme, states, f):
     area, (normal, length) = mesh.cell_areas(), _geometry(mesh)
     M = area[:, None, None] * _MREF
     F = f(*np.moveaxis(_CB @ mesh.vertices[mesh.cells], -1, 0)) @ _WPHI
-    dphi = np.ascontiguousarray(_grads(mesh).transpose(2, 1, 0))
+    dphi = _grads(mesh).T
     combined = np.zeros((mesh.num_cells, 3))
     for st in states:
         b, c = scheme.b[st.index], scheme.c[st.index]
@@ -240,19 +258,40 @@ def _class_sums(union, columns, cls, Z, S):
     """sum_l a_l y_l (3, m) on ``union`` of every problem summed into the
     weighted sums Z (n, 6 x classes) at the union's vertices, per class and
     mode Z^c then Z^b, with S = sum_l a_l / d (classes, 3) (module docstring)
-    and ``cls`` the class of each cell."""
-    (Wp, B, lam, alpha, _, dphi, normal, length), classes = columns, len(S)
+    and ``cls`` the class of each cell: alpha S - B v(Z^c) - W' j(Z^b) / 4, a
+    class's gradients and jumps formed on its cells and their neighbours."""
+    (Wp, B, _, alpha, _, dphi, normal, length), classes = columns, len(S)
     col = 3 * cls + np.arange(3)[:, None]  # per mode, the column of each cell's class
-    v = Z[union.cells.T, col[:, None]]
-    j = np.empty_like(v)
-    for k in range(classes):  # one class at a time bounds the buffers
-        at, zb = cls == k, Z[:, 3 * (classes + k) : 3 * (classes + k + 1)]
-        jump = _edge_jumps(union, normal, _corner_values(union, dphi, zb)[1]) * length
-        j[:, :, at] = np.take(jump, union.cell_edge[at].T, axis=1)
-    Bv = B[:, 0] * v[:, 0] + B[:, 1] * v[:, 1]  # the mirror pairs are added first
-    wj = Wp[:, 1] * j[:, 1] + Wp[:, 2] * j[:, 2]
-    Bv, wj = Bv + B[:, 2] * v[:, 2], wj + Wp[:, 0] * j[:, 0]
-    return alpha * S[cls].T - Bv - wj / 4.0
+    out = B[:, 0] * Z[union.cells[:, 0], col] + B[:, 1] * Z[union.cells[:, 1], col]
+    out += B[:, 2] * Z[union.cells[:, 2], col]  # the mirror pairs are added first
+    np.subtract(alpha * S[cls].T, out, out=out)
+    near, slot = np.zeros(union.num_cells, dtype=bool), np.empty(union.num_cells, dtype=np.int32)
+    for k in range(classes):
+        at = np.flatnonzero(cls == k)
+        edge = np.take(union.cell_edge, at, axis=0).T
+        sides = np.take(union.edge_cells, edge, axis=0)  # -1 past the boundary: the last cell
+        near[:] = False
+        near[sides] = True
+        slot[near] = np.arange(np.count_nonzero(near), dtype=np.int32)
+        zb = Z[:, 3 * (classes + k) : 3 * (classes + k + 1)].T
+        grads = _cell_matvec(dphi[:, :, near], np.take(zb, union.cells[near].T, axis=1))
+        j = _jumps(grads, slot[sides[..., 0]], slot[sides[..., 1]], normal[edge])
+        j *= length[edge]
+        j[:, sides[..., 1] < 0] = 0.0
+        w = Wp[:, :, at]  # W' j(Z^b), the mirror pair first
+        out[:, at] -= (w[:, 1] * j[:, 1] + w[:, 2] * j[:, 2] + w[:, 0] * j[:, 0]) / 4.0
+        grads = j = w = None  # no class's arrays are held through the next one
+    return out
+
+
+def _classes(union, f):
+    """The union's cells in classes of bitwise equal (lam, |K|) rows: each
+    cell's class, and lam (3, classes) and |K| (classes,) of each class."""
+    lam, area = union.column(("ops", f), lambda x: _ops_of(x, f))[:, 6], union.cell_areas()
+    # raw bytes sort several times faster than np.unique(axis=0)'s structured rows
+    rows = np.ascontiguousarray(np.vstack([lam, area]).T).view("V32").ravel()
+    _, rep, cls = np.unique(rows, return_index=True, return_inverse=True)
+    return cls, lam[:, rep], area[rep]
 
 
 def global_union_estimate(scheme, states, union, f):
@@ -272,18 +311,13 @@ def global_union_estimate(scheme, states, union, f):
     kernel in blocks like the union's own, with jumps on every interior union
     edge.
     """
-    columns = _columns(union, f)  # hoisted out of the blocks
-    lam, area = columns[2], columns[4]
-    # classes of cells with bitwise equal (lam, |K|) rows, and the first cell of each; raw
-    # bytes sort several times faster than np.unique(axis=0)'s structured rows
-    rows = np.ascontiguousarray(np.vstack([lam, area]).T).view("V32").ravel()
-    _, rep, cls = np.unique(rows, return_index=True, return_inverse=True)
+    cls, class_lam, class_area = _classes(union, f)
     groups = _mesh_groups(states)
     coarser = [st.index for src, group in groups if not src.same_mesh(union) for st in group]
-    weighted = 3 * len(rep) < len(coarser)
+    weighted = 3 * len(class_area) < len(coarser)
     if weighted:
         a, b, c = (x[coarser, None, None] for x in (scheme.a, scheme.b, scheme.c))
-        wa = a / (lam[:, rep].T * b + area[rep, None] * c)  # the kernel's d, bit for bit
+        wa = a / (class_lam.T * b + class_area[:, None] * c)  # the kernel's d, bit for bit
         weights = np.concatenate([wa * c, wa * b], axis=1).reshape(len(coarser), -1)
         weights = np.column_stack([a[:, 0, 0], weights])  # column 0: the recombined sum
         # alpha S cancels against B v(Z^c): round S once, its error is not averaged over l
@@ -291,7 +325,6 @@ def global_union_estimate(scheme, states, union, f):
     else:
         weights = np.eye(len(coarser))  # each coarser problem in a column of its own
     sweep = _Prolongation(union, weights.shape[1])
-    combined, solution = np.zeros((3, union.num_cells)), np.zeros(union.num_vertices)
     kernel, done = [], 0  # per kernel block: its problems, states on the union, first column
     for src, group in groups:
         l, own = np.array([st.index for st in group]), src.same_mesh(union)
@@ -302,20 +335,22 @@ def global_union_estimate(scheme, states, union, f):
             kernel += [(l[k : k + _BLOCK], group[k : k + _BLOCK] if own else [], done + k)
                        for k in range(0, len(l), _BLOCK)]
         done += 0 if own else len(l)
+    acc = sweep.result() if coarser else None
+    # the columns only now: the sweep's peak does not hold them
+    columns, area = _columns(union, f), union.cell_areas()
+    combined, solution = np.zeros((3, union.num_cells)), np.zeros(union.num_vertices)
     if coarser:
-        acc = sweep.result()
         solution += acc[:, 0] if weighted else acc @ scheme.a[coarser]
         if weighted:
             combined += _class_sums(union, columns, cls, acc[:, 1:], S)
+    out = np.empty((max((len(l) for l, *_ in kernel), default=0), 3, union.num_cells))
     for l, block, col in kernel:
         if block:
             nodal = np.stack([st.solution.nodal_values for st in block], axis=1)
             solution += nodal @ scheme.a[l]
         else:
             nodal = acc[:, col : col + len(l)]
-        vals, grads = _corner_values(union, columns[5], nodal)
-        jump = _edge_jumps(union, columns[6], grads)
-        y = _modal_coeffs(union, columns, vals, jump, scheme.b[l], scheme.c[l])
+        y = _modal_coeffs(union, columns, nodal, scheme.b[l], scheme.c[l], out[: len(l)])
         combined += (scheme.a[l] @ y.reshape(len(l), -1)).reshape(combined.shape)  # a gemv
         for st, ind in zip(block, np.sqrt(area * np.sum(y**2, axis=1))):
             if st.dirty:

@@ -189,8 +189,9 @@ def _grads_of(x):
 
 
 def _grads(mesh):
-    """P1 hat-function gradients per cell, shape (m, 3, 2)."""
-    return mesh.column("grads", _grads_of)
+    """P1 hat-function gradients per cell, shape (m, 3, 2): a cell-major view
+    of the cells-innermost gather."""
+    return mesh.column("grads", _grads_of).transpose(2, 0, 1)
 
 
 def _load_of(x, f):
@@ -296,7 +297,7 @@ def _load_vector(mesh, f):
     key = ("load", f)
     F = mesh._cache.get(key)
     if F is None:
-        contrib = mesh.column(key, lambda x: _load_of(x, f))
+        contrib = mesh.column(key, lambda x: _load_of(x, f)).T  # summed cell-major
         F = np.bincount(mesh.cells.reshape(-1), contrib.reshape(-1), mesh.num_vertices)
         mesh._cache[key] = F
     return F

@@ -31,14 +31,16 @@ Each forest keeps a node table (``_ForestBase``): every node built so far,
 append-only, with its key, corners, edges and first child, and per-node
 columns (areas, gradients, per field the load contributions and the
 estimator's operators, per reference its values) computed once per node and
-gathered by every mesh (``TriMesh.column``).  Each midpoint also records the
-ends (lo, hi) of the edge it bisects and its generation, one more than the
-larger of theirs (roots: 0), which is all a P1 prolongation between meshes of
-the forest needs (``fem._Prolongation``).  A refinement keeps its mesh's
-leaf rows and adds children's, appended at a node's first bisection, and a
-build numbers the forest vertices and edges its leaves use.  Forests compare
-by identity: meshes of two separately built forests are never the same mesh
-and never combine, even over equal roots.
+gathered by every mesh (``TriMesh.column``), node axis last: a gather comes
+out cells innermost, as the estimator reads it, and a caller that flattens it
+cell-major transposes it.  Each midpoint also records the ends (lo, hi) of the
+edge it bisects and its generation, one more than the larger of theirs (roots:
+0), which is all a P1 prolongation between meshes of the forest needs
+(``fem._Prolongation``).  A refinement keeps its mesh's leaf rows and adds
+children's, appended at a node's first bisection, and a build numbers the
+forest vertices and edges its leaves use.  Forests compare by identity: meshes
+of two separately built forests are never the same mesh and never combine,
+even over equal roots.
 
 Vertex numbering: the initial vertices come first, then one midpoint per
 bisected edge, ordered by the smallest key of a node that bisects that edge.
@@ -377,20 +379,22 @@ class TriMesh:
         return self.column("areas", _cell_areas)
 
     def column(self, name, compute):
-        """This mesh's cells' values in the forest's per-node column ``name``.
+        """This mesh's cells' values (..., m), cells innermost, in the forest's
+        per-node column ``name``, which stores them node axis last.
 
         ``compute`` maps the corner coordinates (r, 3, 2) of r nodes to their
-        values; it runs once per node, on the rows added since the column was
-        last extended.  It must compute each node's values from its own
-        corners alone, elementwise, so that no bit depends on the other rows.
+        values (r, ...); it runs once per node, on the rows added since the
+        column was last extended.  It must compute each node's values from its
+        own corners alone, elementwise, so that no bit depends on the other rows.
         """
         base = self.base
         col = base.columns.get(name)
-        done = 0 if col is None else len(col)
+        done = 0 if col is None else col.shape[-1]
         if done < len(base.corners):
             new = compute(np.take(base.xy, base.corners[done:], axis=0))
-            base.columns[name] = col = new if col is None else np.concatenate([col, new])
-        return np.take(col, self.rows, axis=0)  # faster than col[self.rows]
+            new = np.ascontiguousarray(np.moveaxis(new, 0, -1))  # else take copies it
+            base.columns[name] = col = new if col is None else np.concatenate([col, new], -1)
+        return np.take(col, self.rows, axis=-1)  # faster than col[..., self.rows]
 
     def same_mesh(self, other):
         return self is other or (

@@ -223,7 +223,7 @@ def l2_error(u_ref, u_h):
     mesh = u_h.mesh
     ref_vals = mesh.column(
         ("ref", u_ref), lambda x: u_ref.eval(_matvec(TRI_QP, x).reshape(-1, 2)).reshape(-1, 6)
-    )
+    ).T  # cell-major, as the sum below runs
     fem_vals = u_h.cell_values_at(TRI_QP)
     diff2 = (ref_vals - fem_vals) ** 2
     return float(np.sqrt(np.einsum("mq,q,m->", diff2, TRI_QW, mesh.cell_areas())))

@@ -55,10 +55,10 @@ def epsilon_bound(s, kappa, lambda0):
     """Uniform error bound for the rectangle-rule pole sum on [lambda0, inf)."""
     if not (0.0 < s < 1.0):
         raise ValueError(f"fractional power s={s} must lie in (0, 1)")
-    if kappa <= 0.0:
-        raise ValueError(f"fineness parameter kappa={kappa} must be positive")
-    if lambda0 <= 0.0:
-        raise ValueError("lambda0 must be positive")
+    if not 0.0 < kappa < math.inf:  # a NaN fails this too
+        raise ValueError(f"fineness parameter kappa={kappa} must be finite and positive")
+    if not 0.0 < lambda0 < math.inf:
+        raise ValueError(f"lambda0={lambda0} must be finite and positive")
     q = math.pi**2 / (4.0 * kappa)
     bracket = math.exp(-q) / math.sinh(q) + math.exp(-2.0 * q)
     return (

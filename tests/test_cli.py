@@ -197,3 +197,12 @@ def test_run_rejects_bad_theta(capsys):
 def test_run_rejects_a_tolerance_that_cannot_stop(capsys, tol):
     assert run_cli(["run", "--s", "0.5", f"--tol={tol}"]) == 1
     assert "error: tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kappa", ["nan", "inf", "0", "-1"])
+def test_run_rejects_a_kappa_that_is_not_finite(capsys, kappa):
+    # a kappa that is not finite and positive is refused by name, before the
+    # pole sum is built
+    assert run_cli(["run", "--s", "0.5", f"--kappa={kappa}", "--max-iter", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "kappa" in err

@@ -232,8 +232,8 @@ def test_nonfinite_indicator_fails_loudly(monkeypatch):
     real_coeffs, real_local = estimators._modal_coeffs, estimators.local_indicators
     calls = []
 
-    def broken_coeffs(target, columns, vals, jump, b, c):
-        y = real_coeffs(target, columns, vals, jump, b, c)
+    def broken_coeffs(target, columns, nodal, b, c, out):
+        y = real_coeffs(target, columns, nodal, b, c, out)
         calls.append(b)
         if len(calls) == 1:
             y[2, :, 0] = np.nan
@@ -296,9 +296,9 @@ def test_singlemesh_estimates_in_stacked_blocks(monkeypatch):
     real = estimators._modal_coeffs
     widths = []
 
-    def spy(target, columns, vals, jump, b, c):
+    def spy(target, columns, nodal, b, c, out):
         widths.append(len(b))
-        return real(target, columns, vals, jump, b, c)
+        return real(target, columns, nodal, b, c, out)
 
     def refuse(*args):
         raise AssertionError("local_indicators called")

@@ -529,9 +529,9 @@ def _spy_union_paths(monkeypatch):
         calls["sweeps"] += 1
         return result(self)
 
-    def spy_kernel(target, columns, corner_vals, jump, b, c):
-        calls["kernel"].append(len(corner_vals))
-        return kernel(target, columns, corner_vals, jump, b, c)
+    def spy_kernel(target, columns, nodal, b, c, out):
+        calls["kernel"].append(len(b))
+        return kernel(target, columns, nodal, b, c, out)
 
     def spy_class_sums(*args):
         calls["class_sums"] += 1
@@ -692,9 +692,9 @@ def test_weighted_group_makes_no_kernel_call(monkeypatch):
     calls = []
     real = estimators._modal_coeffs
 
-    def spy(target, columns, corner_vals, jump, b, c):
-        calls.append(len(corner_vals))
-        return real(target, columns, corner_vals, jump, b, c)
+    def spy(target, columns, nodal, b, c, out):
+        calls.append(len(b))
+        return real(target, columns, nodal, b, c, out)
 
     monkeypatch.setattr(estimators, "_modal_coeffs", spy)
     eta, solution = global_union_estimate(scheme, states, u, f)

@@ -43,3 +43,8 @@ def test_every_phase_is_measured_on_a_small_run(mode):
         assert (st["peak"] > 0) == (st["at_call"] > 0)
     if mode != "uniform":
         assert phases["mark"]["pool_mb"] > 0.0 and traced["phases"]["mark"]["peak"] > 0
+    # the union of the union pass's largest call: at least the 32 initial cells
+    union = phases["union pass"]
+    assert isinstance(union["union_cells"], int) and union["union_cells"] >= 32
+    assert union["union_cells"] == traced["phases"]["union pass"]["cells"]
+    assert "union_cells" not in phases["mark"] and "pool_mb" not in union

@@ -133,3 +133,6 @@ def test_invalid_arguments():
         bp_coefficients(0.5, -0.1, 1.0)
     with pytest.raises(ValueError):
         bp_coefficients(0.5, 0.26, 0.0)
+    for kappa, lambda0 in ((math.nan, 1.0), (math.inf, 1.0), (0.26, math.nan), (0.26, math.inf)):
+        with pytest.raises(ValueError, match="kappa" if lambda0 == 1.0 else "lambda0"):
+            epsilon_bound(0.5, kappa, lambda0)

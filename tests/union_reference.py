@@ -2,10 +2,11 @@
 
 This is ``global_union_estimate`` as it was before the pass summed a large
 coarser source group's solutions per (lam, |K|) class: every group runs the
-estimator kernel ``_modal_coeffs`` once per block of up to ``_BLOCK``
-problems on every union cell.  A coarser group's corner values come from a
-per-cell barycentric table, its gradients from its own cells, and its jumps
-only on union edges between two source cells, with exact zeros inside one.
+estimator kernel (the frozen ``kernel_reference._modal_coeffs``) once per
+block of up to ``_BLOCK`` problems on every union cell.  A coarser group's
+corner values come from a per-cell barycentric table, its gradients from its
+own cells, and its jumps only on union edges between two source cells, with
+exact zeros inside one.
 The tests compare the pass against it within rounding.
 
 The barycentric table is the exact path table (``path_table``,
@@ -22,14 +23,9 @@ import numpy as np
 
 from fracadapt import mesh as meshmod
 from fracadapt.mesh import _LEVEL_MASK, _ROOT_SHIFT
-from fracadapt.estimators import (
-    _BLOCK,
-    _cell_matvec,
-    _columns,
-    _corner_values,
-    _modal_coeffs,
-)
+from fracadapt.estimators import _BLOCK, _columns
 from fracadapt.fem import FeFunction, _mesh_groups
+from kernel_reference import _cell_matvec, _corner_values, _modal_coeffs
 
 PATH_DEPTH = 10  # deepest gap of the path table (2^11 maps, 147 KB)
 

@@ -24,8 +24,10 @@ the benchmark's rounds use) make the same run:
 Tracing slows the run and adds its own memory, which is why the resident
 set is read in a run without it.  Prints one JSON line per phase, in the
 order above (mark also gives ``pool_mb``, the bytes of its largest call's
-N m pooled float64 indicators), then one line with the run's iterations and
-``VmHWM`` at its end, all in MB of 10^6 bytes.
+N m pooled float64 indicators, and the union pass ``union_cells``, the cells
+of its largest call's union, so a per-cell figure is read off directly), then
+one line with the run's iterations and ``VmHWM`` at its end, all in MB of 10^6
+bytes.
 """
 
 import argparse
@@ -66,7 +68,7 @@ def measure(config, reference=None, traced=False):
     the run's iterations and final ``VmHWM``."""
     import fracadapt as fa
 
-    stats = {name: dict(calls=0, rise=0, peak=0, at_call=0, entry=0, pool=0)
+    stats = {name: dict(calls=0, rise=0, peak=0, at_call=0, entry=0, pool=0, cells=0)
              for name, _, _ in PHASES}
 
     def wrap(name, real):
@@ -86,6 +88,8 @@ def measure(config, reference=None, traced=False):
                 st.update(peak=over, at_call=st["calls"], entry=entry)
                 if name == "mark":
                     st["pool"] = 8 * sum(len(s.indicators) for s in args[0])
+                if name == "union pass":
+                    st["cells"] = args[2].num_cells
             return out
 
         return wrapped
@@ -117,6 +121,8 @@ def merge(rss, traced):
                     entry_mb=round(t["entry"] / MB, 2))
         if name == "mark":
             line["pool_mb"] = round(t["pool"] / MB, 2)
+        if name == "union pass":
+            line["union_cells"] = t["cells"]
         lines.append(line)
     lines.append(dict(iterations=rss["iterations"], vmhwm_mb=round(rss["vmhwm"] / MB, 1)))
     return lines
