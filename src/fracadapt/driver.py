@@ -170,6 +170,8 @@ def decay_rate(records, window=15, estimate="eta_union"):
     fixed cost of the many never-refined problems, which inflates the
     apparent rate, so the union dimension is the comparable one.
     """
+    if window < 2:
+        raise ValueError(f"a decay rate needs a window of at least 2 records, got {window}")
     est = [r for r in records if r.eta_union is not None]
     if len(est) < window:
         raise ValueError(f"need at least {window} records with estimates, got {len(est)}")
@@ -241,7 +243,7 @@ def run(config, reference=None, on_checkpoint=None):
                 except ValueError as exc:
                     raise ValueError(f"{_problem(scheme, st.index)}: {exc}") from exc
                 solve_counts[st.index] += 1
-            fem._drop_solve_caches(mesh)
+            mesh._cache.clear()  # the group's FE system, loads and bases
         solved_per_iter.append(sorted(st.index for st in dirty))
 
         totcost = sum(st.mesh.num_interior_vertices for st in dirty)

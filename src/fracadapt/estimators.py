@@ -123,7 +123,7 @@ def _columns(mesh, f):
     field ``f``, the areas (m,) and the hat-function gradients (2, 3, m),
     cells innermost as the forest columns are gathered, with no transposed
     copy, then the edge normals (e, 2) and lengths (e,) of ``_geometry``."""
-    ops, dphi = mesh.column(("ops", f), lambda x: _ops_of(x, f)), _grads(mesh).T
+    ops, dphi = mesh.column(_ops_of, f), _grads(mesh).T
     return ops[:, :3], ops[:, 3:6], ops[:, 6], ops[:, 7], mesh.cell_areas(), dphi, *_geometry(mesh)
 
 
@@ -287,7 +287,7 @@ def _class_sums(union, columns, cls, Z, S):
 def _classes(union, f):
     """The union's cells in classes of bitwise equal (lam, |K|) rows: each
     cell's class, and lam (3, classes) and |K| (classes,) of each class."""
-    lam, area = union.column(("ops", f), lambda x: _ops_of(x, f))[:, 6], union.cell_areas()
+    lam, area = union.column(_ops_of, f)[:, 6], union.cell_areas()
     # raw bytes sort several times faster than np.unique(axis=0)'s structured rows
     rows = np.ascontiguousarray(np.vstack([lam, area]).T).view("V32").ravel()
     _, rep, cls = np.unique(rows, return_index=True, return_inverse=True)
@@ -337,7 +337,7 @@ def global_union_estimate(scheme, states, union, f):
         done += 0 if own else len(l)
     acc = sweep.result() if coarser else None
     # the columns only now: the sweep's peak does not hold them
-    columns, area = _columns(union, f), union.cell_areas()
+    columns = _columns(union, f)
     combined, solution = np.zeros((3, union.num_cells)), np.zeros(union.num_vertices)
     if coarser:
         solution += acc[:, 0] if weighted else acc @ scheme.a[coarser]
@@ -352,8 +352,8 @@ def global_union_estimate(scheme, states, union, f):
             nodal = acc[:, col : col + len(l)]
         y = _modal_coeffs(union, columns, nodal, scheme.b[l], scheme.c[l], out[: len(l)])
         combined += (scheme.a[l] @ y.reshape(len(l), -1)).reshape(combined.shape)  # a gemv
-        for st, ind in zip(block, np.sqrt(area * np.sum(y**2, axis=1))):
+        for st, ind in zip(block, np.sqrt(columns[4] * np.sum(y**2, axis=1))):
             if st.dirty:
                 st.indicators, st.dirty = ind, False
-    eta = scheme.C * float(np.sqrt(np.sum(area * np.sum(combined**2, axis=0))))
+    eta = scheme.C * float(np.sqrt(np.sum(columns[4] * np.sum(combined**2, axis=0))))
     return eta, FeFunction(union, scheme.C * solution)

@@ -29,12 +29,12 @@ factor itself is freed at once, because a live SuperLU object pins far more
 memory than the ``_T`` vectors of the basis.  Every other pole factors its
 own ``b K + c M``.
 
-The system, load vectors and bases are cached in the mesh's ``_cache`` on
-first use, which equal meshes share (see ``mesh``), and live for one solve
+The system, load vectors and bases live in the mesh's memo
+(``TriMesh.memo``), which equal meshes share (see ``mesh``), for one solve
 phase: the driver solves the problems of one mesh group after another and
-drops the group's entries (``_drop_solve_caches``) when it is done, so a
-solve phase holds one system at a time.  A later solve on the same leaves
-builds them again, bit for bit.
+clears the group's memo whole when it is done, so a solve phase holds one
+system at a time.  A later solve on the same leaves builds them again, bit
+for bit.
 """
 
 import math
@@ -191,7 +191,7 @@ def _grads_of(x):
 def _grads(mesh):
     """P1 hat-function gradients per cell, shape (m, 3, 2): a cell-major view
     of the cells-innermost gather."""
-    return mesh.column("grads", _grads_of).transpose(2, 0, 1)
+    return mesh.column(_grads_of).transpose(2, 0, 1)
 
 
 def _load_of(x, f):
@@ -278,29 +278,14 @@ def _build_system(mesh, dofs):
 
 
 def _system(mesh):
-    """The cached interior system of a mesh, in nested-dissection order."""
-    system = mesh._cache.get("system")
-    if system is None:
-        system = mesh._cache["system"] = _build_system(mesh, meshmod.dissection_order(mesh))
-    return system
-
-
-def _drop_solve_caches(mesh):
-    """Drop the system, load vectors and bases from the ``_cache`` of ``mesh``
-    and its twins."""
-    for key in [k for k in mesh._cache if k == "system" or k[0] in ("load", "basis")]:
-        del mesh._cache[key]
+    """The interior system of a mesh, in nested-dissection order."""
+    return _build_system(mesh, meshmod.dissection_order(mesh))
 
 
 def _load_vector(mesh, f):
-    """Load vector on all vertices; cached per mesh and field."""
-    key = ("load", f)
-    F = mesh._cache.get(key)
-    if F is None:
-        contrib = mesh.column(key, lambda x: _load_of(x, f)).T  # summed cell-major
-        F = np.bincount(mesh.cells.reshape(-1), contrib.reshape(-1), mesh.num_vertices)
-        mesh._cache[key] = F
-    return F
+    """Load vector on all vertices."""
+    contrib = mesh.column(_load_of, f).T  # summed cell-major
+    return np.bincount(mesh.cells.reshape(-1), contrib.reshape(-1), mesh.num_vertices)
 
 
 def _csc(system, values):
@@ -308,30 +293,23 @@ def _csc(system, values):
     return sp.csc_matrix((values, system.indices, system.indptr), shape=(n, n))
 
 
-def _factor(A, b, c):
-    """SuperLU factor of A; a failure raises SolveError naming the pole's b and c."""
-    try:
-        # no relaxed supernodes, one-column panels: faster below ~3,000 dofs, even at 48,641
-        return splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1, panel_size=1,
-                    options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        raise SolveError(f"b K + c M at b = {b}, c = {c}: {exc}", residual=np.inf) from exc
+def _factor(A):
+    """SuperLU factor of A; a singular A raises RuntimeError."""
+    # no relaxed supernodes, one-column panels: faster below ~3,000 dofs, even at 48,641
+    return splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1, panel_size=1,
+                options={"SymmetricMode": True})
 
 
-def _basis(mesh, system, kind, f, b, c):
+def _basis(mesh, kind, f):
     """Rows V_k = (P^-1 E)^k P^-1 F, k < _T, with (P, E) = (K, M) for
-    ``kind`` "k" and (M, K) for "m"; cached per mesh, kind and field.  The
-    factor of P lives only in this call."""
-    key = ("basis", kind, f)
-    V = mesh._cache.get(key)
-    if V is None:
-        P, E = (system.k, system.m) if kind == "k" else (system.m, system.k)
-        lu, E = _factor(_csc(system, P), b, c), _csc(system, E)
-        V = np.empty((_T, len(system.dofs)))
-        V[0] = lu.solve(_load_vector(mesh, f)[system.dofs])
-        for k in range(1, _T):
-            V[k] = lu.solve(E @ V[k - 1])
-        mesh._cache[key] = V
+    ``kind`` "k" and (M, K) for "m".  The factor of P lives only in this call."""
+    system = mesh.memo(_system)
+    P, E = (system.k, system.m) if kind == "k" else (system.m, system.k)
+    lu, E = _factor(_csc(system, P)), _csc(system, E)
+    V = np.empty((_T, len(system.dofs)))
+    V[0] = lu.solve(mesh.memo(_load_vector, f)[system.dofs])
+    for k in range(1, _T):
+        V[k] = lu.solve(E @ V[k - 1])
     return V
 
 
@@ -347,33 +325,38 @@ def assemble_and_solve(mesh, b, c, f, rel_tol=1e-10):
     any other pole factors ``b K + c M`` itself.  Every factorization is
     SuperLU's (``scipy.sparse.linalg.splu``) with diagonal pivots, which is
     stable for these symmetric positive definite matrices, in the
-    nested-dissection order the cached system is built in, with no ordering
+    nested-dissection order the mesh's system is built in, with no ordering
     step of its own; no factor outlives the call.  Raises ValueError unless b
     and c are finite and nonnegative with one of them positive (either alone
-    gives an SPD system), and SolveError if a matrix to factor is singular or
-    the relative residual of the reduced system ``b K + c M`` exceeds
-    ``rel_tol``, which every call checks.
+    gives an SPD system) and ``rel_tol`` >= 0, and SolveError naming b and c
+    if a matrix to factor is singular or the relative residual of the reduced
+    system ``b K + c M`` exceeds ``rel_tol``, which every call checks.
     """
     if not (np.isfinite(b) and np.isfinite(c) and min(b, c) >= 0.0 and max(b, c) > 0.0):
         raise ValueError(f"coefficients must be finite, nonnegative and not both zero, "
                          f"got b = {b}, c = {c}")
-    system = _system(mesh)
+    if not rel_tol >= 0.0:  # NaN too: no residual exceeds it
+        raise ValueError(f"rel_tol must be a nonnegative number, got {rel_tol}")
+    system = mesh.memo(_system)
     w = np.zeros(mesh.num_vertices)
     if len(system.dofs) == 0:
         return FeFunction(mesh, w)
     A = _csc(system, b * system.k + c * system.m)
-    rhs = _load_vector(mesh, f)[system.dofs]
+    rhs = mesh.memo(_load_vector, f)[system.dofs]
     scale, sigma = max(b, c), min(b, c) / max(b, c)
     kind, q = ("k", sigma / system.lam_lo) if b >= c else ("m", sigma * system.lam_hi)
-    if q <= _Q:
-        V = _basis(mesh, system, kind, f, b, c)
-        j = _terms(q) if q > 0.0 else 1
-        sol = V[j - 1]
-        for k in range(j - 2, -1, -1):
-            sol = V[k] - sigma * sol
-        sol = sol / scale
-    else:
-        sol = _factor(A, b, c).solve(rhs)
+    try:
+        if q <= _Q:
+            V = mesh.memo(_basis, kind, f)
+            j = _terms(q) if q > 0.0 else 1
+            sol = V[j - 1]
+            for k in range(j - 2, -1, -1):
+                sol = V[k] - sigma * sol
+            sol = sol / scale
+        else:
+            sol = _factor(A).solve(rhs)
+    except RuntimeError as exc:
+        raise SolveError(f"b K + c M at b = {b}, c = {c}: {exc}", residual=np.inf) from exc
     rhs_norm = np.linalg.norm(rhs)
     res = np.linalg.norm(A @ sol - rhs) / rhs_norm if rhs_norm > 0.0 else 0.0
     if not np.isfinite(res) or res > rel_tol:

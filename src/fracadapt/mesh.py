@@ -30,17 +30,18 @@ descendant is its (unique) longest edge.
 Each forest keeps a node table (``_ForestBase``): every node built so far,
 append-only, with its key, corners, edges and first child, and per-node
 columns (areas, gradients, per field the load contributions and the
-estimator's operators, per reference its values) computed once per node and
+estimator's operators, per reference its values), each keyed by the function
+that computes it and that function's arguments, computed once per node and
 gathered by every mesh (``TriMesh.column``), node axis last: a gather comes
 out cells innermost, as the estimator reads it, and a caller that flattens it
-cell-major transposes it.  Each midpoint also records the ends (lo, hi) of the
-edge it bisects and its generation, one more than the larger of theirs (roots:
-0), which is all a P1 prolongation between meshes of the forest needs
+cell-major transposes it.  Each midpoint also records the ends (lo, hi) of
+the edge it bisects and its generation, one more than the larger of theirs
+(roots: 0), which is all a P1 prolongation between meshes of the forest needs
 (``fem._Prolongation``).  A refinement keeps its mesh's leaf rows and adds
 children's, appended at a node's first bisection, and a build numbers the
-forest vertices and edges its leaves use.  Forests compare by identity: meshes
-of two separately built forests are never the same mesh and never combine,
-even over equal roots.
+forest vertices and edges its leaves use.  Forests compare by identity:
+meshes of two separately built forests are never the same mesh and never
+combine, even over equal roots.
 
 Vertex numbering: the initial vertices come first, then one midpoint per
 bisected edge, ordered by the smallest key of a node that bisects that edge.
@@ -57,11 +58,11 @@ node's two children, because every edge lies inside one cell.
 A mesh is identified by its leaves.  While a mesh of a forest is alive,
 ``refine``, ``uniform_refine`` and ``union_mesh`` return a mesh with the same
 leaves as a *twin*: a new object sharing its arrays and ``_cache`` dict.
-Every ``_cache`` entry is a function of the leaves, and of the ``RhsField``
-where keyed by one, and holds no mesh; so twins share the dict safely,
-``id(mesh._cache)`` groups meshes by leaves, and no cache keeps another mesh
-alive.  An entry lives only while a layer needs it: the FE system, loads and
-Neumann bases for one solve phase (``fem``).
+Only ``TriMesh.memo`` reads and writes ``_cache``, keying ``compute(mesh,
+*args)`` by ``(compute, *args)``: a function of the leaves that holds no
+mesh, so twins share the dict safely, ``id(mesh._cache)`` groups meshes by
+leaves, and no cache keeps another mesh alive.  It holds the FE system,
+loads and Neumann bases for one solve phase (``fem``), then is cleared whole.
 
 Vertex, cell, edge and row ids, in the meshes and in the node table, are
 int32: a forest stays far below 2**31 nodes.  Hot gathers by them use
@@ -376,25 +377,32 @@ class TriMesh:
         return int(np.count_nonzero(~self.boundary_vertex))
 
     def cell_areas(self):
-        return self.column("areas", _cell_areas)
+        return self.column(_cell_areas)
 
-    def column(self, name, compute):
+    def column(self, compute, *args):
         """This mesh's cells' values (..., m), cells innermost, in the forest's
-        per-node column ``name``, which stores them node axis last.
+        per-node column ``(compute, *args)``, stored node axis last.
 
-        ``compute`` maps the corner coordinates (r, 3, 2) of r nodes to their
+        ``compute(x, *args)`` maps the corners x (r, 3, 2) of r nodes to their
         values (r, ...); it runs once per node, on the rows added since the
         column was last extended.  It must compute each node's values from its
         own corners alone, elementwise, so that no bit depends on the other rows.
         """
-        base = self.base
-        col = base.columns.get(name)
+        base, key = self.base, (compute, *args)
+        col = base.columns.get(key)
         done = 0 if col is None else col.shape[-1]
         if done < len(base.corners):
-            new = compute(np.take(base.xy, base.corners[done:], axis=0))
+            new = compute(np.take(base.xy, base.corners[done:], axis=0), *args)
             new = np.ascontiguousarray(np.moveaxis(new, 0, -1))  # else take copies it
-            base.columns[name] = col = new if col is None else np.concatenate([col, new], -1)
+            base.columns[key] = col = new if col is None else np.concatenate([col, new], -1)
         return np.take(col, self.rows, axis=-1)  # faster than col[..., self.rows]
+
+    def memo(self, compute, *args):
+        """``compute(self, *args)``, kept in ``_cache`` until it is cleared."""
+        key = (compute, *args)
+        if key not in self._cache:
+            self._cache[key] = compute(self, *args)
+        return self._cache[key]
 
     def same_mesh(self, other):
         return self is other or (

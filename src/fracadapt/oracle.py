@@ -10,8 +10,9 @@ sum lam^{-s} <f, psi> psi, truncated at a requested number of modes (ordered
 by increasing eigenvalue).
 
 ``l2_error`` reads the reference values at a cell's six quadrature points
-from a per-node column of the mesh forest, keyed by the reference object, so
-a run evaluates the series once per forest node, not once per checkpoint.
+from a per-node column of the mesh forest, keyed by ``_ref_values`` and the
+reference object, so a run evaluates the series once per forest node, not
+once per checkpoint.
 """
 
 import functools
@@ -20,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import TRI_QP, TRI_QW, FeFunction, _matvec
+from .fem import TRI_QP, TRI_QW, FeFunction, RhsField, _matvec
+from .rational import J0_FIRST_ZERO
 
 __all__ = [
     "SpectralSolution",
@@ -38,8 +40,6 @@ _ROWS = 256  # points per gathered product in SpectralSolution.eval
 def faber_krahn_lambda0(domain):
     """Guaranteed lower bound pi * j01^2 / |Omega| for the first Dirichlet
     eigenvalue of any planar domain of the given area."""
-    from .rational import J0_FIRST_ZERO
-
     return math.pi * J0_FIRST_ZERO**2 / domain.area
 
 
@@ -198,8 +198,6 @@ def eigenfunction_reference(domain, i, j, s):
 
 def eigenfunction_field(domain, i, j):
     """The normalized eigenfunction psi_ij as a right-hand side field."""
-    from .fem import RhsField
-
     rect = _rect_of(domain)
     x0, x1, y0, y1 = rect
     lx, ly = x1 - x0, y1 - y0
@@ -215,15 +213,18 @@ def eigenfunction_field(domain, i, j):
     return RhsField.manufactured(psi)
 
 
+def _ref_values(x, u_ref):
+    """Values (r, 6) of ``u_ref`` at the quadrature points of cells with corners x."""
+    return u_ref.eval(_matvec(TRI_QP, x).reshape(-1, 2)).reshape(-1, 6)
+
+
 def l2_error(u_ref, u_h):
     """|| u_ref - u_h ||_{L2} by the per-cell 6-point (order 4) rule.  The
-    values of ``u_ref`` at a cell's points are a per-node forest column
-    (``mesh.TriMesh.column``), keyed by ``u_ref`` itself, so each node is
+    values of ``u_ref`` at a cell's points are the per-node forest column
+    ``(_ref_values, u_ref)`` (``mesh.TriMesh.column``), so each node is
     evaluated once per reference."""
     mesh = u_h.mesh
-    ref_vals = mesh.column(
-        ("ref", u_ref), lambda x: u_ref.eval(_matvec(TRI_QP, x).reshape(-1, 2)).reshape(-1, 6)
-    ).T  # cell-major, as the sum below runs
+    ref_vals = mesh.column(_ref_values, u_ref).T  # cell-major, as the sum below runs
     fem_vals = u_h.cell_values_at(TRI_QP)
     diff2 = (ref_vals - fem_vals) ** 2
     return float(np.sqrt(np.einsum("mq,q,m->", diff2, TRI_QW, mesh.cell_areas())))

@@ -179,6 +179,21 @@ def test_rates_too_few_rows(tmp_path, capsys):
     assert "at least 15" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("window", ["-3", "0", "1"])
+def test_rates_rejects_a_window_below_two(tmp_path, capsys, window):
+    # a line needs two points: -0 would slice every record, 1 fits one point
+    # and a negative window is no count of records
+    path = tmp_path / "log.csv"
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(CSV_HEADER)
+        for m in range(2):
+            w.writerow([m, 1, 1, 1, 10 * 2**m, 10 * 2**m, "1", f"{0.5**m}", "", "", "0"])
+    assert run_cli(["rates", str(path), f"--window={window}"]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "window" in err
+
+
 def test_rates_missing_file(capsys):
     assert run_cli(["rates", "/nonexistent/log.csv"]) == 1
 

@@ -402,15 +402,26 @@ def test_solve_caches_live_for_one_solve_phase(mode, monkeypatch):
     built, build = [], fem._build_system
 
     def spy(m, dofs):
-        assert not any("system" in cache for cache in built)
+        assert not any((fem._system,) in cache for cache in built)
         built.append(m._cache)
         return build(m, dofs)
 
     monkeypatch.setattr(fem, "_build_system", spy)
     res = run(small_config(mode=mode))
     assert len(built) >= len(res.records)
+    solve_phase = (fem._system, fem._load_vector, fem._basis)
     for m in [st.mesh for st in res.states] + [res.union]:
-        assert not [k for k in m._cache if k in ("system", "geometry") or k[0] in ("load", "basis")]
+        assert not [k for k in m._cache if k[0] in solve_phase]
+
+
+@pytest.mark.parametrize("mode", ["multimesh", "singlemesh", "uniform"])
+def test_every_memo_is_empty_after_a_run(mode):
+    # the driver clears each mesh group's memo whole after its solves, and no
+    # other layer memoizes, so no entry outlives the run's last solve phase
+    res = run(small_config(mode=mode, max_iterations=3))
+    assert any(st.mesh._cache is not res.union._cache for st in res.states) == (mode == "multimesh")
+    for m in [st.mesh for st in res.states] + [res.union]:
+        assert m._cache == {}
 
 
 @pytest.mark.parametrize("mode", ["multimesh", "singlemesh", "uniform"])

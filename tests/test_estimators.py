@@ -551,14 +551,14 @@ def _assert_close(solution, reference):
 
 
 def _spy_column_reads(monkeypatch, mesh):
-    """Count the reads of each forest column by ``mesh`` and its twins."""
+    """Count the reads of each forest column by ``mesh`` and its twins, per
+    compute function."""
     reads, column = {}, meshmod.TriMesh.column
 
-    def spy(self, name, compute):
+    def spy(self, compute, *args):
         if self._cache is mesh._cache:
-            key = name if isinstance(name, str) else name[0]
-            reads[key] = reads.get(key, 0) + 1
-        return column(self, name, compute)
+            reads[compute] = reads.get(compute, 0) + 1
+        return column(self, compute, *args)
 
     monkeypatch.setattr(meshmod.TriMesh, "column", spy)
     return reads
@@ -573,14 +573,15 @@ def test_setup_reads_the_areas_and_gradients_once_per_use(monkeypatch):
     reads = _spy_column_reads(monkeypatch, m)
     b, c = np.array([1.0, 1.0]), np.array([1.0, 1e-9])
     w = [assemble_and_solve(m, b[k], c[k], f).nodal_values for k in range(2)]
-    assert ("basis", "k", f) in m._cache  # only the second pole summed a basis
+    assert (fem._basis, "k", f) in m._cache  # only the second pole summed a basis
     local_indicators(m, FeFunction(m, np.stack(w, axis=1)), b, c, f)
-    assert reads["grads"] == 2 and reads["areas"] == 2
+    assert reads[fem._grads_of] == 2 and reads[meshmod._cell_areas] == 2
 
 
 def test_union_pass_reads_the_union_gradients_once(monkeypatch):
     # two kernel blocks on the union and one coarser group in the class sums
-    # share one gather of the union's gradients
+    # share one gather of the union's gradients; the areas are gathered by
+    # the classes before the sweep and with the columns after it, no more
     scheme = bp_coefficients(0.5, 0.6, 1.0)
     m0 = make_initial_mesh(UNIT, 32)
     u = refine(m0, {0, 9})
@@ -595,7 +596,7 @@ def test_union_pass_reads_the_union_gradients_once(monkeypatch):
     reads = _spy_column_reads(monkeypatch, u)
     global_union_estimate(scheme, states, union_mesh([u, m0]), f)
     assert calls["kernel"] == [estimators._BLOCK, 1] and calls["class_sums"] == 1
-    assert reads["grads"] == 1
+    assert reads[fem._grads_of] == 1 and reads[meshmod._cell_areas] == 2
 
 
 def _random_refinement(mesh, rng, rounds):

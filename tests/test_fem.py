@@ -177,7 +177,7 @@ def test_solution_depends_only_on_the_leaves(kind, cells):
         for b, c in ((1e-3, 1.0), (2.5, 0.5), (1.0, 1e-5)):
             w = assemble_and_solve(twin, b, c, f).nodal_values
             assert np.array_equal(assemble_and_solve(fresh, b, c, f).nodal_values, w)
-        assert ("basis", "k", f) in fresh._cache
+        assert (fem._basis, "k", f) in fresh._cache
 
 
 def _dense_matrices(m):
@@ -231,7 +231,7 @@ def test_mass_system_is_factored_once(monkeypatch):
     assemble_and_solve(m, 0.0, 1.0, g)  # another field
     assemble_and_solve(m, 1e-3, 1.0, f)  # another matrix
     assert len(factored) == 3
-    del m._cache[("basis", "m", f)]
+    del m._cache[(fem._basis, "m", f)]
     assert np.array_equal(assemble_and_solve(m, 1e-30, 1.0, f).nodal_values, fresh.nodal_values)
     assert len(factored) == 4
 
@@ -288,7 +288,7 @@ def test_every_pole_matches_a_direct_solve(s, kappa):
         for f, r in zip(fields, ref.T):
             w = assemble_and_solve(m, b, c, f).nodal_values[system.dofs]
             assert np.max(np.abs(w - r)) <= 1e-12 * np.max(np.abs(r))
-    assert all(("basis", kind, f) in m._cache for kind in "km" for f in fields)
+    assert all((fem._basis, kind, f) in m._cache for kind in "km" for f in fields)
 
 
 def test_limit_pole_checks_its_residual():
@@ -297,7 +297,7 @@ def test_limit_pole_checks_its_residual():
     for b, c, kind in ((1.0, 1e-6, "k"), (1e-9, 1.0, "m")):
         with pytest.raises(SolveError) as exc_info:
             assemble_and_solve(m, b, c, f, rel_tol=0.0)
-        assert ("basis", kind, f) in m._cache
+        assert (fem._basis, kind, f) in m._cache
         assert 0.0 < exc_info.value.residual < 1e-12
 
 
@@ -396,11 +396,37 @@ def test_solve_error_carries_residual():
     assert exc_info.value.residual >= 0.0
 
 
-def test_singular_matrix_raises_solve_error():
-    # zeroing the cached values makes b K + c M singular; the factorization
-    # failure must surface as SolveError naming b and c
+@pytest.mark.parametrize("rel_tol", [math.nan, -1.0, -math.inf])
+def test_rel_tol_must_be_a_nonnegative_number(rel_tol):
+    # no residual exceeds NaN, and every residual exceeds a negative bound:
+    # neither is a tolerance (0.0 is, see test_solve_error_carries_residual)
     m = make_initial_mesh(UNIT, 32)
-    system = fem._system(m)
+    with pytest.raises(ValueError, match="rel_tol"):
+        assemble_and_solve(m, 1.0, 1.0, RhsField.one(), rel_tol=rel_tol)
+
+
+def test_twins_share_one_memo_entry(monkeypatch):
+    # two equal refinements are twins: a solve on each fills one memo, and
+    # each of its computations runs once for both
+    built, build = [], fem._build_system
+    monkeypatch.setattr(fem, "_build_system", lambda m, dofs: built.append(1) or build(m, dofs))
+    loads, load = [], fem._load_vector
+    monkeypatch.setattr(fem, "_load_vector", lambda m, f: loads.append(1) or load(m, f))
+    f, m0 = RhsField.test2(), make_initial_mesh(UNIT, 32)
+    a, b = refine(m0, {0, 5, 17}), refine(m0, {17, 5, 0})
+    assert a is not b and b._cache is a._cache
+    # (1.0, 1e-5) is a limit pole, summed from the stiffness basis
+    wa, wb = (assemble_and_solve(m, 1.0, 1e-5, f).nodal_values for m in (a, b))
+    assert np.array_equal(wa, wb)
+    assert built == [1] and loads == [1]
+    assert set(a._cache) == {(fem._system,), (fem._load_vector, f), (fem._basis, "k", f)}
+
+
+def test_singular_matrix_raises_solve_error():
+    # zeroing the memo's system values makes b K + c M singular; the
+    # factorization failure must surface as SolveError naming b and c
+    m = make_initial_mesh(UNIT, 32)
+    system = m.memo(fem._system)
     system.k[:] = 0.0
     system.m[:] = 0.0
     with pytest.raises(SolveError, match=r"b = 1.0, c = 1e-06"):

@@ -83,6 +83,21 @@ def test_forest_sizes_are_reported_not_compared():
     assert fingerprint.forest_sizes(a, b) == ["forest table: not recorded by A"]
 
 
+def test_column_names_for_either_key_style():
+    # columns keyed by a name, as older trees key them, and by the function
+    # that computes them with its arguments: one copy of the tool names both
+    from fracadapt import estimators, fem, mesh, oracle
+
+    f = fem.RhsField.test2()
+    ref = oracle.eigenfunction_reference(mesh.DomainSpec("square"), 1, 2, 0.5)
+    names = [fingerprint._column_name(key) for key in (
+        "areas", ("ops", f), ("ref", ref),
+        (mesh._cell_areas,), (estimators._ops_of, f), (oracle._ref_values, ref),
+    )]
+    assert names == ["areas", "ops(testII)", "ref(SpectralSolution)",
+                     "_cell_areas", "_ops_of(testII)", "_ref_values(SpectralSolution)"]
+
+
 def test_forest_edges_are_reported_where_recorded():
     # a table that numbers forest edges records their count; one that does
     # not records none, and the count is reported, never compared

@@ -21,6 +21,7 @@ from fracadapt.mesh import (
     _LEVEL_MASK,
     DomainSpec,
     TriMesh,
+    _cell_areas,
     ancestor_cell_map,
     dissection_order,
     make_initial_mesh,
@@ -190,7 +191,7 @@ def test_columns_extend_with_the_table():
     meshes = [m0]
     for marks in (A_MARKS, B_MARKS):
         meshes.append(_chain(meshes[-1], marks))
-        assert m0.base.columns[("ops", FIELDS[0])].shape[-1] < len(m0.base.corners)
+        assert m0.base.columns[(estimators._ops_of, FIELDS[0])].shape[-1] < len(m0.base.corners)
         assert_setup_matches_reference(meshes[-1])
     assert_setup_matches_reference(uniform_refine(meshes[1]))
     for mesh in meshes:
@@ -253,6 +254,28 @@ def test_field_is_evaluated_at_new_nodes_only():
     assert sum(evaluated) == seen
 
 
+def _scaled_areas(x, k):
+    return k * _cell_areas(x)
+
+
+def test_columns_are_keyed_by_function_and_arguments():
+    # two compute functions never share a column, even when one computes the
+    # other's values, and neither do two fields or factors of one function
+    m = _chain(make_initial_mesh(SQUARE, 32), A_MARKS)
+    areas = m.cell_areas()
+    assert_bits(m.column(_scaled_areas, 1.0), areas, "scaled by 1")
+    assert_bits(m.column(_scaled_areas, 3.0), 3.0 * areas, "scaled by 3")
+    loads = [m.column(fem._load_of, f) for f in FIELDS]
+    for f, load in zip(FIELDS, loads):
+        assert_bits(load, fem._load_of(m.vertices[m.cells], f).T, f.kind)
+    assert not np.array_equal(loads[0], loads[1])
+    estimators._columns(m, FIELDS[0])
+    assert set(m.base.columns) == {
+        (_cell_areas,), (_scaled_areas, 1.0), (_scaled_areas, 3.0), (fem._grads_of,),
+        *((fem._load_of, f) for f in FIELDS), (estimators._ops_of, FIELDS[0]),
+    }
+
+
 def test_node_table_holds_no_mesh():
     m0 = make_initial_mesh(SQUARE, 32)
     base = m0.base
@@ -266,7 +289,8 @@ def test_node_table_holds_no_mesh():
     del m0, meshes, mesh
     gc.collect()
     assert all(ref() is None for ref in refs)
-    assert set(base.columns) == {"areas", "grads", ("load", FIELDS[1]), ("ops", FIELDS[2])}
+    assert set(base.columns) == {(_cell_areas,), (fem._grads_of,), (fem._load_of, FIELDS[1]),
+                                 (estimators._ops_of, FIELDS[2])}
     assert len(base.key) > 32
 
 

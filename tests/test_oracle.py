@@ -211,8 +211,9 @@ def test_references_get_separate_columns():
     assert l2_error(a, zero) == l2_error(b, zero)
     c = eigenfunction_reference(UNIT, 2, 1, 0.5)
     assert l2_error(c, zero) != l2_error(a, zero)
-    assert {("ref", a), ("ref", b), ("ref", c)} <= set(m.base.columns)
-    assert len({key for key in m.base.columns if key[0] == "ref"}) == 3
+    ref = oracle._ref_values
+    assert {(ref, a), (ref, b), (ref, c)} <= set(m.base.columns)
+    assert len({key for key in m.base.columns if key[0] is ref}) == 3
 
 
 def test_spectral_solution_is_frozen():

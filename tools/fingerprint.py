@@ -41,12 +41,15 @@ def _sha(array, dtype=np.int64):
 
 
 def _column_name(key):
-    """A JSON key for a forest column: its name, and the field's kind or the
-    reference's type where the column has one per field or reference."""
+    """A JSON key for a forest column: its name, or the name of the function
+    that computes it, then the field's kind or the reference's type where the
+    column has one per field or reference.  A column is keyed by a name, by
+    (name, field or reference), or by (function, its arguments...)."""
     if isinstance(key, str):
         return key
-    name, what = key
-    return f"{name}({getattr(what, 'kind', type(what).__name__)})"
+    name, *args = key
+    name = getattr(name, "__name__", name)
+    return name + "".join(f"({getattr(a, 'kind', type(a).__name__)})" for a in args)
 
 
 def _sin_multimesh(fa, workloads):
